@@ -9,7 +9,9 @@ from .errors import (
     EmbeddingNotPSD,
     EqualDilations,
     GridTooCoarse,
+    MalformedFieldFile,
     NegativeVariance,
+    NonFiniteVariation,
     OrderTooLow,
     OrderZero,
     PathTooShort,
@@ -77,9 +79,7 @@ from .theory import (
     E_const,
     Gamma_fourier,
     asymptotic_constants,
-    expected_variation_asymptotics,
     gamma_const,
-    variation_ratio_limit,
 )
 from .harness import (
     EvalReport,

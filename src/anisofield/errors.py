@@ -31,6 +31,12 @@ class EmbeddingNotPSD(AnisofieldError):
     """Circulant embedding kept negative eigenvalues after doubling."""
 
 
+# --- field files ----------------------------------------------------------
+
+class MalformedFieldFile(AnisofieldError, ValueError):
+    """A field file is not AFB1, or its size disagrees with its header."""
+
+
 # --- projections ----------------------------------------------------------
 
 class WindowOutOfSupport(AnisofieldError):
@@ -45,6 +51,10 @@ class PathTooShort(AnisofieldError):
 
 class ZeroVariation(AnisofieldError):
     """A quadratic variation vanished, so its log-ratio is undefined."""
+
+
+class NonFiniteVariation(AnisofieldError):
+    """A quadratic variation is NaN or infinite: the input is not finite."""
 
 
 class EqualDilations(AnisofieldError):
@@ -62,11 +72,11 @@ class OrderTooLow(AnisofieldError):
 
 
 class TailNotConverged(AnisofieldError):
-    """Series truncation error could not be certified below tolerance."""
+    """Series truncation or roundoff error could not be certified below tolerance."""
 
 
 class NegativeVariance(AnisofieldError):
-    """Composed limit variance came out negative; quadrature is suspect."""
+    """Composed limit variance came out negative beyond roundoff."""
 
 
 # --- evaluation harness -----------------------------------------------------

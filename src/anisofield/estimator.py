@@ -19,10 +19,11 @@ import numpy as np
 from .errors import (
     EqualDilations,
     GridTooCoarse,
+    NonFiniteVariation,
     PathTooShort,
     ZeroVariation,
 )
-from .filters import DiscreteFilter, binomial_filter
+from .filters import DiscreteFilter, apply_filter, binomial_filter
 from .projection import project_axis
 from .synthesis import GridField2D, SampledPath
 
@@ -70,19 +71,17 @@ def quad_variation(path: SampledPath, spec: VariationSpec) -> float:
     N = spec.n_steps
     if x.size < N + 1:
         raise PathTooShort(f"path has {x.size} values, need {N + 1}")
-    u = spec.dilation
-    coeffs = spec.filter.coeffs
-    span = (coeffs.size - 1) * u
-    count = N - span + 1
-    z = np.zeros(count)
-    for k, c in enumerate(coeffs):
-        if c != 0.0:
-            z += c * x[k * u : k * u + count]
+    z = apply_filter(spec.filter, x[: N + 1], spec.dilation)
     return float(np.mean(z * z))
 
 
 def _checked_variation(path: SampledPath, spec: VariationSpec) -> float:
     v = quad_variation(path, spec)
+    if not math.isfinite(v):
+        raise NonFiniteVariation(
+            f"variation is {v} (dilation {spec.dilation}): the path holds "
+            "NaN or infinite values"
+        )
     if v < _ZERO_VARIATION:
         raise ZeroVariation(
             f"variation vanished (filter order {spec.filter.order} "

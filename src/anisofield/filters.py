@@ -89,9 +89,6 @@ class DiscreteFilter:
         """Number of coefficients, l + 1."""
         return self._coeffs.size
 
-    def __len__(self) -> int:
-        return self._coeffs.size
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteFilter):
             return NotImplemented

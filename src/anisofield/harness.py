@@ -146,6 +146,7 @@ def _replicate_1d(task):
 
 def _collect(results, reps, failure_log):
     ok = []
+    first = len(failure_log)
     for status, payload in results:
         if status == "ok":
             ok.append(payload)
@@ -155,7 +156,7 @@ def _collect(results, reps, failure_log):
     if failed > _FAILURE_SHARE * reps:
         raise TooManyFailures(
             f"{failed}/{reps} replicates errored (> {_FAILURE_SHARE:.0%}); "
-            f"first: {failure_log[0]}"
+            f"first: {failure_log[first]}"
         )
     return ok, failed
 

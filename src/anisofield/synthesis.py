@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import EmbeddingNotPSD
+from .errors import EmbeddingNotPSD, MalformedFieldFile
 from .spectral import SpectralModel, density
 
 __all__ = [
@@ -288,15 +288,28 @@ def write_field(field: GridField2D, path) -> None:
 
 
 def read_field(path) -> GridField2D:
-    """Read a field written by :func:`write_field`."""
+    """Read a field written by :func:`write_field`.
+
+    Raises MalformedFieldFile unless the file is exactly one AFB1 header
+    followed by the (M+1)^2 values its grid size M calls for.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        magic, M, h_h, h_v, seed = _HEADER.unpack(raw)
-        if magic != b"AFB1":
-            raise ValueError(f"{path}: not an AFB1 field file")
-        count = (M + 1) * (M + 1)
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-    values = data.reshape(M + 1, M + 1).copy()
+        raw = fh.read()
+    if raw[:4] != b"AFB1":
+        raise MalformedFieldFile(f"{path}: not an AFB1 field file")
+    if len(raw) < _HEADER.size:
+        raise MalformedFieldFile(
+            f"{path}: {len(raw)} bytes, shorter than the {_HEADER.size}-byte header"
+        )
+    _, M, h_h, h_v, seed = _HEADER.unpack_from(raw)
+    expected = _HEADER.size + 8 * (M + 1) ** 2
+    if len(raw) != expected:
+        raise MalformedFieldFile(
+            f"{path}: header grid size M={M} needs {expected} bytes, "
+            f"file has {len(raw)}"
+        )
+    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    values = values.reshape(M + 1, M + 1).copy()
     values.flags.writeable = False
     params = None if np.isnan(h_h) or np.isnan(h_v) else (h_h, h_v)
     return GridField2D(

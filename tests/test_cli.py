@@ -96,6 +96,22 @@ class TestEstimate:
         truth = {r[2] for r in rows[1:]}
         assert truth == {"horizontal", "vertical"}
 
+    @pytest.mark.parametrize("damage", ["truncated", "extended", "wrong_m"])
+    def test_malformed_field_file(self, tmp_path, capsys, damage):
+        field_file = tmp_path / "f.afb"
+        main(["simulate", "--index", "constant:0.5", "-M", "8", "--out", str(field_file)])
+        raw = field_file.read_bytes()
+        field_file.write_bytes({
+            "truncated": raw[:-100],
+            "extended": raw + b"x",
+            "wrong_m": raw[:4] + (4).to_bytes(4, "little") + raw[8:],
+        }[damage])
+        rc = main(["estimate", "--input", str(field_file)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("anisofield: ") and str(field_file) in err
+        assert "bytes" in err
+
     def test_path_rows(self, tmp_path):
         path_file = tmp_path / "p.csv"
         main(["simulate", "--hurst", "0.5", "-N", "512", "--seed", "2",

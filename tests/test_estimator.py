@@ -8,6 +8,7 @@ from anisofield import (
     EqualDilations,
     GridField2D,
     GridTooCoarse,
+    NonFiniteVariation,
     PathTooShort,
     SampledPath,
     SpectralModel,
@@ -91,6 +92,12 @@ class TestEstimateH:
     def test_equal_dilations(self):
         with pytest.raises(EqualDilations):
             estimate_H(_path(np.zeros(65)), A2, 2, 2)
+
+    def test_non_finite_path_rejected(self):
+        vals = fbm_path(0.5, 64, 3).values.copy()
+        vals[10] = np.nan
+        with pytest.raises(NonFiniteVariation):
+            estimate_H(_path(vals), A2, 2, 1)
 
     def test_fbm_mean_recovers_h(self):
         reps, N, H = 1000, 4096, 0.5
@@ -192,6 +199,12 @@ class TestEstimateDirection:
     def test_too_coarse(self, sra_field):
         with pytest.raises(GridTooCoarse):
             estimate_direction(sra_field, "horizontal", 6)
+
+    def test_non_finite_field_rejected(self, sra_field):
+        values = sra_field.values.copy()
+        values[5, 7] = np.inf
+        with pytest.raises(NonFiniteVariation):
+            estimate_pair(GridField2D(values=values), 0)
 
     def test_out_of_range_flag(self):
         t = np.arange(65) / 64.0

@@ -7,6 +7,7 @@ from anisofield import (
     EvalReport,
     ExperimentConfig,
     TooManyFailures,
+    ZeroVariation,
     emit_table,
     load_config,
     run_eval_1d,
@@ -113,6 +114,20 @@ class TestRun1D:
         monkeypatch.setattr(harness, "_replicate_1d", always_fail)
         with pytest.raises(TooManyFailures):
             run_eval_1d(_cfg_1d(reps=10))
+
+    def test_failure_message_names_failing_cell(self, monkeypatch):
+        # cell 0 tolerates one failure (1 of 100); cell 1 fails throughout
+        calls = []
+
+        def flaky(path, a, u, v):
+            calls.append(path.hurst_true)
+            if len(calls) == 1 or path.hurst_true == 0.7:
+                raise ZeroVariation("boom")
+            return 0.5
+
+        monkeypatch.setattr(harness, "estimate_H", flaky)
+        with pytest.raises(TooManyFailures, match=r"first: cell 1 rep 0"):
+            run_eval_1d(_cfg_1d(hursts=(0.5, 0.7), path_lengths=(16,), reps=100))
 
 
 class TestEmitTable:

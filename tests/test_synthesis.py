@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from anisofield import (
     AnisotropicIndex,
     GridField2D,
+    MalformedFieldFile,
     SpectralModel,
     afb_sra,
     afb_sra_direct,
@@ -182,6 +185,22 @@ class TestFieldIO:
         f.write_bytes(b"nope" + b"\0" * 64)
         with pytest.raises(ValueError):
             read_field(f)
+
+    @pytest.mark.parametrize("damage", ["truncated", "extended", "wrong_m", "header_only"])
+    def test_size_checked(self, aniso_model, tmp_path, damage):
+        f = tmp_path / "field.afb"
+        write_field(afb_sra(aniso_model, 8, 1), f)
+        raw = f.read_bytes()
+        bad = {
+            "truncated": raw[:-8],
+            "extended": raw + b"\0" * 3,
+            "wrong_m": raw[:4] + (16).to_bytes(4, "little") + raw[8:],
+            "header_only": raw[:20],
+        }[damage]
+        f.write_bytes(bad)
+        with pytest.raises(MalformedFieldFile, match=re.escape(str(f))) as info:
+            read_field(f)
+        assert str(len(bad)) in str(info.value)
 
     def test_csv_export(self, aniso_model, tmp_path):
         field = afb_sra(aniso_model, 8, 1)
