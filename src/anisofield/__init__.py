@@ -46,7 +46,6 @@ from .synthesis import (
     GridField2D,
     SampledPath,
     afb_sra,
-    afb_sra_direct,
     derived_stream,
     fbm_path,
     fgn_autocovariance,

@@ -34,7 +34,7 @@ def _cmd_simulate(args) -> int:
         raise SystemExit("simulate: give exactly one of --index or --hurst")
     if args.index is not None:
         model = SpectralModel(parse_index(args.index))
-        field = afb_sra(model, args.grid, args.seed)
+        field = afb_sra(model, args.grid, args.seed)[0]
         if args.format == "csv":
             field_to_csv(field, args.out)
         else:
@@ -87,8 +87,7 @@ def _cmd_estimate(args) -> int:
         for direction, h_true in zip(("horizontal", "vertical"), truths):
             for nu in args.nu:
                 est = estimate_direction(field, direction, nu, filt)
-                t1 = est.variations[VariationSpec(filt, 1, field.grid_size >> nu)]
-                t2 = est.variations[VariationSpec(filt, 2, field.grid_size >> nu)]
+                t1, t2 = est.variations
                 rows.append([
                     field.seed if field.seed is not None else "",
                     _fmt(h_true),
@@ -232,7 +231,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AnisofieldError as exc:
+    except (AnisofieldError, ValueError) as exc:
         print(f"anisofield: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ estimate subtracts that offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -90,6 +90,18 @@ def _checked_variation(path: SampledPath, spec: VariationSpec) -> float:
     return v
 
 
+def _log_ratio(
+    path: SampledPath, a: DiscreteFilter, u: int, v: int
+) -> tuple[float, float, float]:
+    """(log(V_u / V_v) / (2 log(u / v)), V_u, V_v) over the whole path."""
+    if u == v:
+        raise EqualDilations("need two distinct dilation factors")
+    N = path.n_steps
+    v_u = _checked_variation(path, VariationSpec(a, u, N))
+    v_v = _checked_variation(path, VariationSpec(a, v, N))
+    return math.log(v_u / v_v) / (2.0 * math.log(u / v)), v_u, v_v
+
+
 def estimate_H(path: SampledPath, a: DiscreteFilter, u: int, v: int) -> float:
     """Log-ratio estimate of the Hölder exponent of a 1-d sampled process.
 
@@ -97,20 +109,15 @@ def estimate_H(path: SampledPath, a: DiscreteFilter, u: int, v: int) -> float:
     order exceeds the true exponent.  Invariant under path scaling since
     the ratio cancels amplitude.
     """
-    if u == v:
-        raise EqualDilations("need two distinct dilation factors")
-    N = path.n_steps
-    v_u = _checked_variation(path, VariationSpec(a, u, N))
-    v_v = _checked_variation(path, VariationSpec(a, v, N))
-    return math.log(v_u / v_v) / (2.0 * math.log(u / v))
+    return _log_ratio(path, a, u, v)[0]
 
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """A directional regularity estimate with its underlying variations."""
+    """A directional regularity estimate with its variations (T_1, T_2)."""
 
     value: float
-    variations: dict = dc_field(default_factory=dict)
+    variations: tuple[float, float]
     direction: str | None = None
     nu: int | None = None
 
@@ -150,15 +157,10 @@ def estimate_direction(
         )
     proj = project_axis(field, direction)
     sub = SampledPath(values=proj.values[::stride])
-    n = M // stride
-    spec1 = VariationSpec(a, 1, n)
-    spec2 = VariationSpec(a, 2, n)
-    t1 = _checked_variation(sub, spec1)
-    t2 = _checked_variation(sub, spec2)
-    value = math.log(t2 / t1) / (2.0 * math.log(2.0)) - 0.5
+    h, t2, t1 = _log_ratio(sub, a, 2, 1)
     return EstimateResult(
-        value=value,
-        variations={spec1: t1, spec2: t2},
+        value=h - 0.5,
+        variations=(t1, t2),
         direction=direction,
         nu=nu,
     )

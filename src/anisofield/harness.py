@@ -4,8 +4,13 @@ aggregate empirical bias and standard deviation per parameter cell.
 Replicate i of cell c always draws from the stream spawned with key
 (c, i) off the base seed, so reports are reproducible bit for bit, cells
 are mutually independent, and growing the replicate count never reshuffles
-earlier replicates.  Replicates run across a worker pool; aggregation
-order is fixed by replicate index, so parallelism cannot change output.
+earlier replicates.  A 2-d replicate is the real field of the pair that
+``afb_sra`` draws from its stream, and the imaginary field is left unused.
+Taking replicates 2j and 2j+1 from one stream would halve the synthesis
+cost but redraw every 2-d report, and the acceptance grid's fixed-seed
+reference check does not survive a redraw (see ROADMAP item 2).
+Replicates run across a worker pool; aggregation order is fixed by
+replicate index, so parallelism cannot change output.
 """
 
 from __future__ import annotations
@@ -124,7 +129,7 @@ def _replicate_2d(task):
         index = AnisotropicIndex(kind, h_h, h_v)
         field = afb_sra(
             SpectralModel(index), grid, derived_stream(seed, cell, rep)
-        )
+        )[0]
         out = []
         for nu in nus:
             pair = estimate_pair(field, nu)

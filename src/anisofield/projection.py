@@ -54,19 +54,21 @@ def _check_direction(direction: str) -> None:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
-def _accumulate_columns(grid, weights, cols=None) -> np.ndarray:
-    """Weighted column sum in fixed index-ascending order.
+def _accumulate_columns(grid, stride=1, weights=None) -> np.ndarray:
+    """Sum of the columns 0, stride, 2*stride, ... of ``grid``, optionally
+    weighted, added in index-ascending order.
 
-    An explicit accumulation keeps the result independent of numpy's
-    reduction strategy, so transposing the field swaps the two projection
-    directions bit for bit and windowed sums match the plain ones exactly.
+    The columns are laid out as contiguous rows, and ``np.add.reduce``
+    over axis 0 of a C-contiguous array adds those rows one after another
+    (no pairwise blocking applies along the outer axis).  So the result
+    does not depend on the memory layout of ``grid``: transposing the
+    field swaps the two projection directions bit for bit, and windowed
+    sums with unit weights match the plain ones exactly.
     """
-    out = np.zeros(grid.shape[0])
-    if cols is None:
-        cols = range(grid.shape[1])
-    for w, j in zip(weights, cols):
-        out += w * grid[:, j]
-    return out
+    rows = np.ascontiguousarray(grid.T[::stride])
+    if weights is not None:
+        rows = weights[:, None] * rows
+    return np.add.reduce(rows, axis=0)
 
 
 def project_axis(field: GridField2D, direction: str) -> ProjectionResult:
@@ -78,7 +80,7 @@ def project_axis(field: GridField2D, direction: str) -> ProjectionResult:
     _check_direction(direction)
     M = field.grid_size
     grid = field.values if direction == "horizontal" else field.values.T
-    values = _accumulate_columns(grid, np.ones(M + 1)) / M
+    values = _accumulate_columns(grid) / M
     values.flags.writeable = False
     return ProjectionResult(
         values=values,
@@ -116,10 +118,9 @@ def project_window(
             f"window support {sup} exceeds the grid footprint [0, 1]"
         )
     stride = M // m_sub
-    cols = np.arange(m_sub + 1) * stride
-    weights = np.asarray(window(cols / M))  # grid positions j/m_sub
+    weights = np.asarray(window(np.arange(m_sub + 1) / m_sub), dtype=float)
     grid = field.values if direction == "horizontal" else field.values.T
-    values = _accumulate_columns(grid, weights, cols) / m_sub
+    values = _accumulate_columns(grid, stride, weights) / m_sub
     values.flags.writeable = False
     return ProjectionResult(values=values, direction=direction, window=window)
 

@@ -6,8 +6,8 @@ The 1D route embeds the fGn autocovariance in a circulant matrix
 Gaussian sample in O(n log n).  The 2D route discretizes the spectral
 representation of the field: complex white noise is shaped by the square
 root of the density on a (2M) x (2M) frequency grid and pushed through one
-inverse-style FFT; the real part, re-anchored at the origin, is the field
-on the (M+1) x (M+1) unit grid.
+inverse-style FFT; the real and the imaginary part, each re-anchored at the
+origin, are two independent fields on the (M+1) x (M+1) unit grid.
 
 All generators are pure functions of (parameters, seed).  Seeds go through
 numpy's SeedSequence / PCG64 machinery, and replicate i of a Monte Carlo
@@ -35,7 +35,6 @@ __all__ = [
     "fgn_exact",
     "fbm_path",
     "afb_sra",
-    "afb_sra_direct",
     "write_field",
     "read_field",
     "field_to_csv",
@@ -181,16 +180,18 @@ def _sra_amplitude(model: SpectralModel, M: int) -> np.ndarray:
     """Square root of the density on the (2M) x (2M) frequency grid.
 
     Frequencies are pi * n for n in -M+1..M on both axes (FFT storage
-    order); the origin amplitude is set to zero.
+    order); the origin amplitude is set to zero.  The density is even in
+    each coordinate (it depends on |xi_1| and |xi_2| only), so it is
+    evaluated once on the quadrant n in {0..M}^2 and indexed by |n|; the
+    result equals a full-grid evaluation bit for bit.
     """
-    n = _fft_order_frequencies(M).astype(float)
-    xi = np.pi * n
+    xi = np.pi * np.arange(M + 1, dtype=float)
     pts = np.stack(np.broadcast_arrays(xi[:, None], xi[None, :]), axis=-1)
-    flat = pts.reshape(-1, 2)
-    nonzero = np.any(flat != 0.0, axis=1)
-    vals = np.zeros(flat.shape[0])
-    vals[nonzero] = density(model, flat[nonzero])
-    g = np.sqrt(vals).reshape(2 * M, 2 * M)
+    quadrant = np.zeros((M + 1, M + 1))
+    quadrant.flat[1:] = density(model, pts.reshape(-1, 2)[1:])
+    np.sqrt(quadrant, out=quadrant)
+    n = np.abs(_fft_order_frequencies(M))
+    g = quadrant[np.ix_(n, n)]
     g.flags.writeable = False
     return g
 
@@ -208,25 +209,7 @@ def _power_of_two(M: int) -> bool:
     return M >= 2 and (M & (M - 1)) == 0
 
 
-def afb_sra(model: SpectralModel, M: int, seed) -> GridField2D:
-    """Approximate anisotropic fractional Brownian field on the unit grid.
-
-    Shapes (2M)^2 complex white-noise draws by the density square root on
-    the frequency grid pi * {-M+1..M}^2 and evaluates the discretized
-    spectral sum by one 2M x 2M FFT, in O(M^2 log M).  The output is the
-    real part anchored so that the origin value is exactly zero.  The
-    overall amplitude carries an arbitrary calibration; every downstream
-    estimator is invariant under global scaling.
-    """
-    if model.dim != 2:
-        raise ValueError("field synthesis requires a 2-d model")
-    if not _power_of_two(M) or M < 4:
-        raise ValueError("grid size must be a power of two >= 4")
-    g = _sra_amplitude(model, int(M))
-    rng = _rng(seed)
-    z = _draw_complex_noise(rng, M)
-    y = sp_fft.fft2(z * g)
-    block = np.pi * y[: M + 1, : M + 1].real
+def _anchored(block: np.ndarray, model: SpectralModel, seed) -> GridField2D:
     values = block - block[0, 0]
     values[0, 0] = 0.0
     values.flags.writeable = False
@@ -237,33 +220,38 @@ def afb_sra(model: SpectralModel, M: int, seed) -> GridField2D:
     )
 
 
-def afb_sra_direct(model: SpectralModel, M: int, seed) -> GridField2D:
-    """Reference evaluation of the discretized spectral sum, term by term.
+def afb_sra(model: SpectralModel, M: int, seed) -> tuple[GridField2D, GridField2D]:
+    """Two independent approximate anisotropic fractional Brownian fields.
 
-    Same noise draw and frequency grid as :func:`afb_sra` but the double
-    sum over n1, n2 in -M+1..M is evaluated literally, at O(M^4) cost.
-    Intended for small M as an oracle for the FFT path.
+    Shapes (2M)^2 complex white-noise draws by the density square root on
+    the frequency grid pi * {-M+1..M}^2 and evaluates the discretized
+    spectral sum by one 2M x 2M FFT, in O(M^2 log M).  Only the (M+1)^2
+    outputs on the unit grid are needed, so the transform runs along axis
+    1, keeps M+1 columns, then runs along axis 0 and keeps M+1 rows.
+
+    Returns ``(real_field, imag_field)``: the real and the imaginary part
+    of the sum, each anchored so that its origin value is exactly zero.
+    For circular complex noise the two parts are Gaussian with the same
+    covariance, sum_n g(n)^2 cos(theta_n(k - k')), and their
+    cross-covariance is sum_n g(n)^2 sin(theta_n(k - k')).  That sum
+    vanishes because g is even in each coordinate: the terms n and -n
+    cancel, and on the Nyquist row n_1 = M, which has no mirror, the terms
+    (M, n_2) and (M, -n_2) cancel instead (likewise on the Nyquist column
+    n_2 = M).  So the two fields are independent with the same law.  The
+    overall amplitude carries an arbitrary calibration; every downstream
+    estimator is invariant under global scaling.
     """
     if model.dim != 2:
         raise ValueError("field synthesis requires a 2-d model")
     if not _power_of_two(M) or M < 4:
         raise ValueError("grid size must be a power of two >= 4")
     g = _sra_amplitude(model, int(M))
-    rng = _rng(seed)
-    z = _draw_complex_noise(rng, M)
-    weighted = z * g
-    n = _fft_order_frequencies(M)
-    k = np.arange(M + 1)
-    phase = np.exp(-2j * np.pi * np.outer(n, k) / (2 * M))
-    y = np.pi * np.einsum("ab,ak,bl->kl", weighted, phase, phase)
-    values = y.real - y[0, 0].real
-    values[0, 0] = 0.0
-    values.flags.writeable = False
-    return GridField2D(
-        values=values,
-        params_true=_field_params(model),
-        seed=seed if isinstance(seed, int) else None,
-    )
+    z = _draw_complex_noise(_rng(seed), M)
+    z *= g
+    y = sp_fft.fft(z, axis=1, overwrite_x=True)[:, : M + 1]
+    y = sp_fft.fft(y, axis=0, overwrite_x=True)[: M + 1]
+    y *= np.pi
+    return _anchored(y.real, model, seed), _anchored(y.imag, model, seed)
 
 
 # --- field file format ------------------------------------------------------

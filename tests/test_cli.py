@@ -24,6 +24,23 @@ def _read_csv(path):
         return list(csv.reader(fh))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theory", "--u", "0", "--H", "0.5"],
+        ["simulate", "--index", "axes:0.7,0.2", "--grid", "12", "--out", "{tmp}/f.afb"],
+        ["evaluate", "--config", "{tmp}/bad.cfg"],
+    ],
+    ids=["theory_u0", "simulate_grid12", "evaluate_unknown_key"],
+)
+def test_value_errors_reported_in_one_line(tmp_path, capsys, argv):
+    (tmp_path / "bad.cfg").write_text("mode = 2d\nindex = constant:0.5\nmodee = 1d\n")
+    rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("anisofield: ") and err.count("\n") == 1
+
+
 class TestSimulate:
     def test_field_roundtrip(self, tmp_path):
         out = tmp_path / "f.afb"
@@ -33,7 +50,7 @@ class TestSimulate:
         ])
         assert rc == 0
         field = read_field(out)
-        direct = afb_sra(SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2)), 16, 3)
+        direct = afb_sra(SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2)), 16, 3)[0]
         assert np.array_equal(field.values, direct.values)
 
     def test_path_roundtrip(self, tmp_path):

@@ -156,7 +156,7 @@ class TestEstimateH:
 @pytest.fixture(scope="module")
 def sra_field():
     model = SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2))
-    return afb_sra(model, 256, 99)
+    return afb_sra(model, 256, 99)[0]
 
 
 class TestEstimateDirection:
@@ -173,8 +173,7 @@ class TestEstimateDirection:
                 t2 = quad_variation(_path(sub), VariationSpec(A2, 2, n))
                 manual = math.log(t2 / t1) / (2 * math.log(2)) - 0.5
                 assert est.value == manual
-                assert est.variations[VariationSpec(A2, 1, n)] == t1
-                assert est.variations[VariationSpec(A2, 2, n)] == t2
+                assert est.variations == (t1, t2)
 
     def test_field_scaling_invariance(self, sra_field):
         doubled = GridField2D(values=2.0 * sra_field.values)
@@ -230,7 +229,7 @@ class TestEstimatePair:
     def test_isotropic_difference_small(self):
         model = SpectralModel(AnisotropicIndex.constant(0.5))
         diffs = [
-            estimate_pair(afb_sra(model, 128, derived_stream(14, i)), 0).difference
+            estimate_pair(afb_sra(model, 128, derived_stream(14, i))[0], 0).difference
             for i in range(400)
         ]
         assert abs(np.mean(diffs)) <= 0.02

@@ -89,6 +89,29 @@ class TestRun2D:
         assert small.rows == again.rows
         assert small.rows != large.rows
 
+    def test_each_replicate_reproducible_on_its_own(self, monkeypatch):
+        # Replicates 0..4 agree across replicate counts and worker counts.
+        real_map = harness._map_replicates
+
+        def per_replicate(**kw):
+            seen = []
+
+            def recording(fn, tasks, workers):
+                out = real_map(fn, tasks, workers)
+                seen.extend(out)
+                return out
+
+            monkeypatch.setattr(harness, "_map_replicates", recording)
+            run_eval_2d(_cfg_2d(**kw))
+            assert all(status == "ok" for status, _ in seen)
+            return [payload for _, payload in seen]
+
+        base = per_replicate(reps=5, workers=1)
+        assert len(base) == 5
+        for reps in (5, 9):
+            for workers in (1, 2):
+                assert per_replicate(reps=reps, workers=workers)[:5] == base
+
 
 class TestRun1D:
     def test_smoke(self):

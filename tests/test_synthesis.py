@@ -9,7 +9,6 @@ from anisofield import (
     MalformedFieldFile,
     SpectralModel,
     afb_sra,
-    afb_sra_direct,
     derived_stream,
     fbm_path,
     fgn_autocovariance,
@@ -20,6 +19,8 @@ from anisofield import (
     write_field,
     write_path_csv,
 )
+from anisofield import synthesis
+from oracles import afb_sra_direct, full_grid_amplitude
 
 # fGn lag-1 autocovariance at H=0.7: (2^1.4 - 2)/2
 R1_H07 = 0.3195079107728942
@@ -112,11 +113,11 @@ def aniso_model():
 
 class TestSra:
     def test_origin_anchored(self, aniso_model):
-        field = afb_sra(aniso_model, 16, 11)
-        assert field.values[0, 0] == 0.0
+        for field in afb_sra(aniso_model, 16, 11):
+            assert field.values[0, 0] == 0.0
 
     def test_real_and_finite(self, aniso_model):
-        field = afb_sra(aniso_model, 16, 11)
+        field = afb_sra(aniso_model, 16, 11)[0]
         assert field.values.dtype == np.float64
         assert np.all(np.isfinite(field.values))
         assert field.values.shape == (17, 17)
@@ -124,14 +125,65 @@ class TestSra:
     def test_determinism(self, aniso_model):
         a = afb_sra(aniso_model, 16, 3)
         b = afb_sra(aniso_model, 16, 3)
-        assert np.array_equal(a.values, b.values)
+        for x, y in zip(a, b):
+            assert np.array_equal(x.values, y.values)
 
     @pytest.mark.parametrize("M", [4, 8])
     def test_fft_matches_direct_sum(self, aniso_model, M):
         for seed in range(5):
             fast = afb_sra(aniso_model, M, seed)
             slow = afb_sra_direct(aniso_model, M, seed)
-            assert np.abs(fast.values - slow.values).max() <= 1e-9
+            for field, values in zip(fast, slow):
+                assert np.abs(field.values - values).max() <= 1e-9
+
+    @pytest.mark.parametrize("M", [4, 8, 64])
+    @pytest.mark.parametrize(
+        "index", [AnisotropicIndex.constant(0.3), AnisotropicIndex.axis_pair(0.7, 0.2)]
+    )
+    def test_mirrored_amplitude_table(self, index, M):
+        model = SpectralModel(index)
+        assert np.array_equal(
+            synthesis._sra_amplitude(model, M), full_grid_amplitude(model, M)
+        )
+
+    def test_pair_law(self, aniso_model):
+        # The real and imaginary parts of one transform are independent
+        # fields with the same law: zero cross-covariance at and between
+        # grid points, equal increment variances in both directions.
+        M, reps = 16, 2000
+        points = [(1, 1), (4, 9), (8, 8), (16, 3), (16, 16)]
+        rows, cols = np.array(points).T
+        cross, incr = [], []
+        for i in range(reps):
+            fields = afb_sra(aniso_model, M, derived_stream(6, i))
+            re, im = (f.values for f in fields)
+            cross.append(np.outer(re[rows, cols], im[rows, cols]).ravel())
+            incr.append([
+                np.mean(np.diff(re, axis=0) ** 2) - np.mean(np.diff(im, axis=0) ** 2),
+                np.mean(np.diff(re, axis=1) ** 2) - np.mean(np.diff(im, axis=1) ** 2),
+                (re[8, 9] - re[8, 8]) ** 2 - (im[8, 9] - im[8, 8]) ** 2,
+            ])
+        for stat in (np.array(cross), np.array(incr)):
+            se = stat.std(axis=0, ddof=1) / np.sqrt(reps)
+            assert np.all(np.abs(stat.mean(axis=0)) <= 5.0 * se)
+
+    def test_pair_covariances_exact(self, aniso_model, monkeypatch):
+        # Both fields are linear in the noise; pushing each unit noise
+        # component through gives their covariances exactly.
+        M = 8
+        basis = np.eye(2 * (2 * M) ** 2)
+        units = basis.reshape(-1, 2 * M, 2 * M, 2).view(np.complex128)[..., 0]
+        noise = iter(units)
+        monkeypatch.setattr(
+            synthesis, "_draw_complex_noise", lambda rng, M: next(noise).copy()
+        )
+        maps = np.array([
+            [f.values.ravel() for f in afb_sra(aniso_model, M, 0)] for _ in basis
+        ])
+        re, im = maps[:, 0], maps[:, 1]
+        scale = np.abs(re.T @ re).max()
+        assert np.abs(re.T @ re - im.T @ im).max() <= 1e-12 * scale
+        assert np.abs(re.T @ im).max() <= 1e-12 * scale
 
     def test_grid_validation(self, aniso_model):
         with pytest.raises(ValueError):
@@ -140,7 +192,7 @@ class TestSra:
             afb_sra(aniso_model, 2, 0)
 
     def test_params_recorded(self, aniso_model):
-        field = afb_sra(aniso_model, 8, 21)
+        field = afb_sra(aniso_model, 8, 21)[0]
         assert field.params_true == (0.7, 0.2)
         assert field.seed == 21
 
@@ -151,7 +203,7 @@ class TestSra:
         model = SpectralModel(AnisotropicIndex.constant(0.5))
         reps = 200
         fields = [
-            afb_sra(model, 32, derived_stream(4, i)).values.ravel()
+            afb_sra(model, 32, derived_stream(4, i))[0].values.ravel()
             for i in range(reps)
         ]
         pooled = np.concatenate(fields)
@@ -165,7 +217,7 @@ class TestSra:
 
 class TestFieldIO:
     def test_binary_roundtrip(self, aniso_model, tmp_path):
-        field = afb_sra(aniso_model, 16, 9)
+        field = afb_sra(aniso_model, 16, 9)[0]
         f = tmp_path / "field.afb"
         write_field(field, f)
         back = read_field(f)
@@ -189,7 +241,7 @@ class TestFieldIO:
     @pytest.mark.parametrize("damage", ["truncated", "extended", "wrong_m", "header_only"])
     def test_size_checked(self, aniso_model, tmp_path, damage):
         f = tmp_path / "field.afb"
-        write_field(afb_sra(aniso_model, 8, 1), f)
+        write_field(afb_sra(aniso_model, 8, 1)[0], f)
         raw = f.read_bytes()
         bad = {
             "truncated": raw[:-8],
@@ -203,7 +255,7 @@ class TestFieldIO:
         assert str(len(bad)) in str(info.value)
 
     def test_csv_export(self, aniso_model, tmp_path):
-        field = afb_sra(aniso_model, 8, 1)
+        field = afb_sra(aniso_model, 8, 1)[0]
         f = tmp_path / "field.csv"
         field_to_csv(field, f)
         data = np.loadtxt(f, delimiter=",")
