@@ -70,6 +70,7 @@ from .estimator import (
     estimate_H,
     estimate_direction,
     estimate_pair,
+    log_ratio_at_level,
     quad_variation,
 )
 from .theory import (

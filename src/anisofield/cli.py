@@ -11,13 +11,12 @@ import csv
 import sys
 
 from .errors import AnisofieldError
-from .estimator import VariationSpec, estimate_H, estimate_direction, quad_variation
+from .estimator import estimate_direction, log_ratio_at_level
 from .filters import parse_filter
 from .harness import emit_table, load_config, run_eval_1d, run_eval_2d
 from .projection import project_axis, project_window, projection_to_csv
 from .spectral import SpectralModel, parse_index, parse_window
 from .synthesis import (
-    SampledPath,
     afb_sra,
     fbm_path,
     field_to_csv,
@@ -40,7 +39,7 @@ def _cmd_simulate(args) -> int:
         else:
             write_field(field, args.out)
     else:
-        path = fbm_path(args.hurst, args.length, args.seed)
+        path = fbm_path(args.hurst, args.length, args.seed)[0]
         write_path_csv(path, args.out, seed=args.seed)
     return 0
 
@@ -101,13 +100,7 @@ def _cmd_estimate(args) -> int:
     else:
         path, seed = read_path_csv(args.input)
         for nu in args.nu:
-            sub = SampledPath(
-                values=path.values[:: 1 << nu], hurst_true=path.hurst_true
-            )
-            est = estimate_H(sub, filt, args.u, args.v)
-            n = sub.n_steps
-            v1 = quad_variation(sub, VariationSpec(filt, args.u, n))
-            v2 = quad_variation(sub, VariationSpec(filt, args.v, n))
+            est, v1, v2 = log_ratio_at_level(path.values, nu, filt, args.u, args.v)
             rows.append([
                 seed if seed is not None else "",
                 _fmt(path.hurst_true),

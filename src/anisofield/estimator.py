@@ -33,6 +33,7 @@ __all__ = [
     "PairEstimate",
     "quad_variation",
     "estimate_H",
+    "log_ratio_at_level",
     "estimate_direction",
     "estimate_pair",
 ]
@@ -131,6 +132,35 @@ class EstimateResult:
         return not 0.0 < self.value < 1.0
 
 
+def log_ratio_at_level(
+    values: np.ndarray, nu: int, a: DiscreteFilter, u: int, v: int
+) -> tuple[float, float, float]:
+    """(estimate, V_u, V_v) of the log-ratio on ``values[::2^nu]``.
+
+    The step-2^nu subsample of a sampled process, estimated as by
+    :func:`estimate_H`, with both variations returned alongside.
+    """
+    return _log_ratio(SampledPath(values=values[:: 1 << nu]), a, u, v)
+
+
+def _check_level(M: int, nu: int) -> None:
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
+    stride = 1 << nu
+    if M % stride != 0 or M // stride < 8:
+        raise GridTooCoarse(
+            f"grid size {M} at subsampling 2^{nu} leaves fewer than 8 steps"
+        )
+
+
+def _projected_index(
+    values: np.ndarray, nu: int, a: DiscreteFilter
+) -> tuple[float, float, float]:
+    """(index estimate, T_1, T_2) of one axis projection at level nu."""
+    h, t2, t1 = log_ratio_at_level(values, nu, a, 2, 1)
+    return h - 0.5, t1, t2
+
+
 def estimate_direction(
     field: GridField2D,
     direction: str,
@@ -147,19 +177,11 @@ def estimate_direction(
     """
     if a is None:
         a = binomial_filter(2)
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    M = field.grid_size
-    stride = 1 << nu
-    if M % stride != 0 or M // stride < 8:
-        raise GridTooCoarse(
-            f"grid size {M} at subsampling 2^{nu} leaves fewer than 8 steps"
-        )
+    _check_level(field.grid_size, nu)
     proj = project_axis(field, direction)
-    sub = SampledPath(values=proj.values[::stride])
-    h, t2, t1 = _log_ratio(sub, a, 2, 1)
+    value, t1, t2 = _projected_index(proj.values, nu, a)
     return EstimateResult(
-        value=h - 0.5,
+        value=value,
         variations=(t1, t2),
         direction=direction,
         nu=nu,
@@ -175,9 +197,25 @@ class PairEstimate(NamedTuple):
 
 
 def estimate_pair(
-    field: GridField2D, nu: int = 0, a: DiscreteFilter | None = None
-) -> PairEstimate:
-    """Estimate both directional indices and their difference."""
-    e_h = estimate_direction(field, "horizontal", nu, a)
-    e_v = estimate_direction(field, "vertical", nu, a)
-    return PairEstimate(e_h.value, e_v.value, e_h.value - e_v.value)
+    field: GridField2D,
+    nus: tuple[int, ...] = (0,),
+    a: DiscreteFilter | None = None,
+) -> tuple[PairEstimate, ...]:
+    """Both directional indices and their difference at each level in nus.
+
+    Projects the field once per axis and strides each projection per
+    level, so the estimates equal those of :func:`estimate_direction` bit
+    for bit.
+    """
+    if a is None:
+        a = binomial_filter(2)
+    for nu in nus:
+        _check_level(field.grid_size, nu)
+    horizontal = project_axis(field, "horizontal").values
+    vertical = project_axis(field, "vertical").values
+    out = []
+    for nu in nus:
+        h_h = _projected_index(horizontal, nu, a)[0]
+        h_v = _projected_index(vertical, nu, a)[0]
+        out.append(PairEstimate(h_h, h_v, h_h - h_v))
+    return tuple(out)

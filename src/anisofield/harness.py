@@ -1,16 +1,23 @@
 """Monte Carlo evaluation pipeline: simulate, project, estimate, and
 aggregate empirical bias and standard deviation per parameter cell.
 
-Replicate i of cell c always draws from the stream spawned with key
-(c, i) off the base seed, so reports are reproducible bit for bit, cells
-are mutually independent, and growing the replicate count never reshuffles
-earlier replicates.  A 2-d replicate is the real field of the pair that
-``afb_sra`` draws from its stream, and the imaginary field is left unused.
-Taking replicates 2j and 2j+1 from one stream would halve the synthesis
-cost but redraw every 2-d report, and the acceptance grid's fixed-seed
-reference check does not survive a redraw (see ROADMAP item 2).
-Replicates run across a worker pool; aggregation order is fixed by
-replicate index, so parallelism cannot change output.
+Every transform of cell c draws from a stream spawned with key (c, j) off
+the base seed, so reports are reproducible bit for bit, cells are mutually
+independent, and growing the replicate count never reshuffles earlier
+replicates.
+
+- A 1-d replicate i draws from stream (c, floor(i/2)) and takes the real
+  path of the pair that ``fbm_path`` returns for even i and the imaginary
+  path for odd i; one task computes both.  With an odd replicate count the
+  last imaginary path is dropped.
+- A 2-d replicate i draws from stream (c, i) and takes the real field of
+  the pair that ``afb_sra`` returns; the imaginary field is left unused.
+  Pairing the fields as in 1-d would halve the synthesis cost but redraw
+  every 2-d report, and the acceptance grid's fixed-seed reference check
+  does not survive a redraw (see ROADMAP item 2).
+
+Tasks run across a worker pool; aggregation order is fixed by replicate
+index, so parallelism cannot change output.
 """
 
 from __future__ import annotations
@@ -73,6 +80,11 @@ class ExperimentConfig:
                 raise ValueError(
                     f"subsampling level {nu} too deep for grid {self.grid_size}"
                 )
+        if self.mode == "2d" and (self.dilation_u, self.dilation_v) != (2, 1):
+            raise ValueError(
+                "2-d mode estimates with the dilations u = 2, v = 1; got "
+                f"u = {self.dilation_u}, v = {self.dilation_v}"
+            )
 
     @property
     def filter(self) -> DiscreteFilter:
@@ -124,29 +136,35 @@ def _map_replicates(fn, tasks, workers):
 
 
 def _replicate_2d(task):
-    kind, h_h, h_v, grid, nus, seed, cell, rep = task
+    kind, h_h, h_v, grid, nus, coeffs, seed, cell, rep = task
     try:
         index = AnisotropicIndex(kind, h_h, h_v)
         field = afb_sra(
             SpectralModel(index), grid, derived_stream(seed, cell, rep)
         )[0]
-        out = []
-        for nu in nus:
-            pair = estimate_pair(field, nu)
-            out.append((nu, pair.h_h, pair.h_v))
-        return ("ok", out)
+        pairs = estimate_pair(field, nus, DiscreteFilter(coeffs))
+        return ("ok", [(nu, p.h_h, p.h_v) for nu, p in zip(nus, pairs)])
     except AnisofieldError as exc:
         return ("err", f"cell {cell} rep {rep}: {exc!r}")
 
 
 def _replicate_1d(task):
-    hurst, n_steps, coeffs, u, v, seed, cell, rep = task
+    """Replicates 2j and 2j+1 (or 2j alone, when count is 1) of one cell,
+    as one (status, payload) per replicate."""
+    hurst, n_steps, coeffs, u, v, seed, cell, pair, count = task
+    reps = range(2 * pair, 2 * pair + count)
     try:
-        path = fbm_path(hurst, n_steps, derived_stream(seed, cell, rep))
-        est = estimate_H(path, DiscreteFilter(coeffs), u, v)
-        return ("ok", est)
+        paths = fbm_path(hurst, n_steps, derived_stream(seed, cell, pair))
     except AnisofieldError as exc:
-        return ("err", f"cell {cell} rep {rep}: {exc!r}")
+        return [("err", f"cell {cell} rep {rep}: {exc!r}") for rep in reps]
+    filt = DiscreteFilter(coeffs)
+    out = []
+    for rep, path in zip(reps, paths):
+        try:
+            out.append(("ok", estimate_H(path, filt, u, v)))
+        except AnisofieldError as exc:
+            out.append(("err", f"cell {cell} rep {rep}: {exc!r}"))
+    return out
 
 
 def _collect(results, reps, failure_log):
@@ -188,6 +206,7 @@ def run_eval_2d(config: ExperimentConfig) -> EvalReport:
                 index.h_v,
                 config.grid_size,
                 nus,
+                config.filter_coeffs,
                 config.seed,
                 cell,
                 rep,
@@ -253,11 +272,16 @@ def run_eval_1d(config: ExperimentConfig) -> EvalReport:
                 v,
                 config.seed,
                 cell,
-                rep,
+                pair,
+                min(2, config.reps - 2 * pair),
             )
-            for rep in range(config.reps)
+            for pair in range((config.reps + 1) // 2)
         ]
-        results = _map_replicates(_replicate_1d, tasks, config.workers)
+        results = [
+            result
+            for task_results in _map_replicates(_replicate_1d, tasks, config.workers)
+            for result in task_results
+        ]
         ok, failed = _collect(results, config.reps, failure_log)
         total_failed += failed
         est = np.array(ok)

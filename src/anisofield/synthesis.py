@@ -9,10 +9,16 @@ root of the density on a (2M) x (2M) frequency grid and pushed through one
 inverse-style FFT; the real and the imaginary part, each re-anchored at the
 origin, are two independent fields on the (M+1) x (M+1) unit grid.
 
+The 1D route yields a pair as well: the real and the imaginary part of its
+transform are two independent exact fGn samples.
+
 All generators are pure functions of (parameters, seed).  Seeds go through
-numpy's SeedSequence / PCG64 machinery, and replicate i of a Monte Carlo
-batch draws from the stream spawned with key (i,), so output never depends
-on scheduling and is stable when the replicate count changes.
+numpy's SeedSequence / PCG64 machinery and a Monte Carlo batch spawns one
+stream per transform, so output never depends on scheduling and is stable
+when the replicate count changes.  The evaluation harness takes a 2D
+replicate i from stream (c, i), using the real field, and a 1D replicate i
+from stream (c, floor(i/2)), using the real path for even i and the
+imaginary path for odd i.
 """
 
 from __future__ import annotations
@@ -94,6 +100,11 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _draw_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """I.i.d. complex normals of the given shape, unit variance per component."""
+    return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+
+
 def fgn_autocovariance(H: float, lags) -> np.ndarray:
     """Autocovariance of unit-step fGn: (|k+1|^2H - 2|k|^2H + |k-1|^2H)/2."""
     k = np.asarray(lags, dtype=float)
@@ -132,37 +143,51 @@ def _embedding_sqrt(H: float, n: int) -> np.ndarray:
     )
 
 
-def fgn_exact(H: float, n: int, seed) -> np.ndarray:
-    """Exact sample of n stationary fractional Gaussian noise increments.
+def fgn_exact(H: float, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Two independent exact samples of n stationary fractional Gaussian
+    noise increments, ``(real, imag)``, from one transform.
 
-    The covariance of the output is the fGn autocovariance itself, not an
-    approximation: the circulant eigen-decomposition shapes complex white
-    noise whose transformed real part has exactly the embedded covariance.
+    Complex white noise w = a + ib (a, b independent standard normal
+    vectors) is shaped by the square roots of the circulant embedding's
+    eigenvalues and transformed, y = F diag(amp) w.  Then E[y y^H] = 2C,
+    where C is the embedded circulant covariance, and E[y y^T] = 0 because
+    E[w w^T] = E[a a^T] - E[b b^T] = 0.  Hence Re y and Im y each have
+    covariance Re C, and their cross-covariance is (C-bar - C)/2i.  The
+    eigenvalues are real and even, so C is real: each part has covariance C,
+    whose leading n x n block is exactly the fGn autocovariance, and the
+    cross-covariance vanishes.  Jointly Gaussian and uncorrelated, the two
+    parts are independent.
     """
     if not 0.0 < H < 1.0:
         raise ValueError("H must lie in (0, 1)")
     if n < 2:
         raise ValueError("need n >= 2 samples")
     amp = _embedding_sqrt(float(H), int(n))
-    rng = _rng(seed)
-    z = rng.standard_normal((amp.size, 2)).view(np.complex128)[:, 0]
-    spectrum = np.fft.fft(amp * z)
-    return np.ascontiguousarray(spectrum.real[:n])
+    z = _draw_complex_noise(_rng(seed), amp.shape)
+    spectrum = np.fft.fft(amp * z)[:n]
+    return np.ascontiguousarray(spectrum.real), np.ascontiguousarray(spectrum.imag)
 
 
-def fbm_path(H: float, N: int, seed) -> SampledPath:
-    """Fractional Brownian motion sampled at k/N, k = 0..N, with X(0) = 0.
-
-    Cumulative sums of exact fGn scaled by N^{-H}, so Var X(k/N) = (k/N)^2H
-    holds in law exactly.
-    """
-    fgn = fgn_exact(H, N, seed)
+def _fbm_from_fgn(fgn: np.ndarray, H: float) -> SampledPath:
+    N = fgn.size
     values = np.empty(N + 1)
     values[0] = 0.0
     np.cumsum(fgn, out=values[1:])
     values[1:] *= float(N) ** (-H)
     values.flags.writeable = False
     return SampledPath(values=values, hurst_true=float(H))
+
+
+def fbm_path(H: float, N: int, seed) -> tuple[SampledPath, SampledPath]:
+    """Two independent fractional Brownian motions sampled at k/N,
+    k = 0..N, with X(0) = 0: the paths of the real and of the imaginary
+    fGn sample of :func:`fgn_exact`.
+
+    Cumulative sums of exact fGn scaled by N^{-H}, so Var X(k/N) = (k/N)^2H
+    holds in law exactly.
+    """
+    real, imag = fgn_exact(H, N, seed)
+    return _fbm_from_fgn(real, H), _fbm_from_fgn(imag, H)
 
 
 def _fft_order_frequencies(M: int) -> np.ndarray:
@@ -194,11 +219,6 @@ def _sra_amplitude(model: SpectralModel, M: int) -> np.ndarray:
     g = quadrant[np.ix_(n, n)]
     g.flags.writeable = False
     return g
-
-
-def _draw_complex_noise(rng: np.random.Generator, M: int) -> np.ndarray:
-    """(2M) x (2M) i.i.d. complex normals, unit variance per component."""
-    return rng.standard_normal((2 * M, 2 * M, 2)).view(np.complex128)[..., 0]
 
 
 def _field_params(model: SpectralModel) -> tuple[float, float]:
@@ -246,7 +266,7 @@ def afb_sra(model: SpectralModel, M: int, seed) -> tuple[GridField2D, GridField2
     if not _power_of_two(M) or M < 4:
         raise ValueError("grid size must be a power of two >= 4")
     g = _sra_amplitude(model, int(M))
-    z = _draw_complex_noise(_rng(seed), M)
+    z = _draw_complex_noise(_rng(seed), (2 * M, 2 * M))
     z *= g
     y = sp_fft.fft(z, axis=1, overwrite_x=True)[:, : M + 1]
     y = sp_fft.fft(y, axis=0, overwrite_x=True)[: M + 1]

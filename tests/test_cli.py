@@ -8,11 +8,16 @@ import pytest
 
 from anisofield import (
     AnisotropicIndex,
+    SampledPath,
     SpectralModel,
+    VariationSpec,
     afb_sra,
+    binomial_filter,
     estimate_direction,
+    estimate_H,
     fbm_path,
     project_axis,
+    quad_variation,
     read_field,
     read_path_csv,
 )
@@ -30,11 +35,15 @@ def _read_csv(path):
         ["theory", "--u", "0", "--H", "0.5"],
         ["simulate", "--index", "axes:0.7,0.2", "--grid", "12", "--out", "{tmp}/f.afb"],
         ["evaluate", "--config", "{tmp}/bad.cfg"],
+        ["evaluate", "--config", "{tmp}/dilations.cfg"],
     ],
-    ids=["theory_u0", "simulate_grid12", "evaluate_unknown_key"],
+    ids=["theory_u0", "simulate_grid12", "evaluate_unknown_key", "evaluate_2d_u3"],
 )
 def test_value_errors_reported_in_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.cfg").write_text("mode = 2d\nindex = constant:0.5\nmodee = 1d\n")
+    (tmp_path / "dilations.cfg").write_text(
+        "mode = 2d\nindex = constant:0.5\ngrid = 32\nnu = 0\nu = 3\n"
+    )
     rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert rc == 1
     err = capsys.readouterr().err
@@ -62,7 +71,7 @@ class TestSimulate:
         assert rc == 0
         path, seed = read_path_csv(out)
         assert seed == 11
-        np.testing.assert_array_equal(path.values, fbm_path(0.6, 128, 11).values)
+        np.testing.assert_array_equal(path.values, fbm_path(0.6, 128, 11)[0].values)
 
     def test_h_alias(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -142,6 +151,18 @@ class TestEstimate:
         assert rows[1][1] == "0.5" and rows[1][2] == "path"
         est = float(rows[1][4])
         assert 0.2 < est < 0.8  # sanity at N=512
+        # each row is the library's estimate and variations on the strided path
+        path, _ = read_path_csv(path_file)
+        a = binomial_filter(2)
+        for nu, row in zip((0, 1), rows[1:]):
+            sub = SampledPath(values=path.values[:: 1 << nu])
+            n = sub.n_steps
+            assert row[3:7] == [
+                str(nu),
+                repr(estimate_H(sub, a, 2, 1)),
+                repr(quad_variation(sub, VariationSpec(a, 2, n))),
+                repr(quad_variation(sub, VariationSpec(a, 1, n))),
+            ]
 
 
 class TestTheoryCommand:

@@ -94,7 +94,7 @@ class TestEstimateH:
             estimate_H(_path(np.zeros(65)), A2, 2, 2)
 
     def test_non_finite_path_rejected(self):
-        vals = fbm_path(0.5, 64, 3).values.copy()
+        vals = fbm_path(0.5, 64, 3)[0].values.copy()
         vals[10] = np.nan
         with pytest.raises(NonFiniteVariation):
             estimate_H(_path(vals), A2, 2, 1)
@@ -103,7 +103,7 @@ class TestEstimateH:
         reps, N, H = 1000, 4096, 0.5
         ests = np.array(
             [
-                estimate_H(fbm_path(H, N, derived_stream(10, i)), A2, 2, 1)
+                estimate_H(fbm_path(H, N, derived_stream(10, i))[0], A2, 2, 1)
                 for i in range(reps)
             ]
         )
@@ -114,7 +114,7 @@ class TestEstimateH:
         reps, N, H = 2000, 4096, 0.5
         ests = np.array(
             [
-                estimate_H(fbm_path(H, N, derived_stream(11, i)), A2, 2, 1)
+                estimate_H(fbm_path(H, N, derived_stream(11, i))[0], A2, 2, 1)
                 for i in range(reps)
             ]
         )
@@ -130,7 +130,7 @@ class TestEstimateH:
         for N in lengths:
             ests = np.array(
                 [
-                    estimate_H(fbm_path(H, N, derived_stream(12, int(10 * H), i)), A2, 2, 1)
+                    estimate_H(fbm_path(H, N, derived_stream(12, int(10 * H), i))[0], A2, 2, 1)
                     for i in range(reps)
                 ]
             )
@@ -145,7 +145,7 @@ class TestEstimateH:
         reps, N, H = 400, 1024, 0.95
         e1, e2 = [], []
         for i in range(reps):
-            path = fbm_path(H, N, derived_stream(13, i))
+            path = fbm_path(H, N, derived_stream(13, i))[0]
             e1.append(estimate_H(path, a1, 2, 1))
             e2.append(estimate_H(path, A2, 2, 1))
         bias1 = abs(np.mean(e1) - H)
@@ -203,7 +203,7 @@ class TestEstimateDirection:
         values = sra_field.values.copy()
         values[5, 7] = np.inf
         with pytest.raises(NonFiniteVariation):
-            estimate_pair(GridField2D(values=values), 0)
+            estimate_pair(GridField2D(values=values), (0,))
 
     def test_out_of_range_flag(self):
         t = np.arange(65) / 64.0
@@ -214,22 +214,32 @@ class TestEstimateDirection:
 
 class TestEstimatePair:
     def test_difference_composition(self, sra_field):
-        pair = estimate_pair(sra_field, 0)
-        e_h = estimate_direction(sra_field, "horizontal", 0).value
-        e_v = estimate_direction(sra_field, "vertical", 0).value
-        assert pair == (e_h, e_v, e_h - e_v)
+        # one projection per axis, strided per level, reproduces the
+        # per-level directional estimates bit for bit
+        nus = (0, 1, 2, 3)
+        for a in (binomial_filter(2), binomial_filter(3)):
+            pairs = estimate_pair(sra_field, nus, a)
+            assert len(pairs) == len(nus)
+            for nu, pair in zip(nus, pairs):
+                e_h = estimate_direction(sra_field, "horizontal", nu, a).value
+                e_v = estimate_direction(sra_field, "vertical", nu, a).value
+                assert pair == (e_h, e_v, e_h - e_v)
+
+    def test_too_coarse_level_rejected(self, sra_field):
+        with pytest.raises(GridTooCoarse):
+            estimate_pair(sra_field, (0, 6))
 
     def test_transpose_negates_difference(self, sra_field):
         flipped = GridField2D(values=sra_field.values.T.copy())
-        a = estimate_pair(sra_field, 1)
-        b = estimate_pair(flipped, 1)
+        (a,) = estimate_pair(sra_field, (1,))
+        (b,) = estimate_pair(flipped, (1,))
         assert a.difference == -b.difference
         assert a.h_h == b.h_v and a.h_v == b.h_h
 
     def test_isotropic_difference_small(self):
         model = SpectralModel(AnisotropicIndex.constant(0.5))
         diffs = [
-            estimate_pair(afb_sra(model, 128, derived_stream(14, i))[0], 0).difference
+            estimate_pair(afb_sra(model, 128, derived_stream(14, i))[0])[0].difference
             for i in range(400)
         ]
         assert abs(np.mean(diffs)) <= 0.02

@@ -1,14 +1,24 @@
 import math
 
+import numpy as np
 import pytest
 
 from anisofield import (
     AnisotropicIndex,
+    DiscreteFilter,
+    EmbeddingNotPSD,
     EvalReport,
     ExperimentConfig,
+    SpectralModel,
     TooManyFailures,
     ZeroVariation,
+    afb_sra,
+    binomial_filter,
+    derived_stream,
     emit_table,
+    estimate_H,
+    estimate_pair,
+    fbm_path,
     load_config,
     run_eval_1d,
     run_eval_2d,
@@ -112,6 +122,51 @@ class TestRun2D:
             for workers in (1, 2):
                 assert per_replicate(reps=reps, workers=workers)[:5] == base
 
+    def test_default_filter_is_the_binomial_one(self):
+        default = ExperimentConfig().filter
+        assert default == binomial_filter(2)
+        assert default.coeffs.tobytes() == binomial_filter(2).coeffs.tobytes()
+
+    def test_filter_key_reaches_the_estimator(self):
+        a = binomial_filter(3)
+        cfg = _cfg_2d(filter_coeffs=tuple(a.coeffs))
+        report = run_eval_2d(cfg)
+        model = SpectralModel(cfg.indices[0])
+        per_rep = [
+            estimate_pair(afb_sra(model, 32, derived_stream(5, 0, rep))[0], (0, 1), a)
+            for rep in range(cfg.reps)
+        ]
+        assert len(report.rows) == 2
+        for pos, row in enumerate(report.rows):
+            hh = np.array([pairs[pos].h_h for pairs in per_rep])
+            hv = np.array([pairs[pos].h_v for pairs in per_rep])
+            assert row.bias_h == float(hh.mean() - 0.7)
+            assert row.bias_v == float(hv.mean() - 0.2)
+        assert report.rows != run_eval_2d(_cfg_2d()).rows
+
+    @pytest.mark.parametrize("key", ["dilation_u", "dilation_v"])
+    def test_2d_rejects_other_dilations(self, key):
+        with pytest.raises(ValueError, match=r"u = 2, v = 1"):
+            _cfg_2d(**{key: 3})
+        assert _cfg_1d(**{key: 3}).mode == "1d"  # 1-d mode takes them
+
+
+def _per_replicate_1d(monkeypatch, **kw):
+    """(status, payload) of every replicate of a 1-d run, in order."""
+    real_map = harness._map_replicates
+    seen = []
+
+    def recording(fn, tasks, workers):
+        out = real_map(fn, tasks, workers)
+        for task_results in out:
+            seen.extend(task_results)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_map_replicates", recording)
+        run_eval_1d(_cfg_1d(**kw))
+    return seen
+
 
 class TestRun1D:
     def test_smoke(self):
@@ -132,11 +187,67 @@ class TestRun1D:
 
     def test_failure_policy(self, monkeypatch):
         def always_fail(task):
-            return ("err", "boom")
+            count = task[-1]  # replicates in this task's pair
+            return [("err", "boom")] * count
 
         monkeypatch.setattr(harness, "_replicate_1d", always_fail)
         with pytest.raises(TooManyFailures):
             run_eval_1d(_cfg_1d(reps=10))
+
+    def test_each_replicate_reproducible_on_its_own(self, monkeypatch):
+        # Replicates 0..4 agree across replicate counts and worker counts,
+        # odd counts (which drop the last imaginary path) included.
+        base = _per_replicate_1d(monkeypatch, reps=5, workers=1)
+        assert len(base) == 5 and all(status == "ok" for status, _ in base)
+        for reps in (5, 9):
+            for workers in (1, 2):
+                seen = _per_replicate_1d(monkeypatch, reps=reps, workers=workers)
+                assert len(seen) == reps
+                assert seen[:5] == base
+
+    def test_replicates_pair_real_and_imaginary_paths(self, monkeypatch):
+        # replicate 2j is the real path and 2j+1 the imaginary path of
+        # stream (cell, j)
+        seen = _per_replicate_1d(monkeypatch, reps=5)
+        a = DiscreteFilter((1.0, -2.0, 1.0))
+        expected = []
+        for pair in range(3):
+            paths = fbm_path(0.5, 256, derived_stream(5, 0, pair))
+            expected += [("ok", estimate_H(p, a, 2, 1)) for p in paths]
+        assert seen == expected[:5]
+
+    def test_byte_identical_report_across_workers(self, tmp_path):
+        blobs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.csv"
+            emit_table(run_eval_1d(_cfg_1d(reps=9, workers=workers)), out)
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_synthesis_failure_fails_both_replicates(self, monkeypatch):
+        def broken(H, N, seed):
+            raise EmbeddingNotPSD("boom")
+
+        monkeypatch.setattr(harness, "fbm_path", broken)
+        out = harness._replicate_1d((0.5, 64, (1.0, -2.0, 1.0), 2, 1, 5, 3, 4, 2))
+        assert [status for status, _ in out] == ["err", "err"]
+        assert out[0][1].startswith("cell 3 rep 8: ")
+        assert out[1][1].startswith("cell 3 rep 9: ")
+
+    def test_estimate_failure_fails_one_replicate(self, monkeypatch):
+        def imag_fails(path, a, u, v):
+            if path.values[-1] == imag_end:
+                raise ZeroVariation("boom")
+            return 0.5
+
+        task = (0.5, 64, (1.0, -2.0, 1.0), 2, 1, 5, 3, 4, 2)
+        imag_end = fbm_path(0.5, 64, derived_stream(5, 3, 4))[1].values[-1]
+        monkeypatch.setattr(harness, "estimate_H", imag_fails)
+        out = harness._replicate_1d(task)
+        assert out[0] == ("ok", 0.5)
+        assert out[1][0] == "err" and out[1][1].startswith("cell 3 rep 9: ")
+        # with one replicate left the imaginary path is not estimated
+        assert harness._replicate_1d(task[:-1] + (1,)) == [("ok", 0.5)]
 
     def test_failure_message_names_failing_cell(self, monkeypatch):
         # cell 0 tolerates one failure (1 of 100); cell 1 fails throughout

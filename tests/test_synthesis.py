@@ -28,31 +28,63 @@ R1_H07 = 0.3195079107728942
 
 class TestFgn:
     def test_brownian_increments_uncorrelated(self):
-        x = fgn_exact(0.5, 1_000_000, 42)
+        x = fgn_exact(0.5, 1_000_000, 42)[0]
         corr = float(np.mean(x[1:] * x[:-1]) / x.var())
         assert abs(corr) <= 0.003
 
     def test_lag_one_autocovariance(self):
-        x = fgn_exact(0.7, 1_000_000, 43)
+        x = fgn_exact(0.7, 1_000_000, 43)[0]
         assert float(np.mean(x[1:] * x[:-1])) == pytest.approx(R1_H07, abs=0.005)
 
     def test_determinism(self):
-        assert np.array_equal(fgn_exact(0.3, 4096, 7), fgn_exact(0.3, 4096, 7))
-        assert not np.array_equal(fgn_exact(0.3, 4096, 7), fgn_exact(0.3, 4096, 8))
+        assert np.array_equal(fgn_exact(0.3, 4096, 7)[0], fgn_exact(0.3, 4096, 7)[0])
+        assert not np.array_equal(fgn_exact(0.3, 4096, 7)[0], fgn_exact(0.3, 4096, 8)[0])
 
     @pytest.mark.parametrize("H", [0.2, 0.55, 0.8])
     def test_autocovariance_lags_0_to_5(self, H):
-        # Independent streams give an honest Monte Carlo standard error.
+        # Independent streams give an honest Monte Carlo standard error;
+        # the real and the imaginary sample are checked separately.
         streams, n = 400, 512
-        prods = np.zeros((streams, 6))
+        prods = np.zeros((2, streams, 6))
         for i in range(streams):
-            x = fgn_exact(H, n, derived_stream(1000, i))
-            for k in range(6):
-                prods[i, k] = np.mean(x[k:] * x[: n - k])
+            for part, x in enumerate(fgn_exact(H, n, derived_stream(1000, i))):
+                for k in range(6):
+                    prods[part, i, k] = np.mean(x[k:] * x[: n - k])
         target = fgn_autocovariance(H, np.arange(6))
-        means = prods.mean(axis=0)
-        ses = prods.std(axis=0, ddof=1) / np.sqrt(streams)
+        means = prods.mean(axis=1)
+        ses = prods.std(axis=1, ddof=1) / np.sqrt(streams)
         assert np.all(np.abs(means - target) <= 4.0 * ses)
+
+    @pytest.mark.parametrize("H", [0.2, 0.7])
+    @pytest.mark.parametrize("n", [8, 33])
+    def test_pair_covariances_exact(self, monkeypatch, n, H):
+        # Both parts are linear in the noise; pushing each unit noise
+        # component through gives their covariances exactly.
+        m = synthesis._embedding_sqrt(H, n).size
+        units = np.eye(2 * m).reshape(-1, m, 2).view(np.complex128)[..., 0]
+        noise = iter(units)
+        monkeypatch.setattr(
+            synthesis, "_draw_complex_noise", lambda rng, shape: next(noise).copy()
+        )
+        maps = np.array([fgn_exact(H, n, 0) for _ in units])
+        re, im = maps[:, 0], maps[:, 1]
+        k = np.arange(n)
+        toeplitz = fgn_autocovariance(H, k[:, None] - k[None, :])
+        assert np.abs(re.T @ re - toeplitz).max() <= 1e-12
+        assert np.abs(im.T @ im - toeplitz).max() <= 1e-12
+        assert np.abs(re.T @ im).max() <= 1e-12
+
+    def test_pair_cross_products(self):
+        # Real x imaginary lag products over independent streams are
+        # centred at zero, in both orders.
+        H, n, reps, lags = 0.7, 64, 2000, 4
+        cross = np.empty((reps, 2 * lags - 1))
+        for i in range(reps):
+            re, im = fgn_exact(H, n, derived_stream(7, i))
+            cross[i, :lags] = [np.mean(re[k:] * im[: n - k]) for k in range(lags)]
+            cross[i, lags:] = [np.mean(im[k:] * re[: n - k]) for k in range(1, lags)]
+        se = cross.std(axis=0, ddof=1) / np.sqrt(reps)
+        assert np.all(np.abs(cross.mean(axis=0)) <= 5.0 * se)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -80,11 +112,12 @@ class TestFgn:
 
 class TestFbm:
     def test_starts_at_zero(self):
-        assert fbm_path(0.7, 128, 5).values[0] == 0.0
+        for path in fbm_path(0.7, 128, 5):
+            assert path.values[0] == 0.0
 
     def test_unit_time_variance(self):
         vals = np.array(
-            [fbm_path(0.5, 64, derived_stream(2, i)).values[-1] for i in range(10_000)]
+            [fbm_path(0.5, 64, derived_stream(2, i))[0].values[-1] for i in range(10_000)]
         )
         assert float(vals.var()) == pytest.approx(1.0, abs=0.05)
 
@@ -93,14 +126,14 @@ class TestFbm:
         H, N, reps = 0.7, 256, 400
         per_path = np.empty(reps)
         for i in range(reps):
-            v = fbm_path(H, N, derived_stream(3, i)).values
+            v = fbm_path(H, N, derived_stream(3, i))[0].values
             per_path[i] = np.mean(np.diff(v) ** 2)
         target = float(N) ** (-2 * H)
         se = per_path.std(ddof=1) / np.sqrt(reps)
         assert abs(per_path.mean() - target) <= 3.0 * se
 
     def test_metadata(self):
-        p = fbm_path(0.3, 64, 1)
+        p = fbm_path(0.3, 64, 1)[0]
         assert p.hurst_true == 0.3
         assert p.n_steps == 64
         assert p.step == pytest.approx(1 / 64)
@@ -175,7 +208,7 @@ class TestSra:
         units = basis.reshape(-1, 2 * M, 2 * M, 2).view(np.complex128)[..., 0]
         noise = iter(units)
         monkeypatch.setattr(
-            synthesis, "_draw_complex_noise", lambda rng, M: next(noise).copy()
+            synthesis, "_draw_complex_noise", lambda rng, shape: next(noise).copy()
         )
         maps = np.array([
             [f.values.ravel() for f in afb_sra(aniso_model, M, 0)] for _ in basis
@@ -262,7 +295,7 @@ class TestFieldIO:
         np.testing.assert_allclose(data, field.values, rtol=1e-15)
 
     def test_path_roundtrip(self, tmp_path):
-        path = fbm_path(0.4, 128, 77)
+        path = fbm_path(0.4, 128, 77)[0]
         f = tmp_path / "path.csv"
         write_path_csv(path, f, seed=77)
         back, seed = read_path_csv(f)
@@ -274,9 +307,9 @@ class TestFieldIO:
 class TestStreams:
     def test_spawn_stability(self):
         # replicate streams do not depend on how many replicates run
-        a = fgn_exact(0.6, 64, derived_stream(5, 3))
-        b = fgn_exact(0.6, 64, derived_stream(5, 3))
-        c = fgn_exact(0.6, 64, derived_stream(5, 4))
+        a = fgn_exact(0.6, 64, derived_stream(5, 3))[0]
+        b = fgn_exact(0.6, 64, derived_stream(5, 3))[0]
+        c = fgn_exact(0.6, 64, derived_stream(5, 4))[0]
         assert np.array_equal(a, b) and not np.array_equal(a, c)
 
     def test_cells_independent_keys(self):

@@ -248,7 +248,7 @@ class TestGammaConst:
         reps, N, H = 2000, 4096, 0.5
         ests = np.array(
             [
-                estimate_H(fbm_path(H, N, derived_stream(20, i)), A2, 2, 1)
+                estimate_H(fbm_path(H, N, derived_stream(20, i))[0], A2, 2, 1)
                 for i in range(reps)
             ]
         )
@@ -264,7 +264,7 @@ class TestExpectedVariation:
         v2 = np.empty(reps)
         v1 = np.empty(reps)
         for i in range(reps):
-            path = fbm_path(H, N, derived_stream(21, i))
+            path = fbm_path(H, N, derived_stream(21, i))[0]
             v2[i] = quad_variation(path, VariationSpec(A2, 2, N))
             v1[i] = quad_variation(path, VariationSpec(A2, 1, N))
         ratio = v2.mean() / v1.mean()
@@ -278,7 +278,7 @@ class TestExpectedVariation:
         c = 1.0 / (4.0 * _j_const(H))
         vals = np.empty(reps)
         for i in range(reps):
-            path = fbm_path(H, N, derived_stream(22, i))
+            path = fbm_path(H, N, derived_stream(22, i))[0]
             vals[i] = quad_variation(path, VariationSpec(A2, 2, N))
         limit = c * theory.E_const(A2, 2, H)
         se = vals.std(ddof=1) / math.sqrt(reps)
