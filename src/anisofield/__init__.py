@@ -27,10 +27,8 @@ from .filters import (
     apply_filter,
     binomial_filter,
     cross_transfer,
-    dilate,
     infer_order,
     parse_filter,
-    taylor_constant,
     transfer_sq,
 )
 from .spectral import (
@@ -58,18 +56,15 @@ from .synthesis import (
 )
 from .projection import (
     DIRECTIONS,
-    ProjectionResult,
     project_axis,
-    project_window,
     projection_to_csv,
 )
 from .estimator import (
-    EstimateResult,
     PairEstimate,
-    VariationSpec,
+    check_level,
     estimate_H,
-    estimate_direction,
     estimate_pair,
+    estimate_projection,
     log_ratio_at_level,
     quad_variation,
 )

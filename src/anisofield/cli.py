@@ -11,10 +11,10 @@ import csv
 import sys
 
 from .errors import AnisofieldError
-from .estimator import estimate_direction, log_ratio_at_level
+from .estimator import estimate_projection, log_ratio_at_level
 from .filters import parse_filter
 from .harness import emit_table, load_config, run_eval_1d, run_eval_2d
-from .projection import project_axis, project_window, projection_to_csv
+from .projection import DIRECTIONS, project_axis, projection_to_csv
 from .spectral import SpectralModel, parse_index, parse_window
 from .synthesis import (
     afb_sra,
@@ -46,12 +46,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_project(args) -> int:
     field = read_field(args.field)
-    if args.window is None and args.m_sub is None:
-        result = project_axis(field, args.direction)
-    else:
-        window = parse_window(args.window or "indicator")
-        result = project_window(field, args.direction, window, args.m_sub)
-    projection_to_csv(result, args.out)
+    window = parse_window(args.window) if args.window else None
+    projection_to_csv(
+        project_axis(field, args.direction, window, args.m_sub), args.out
+    )
     return 0
 
 
@@ -73,44 +71,37 @@ def _write_estimates(rows, out) -> None:
             fh.close()
 
 
-def _fmt(x) -> str:
-    return "" if x is None else repr(float(x))
+def _row(seed, h_true, label, nu, estimate, v1, v2) -> list:
+    return [
+        seed if seed is not None else "",
+        "" if h_true is None else repr(float(h_true)),
+        label,
+        nu,
+        repr(estimate),
+        repr(v1),
+        repr(v2),
+        int(not 0.0 < estimate < 1.0),
+    ]
 
 
 def _cmd_estimate(args) -> int:
+    """One row per (direction, nu) of a field, or per nu of a path; V1 and
+    V2 are the variations at the dilations v and u."""
     filt = parse_filter(args.filter)
     rows = []
     if _is_field_file(args.input):
         field = read_field(args.input)
         truths = field.params_true or (None, None)
-        for direction, h_true in zip(("horizontal", "vertical"), truths):
+        for direction, h_true in zip(DIRECTIONS, truths):
+            values = project_axis(field, direction)
             for nu in args.nu:
-                est = estimate_direction(field, direction, nu, filt)
-                t1, t2 = est.variations
-                rows.append([
-                    field.seed if field.seed is not None else "",
-                    _fmt(h_true),
-                    direction,
-                    nu,
-                    repr(est.value),
-                    repr(t1),
-                    repr(t2),
-                    int(est.out_of_range),
-                ])
+                est = estimate_projection(values, nu, filt, args.u, args.v)
+                rows.append(_row(field.seed, h_true, direction, nu, *est))
     else:
         path, seed = read_path_csv(args.input)
         for nu in args.nu:
-            est, v1, v2 = log_ratio_at_level(path.values, nu, filt, args.u, args.v)
-            rows.append([
-                seed if seed is not None else "",
-                _fmt(path.hurst_true),
-                "path",
-                nu,
-                repr(est),
-                repr(v1),
-                repr(v2),
-                int(not 0.0 < est < 1.0),
-            ])
+            est = log_ratio_at_level(path.values, nu, filt, args.u, args.v)
+            rows.append(_row(seed, path.hurst_true, "path", nu, *est))
     _write_estimates(rows, args.out)
     return 0
 

@@ -61,7 +61,7 @@ class EqualDilations(AnisofieldError):
     """Dilation factors u and v must differ for a log-ratio estimate."""
 
 
-class GridTooCoarse(AnisofieldError):
+class GridTooCoarse(AnisofieldError, ValueError):
     """Subsampled grid is too short for the requested estimator."""
 
 

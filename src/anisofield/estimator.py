@@ -11,7 +11,6 @@ estimate subtracts that offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,13 +27,12 @@ from .projection import project_axis
 from .synthesis import GridField2D, SampledPath
 
 __all__ = [
-    "VariationSpec",
-    "EstimateResult",
     "PairEstimate",
     "quad_variation",
     "estimate_H",
     "log_ratio_at_level",
-    "estimate_direction",
+    "check_level",
+    "estimate_projection",
     "estimate_pair",
 ]
 
@@ -43,64 +41,59 @@ __all__ = [
 _ZERO_VARIATION = 1e-300
 
 
-@dataclass(frozen=True)
-class VariationSpec:
-    """A variation statistic: filter, dilation factor, and sample count N."""
-
-    filter: DiscreteFilter
-    dilation: int
-    n_steps: int
-
-    def __post_init__(self):
-        if self.dilation < 1:
-            raise ValueError("dilation must be >= 1")
-        span = (self.filter.length - 1) * self.dilation
-        if self.n_steps - span + 1 < 2:
-            raise ValueError(
-                f"N={self.n_steps} leaves fewer than two summands for a "
-                f"filter spanning {span} steps"
-            )
+def _summands(n_steps: int, a: DiscreteFilter, u: int) -> int:
+    """Number of filtered samples a series of n_steps + 1 values has under
+    the filter dilated by u."""
+    return n_steps - (a.length - 1) * u + 1
 
 
-def quad_variation(path: SampledPath, spec: VariationSpec) -> float:
+def quad_variation(path, a: DiscreteFilter, u: int) -> float:
     """Mean of squared filtered samples over all admissible offsets.
 
+    ``path`` holds the values X(k/N), k = 0..N, of a sampled process.
     Averages (sum_k a_k X((p + k*u)/N))^2 for p = 0..N - l*u, normalizing
-    by the number of terms.
+    by the number of terms; raises PathTooShort when there are fewer than
+    two terms.
     """
-    x = np.asarray(path.values, dtype=float)
-    N = spec.n_steps
-    if x.size < N + 1:
-        raise PathTooShort(f"path has {x.size} values, need {N + 1}")
-    z = apply_filter(spec.filter, x[: N + 1], spec.dilation)
+    x = np.asarray(path, dtype=float)
+    if _summands(x.size - 1, a, u) < 2:
+        raise PathTooShort(
+            f"{x.size} values leave fewer than two summands for a "
+            f"{a.length}-tap filter at dilation {u}"
+        )
+    z = apply_filter(a, x, u)
     return float(np.mean(z * z))
 
 
-def _checked_variation(path: SampledPath, spec: VariationSpec) -> float:
-    v = quad_variation(path, spec)
+def _checked_variation(x: np.ndarray, a: DiscreteFilter, u: int) -> float:
+    v = quad_variation(x, a, u)
     if not math.isfinite(v):
         raise NonFiniteVariation(
-            f"variation is {v} (dilation {spec.dilation}): the path holds "
+            f"variation is {v} (dilation {u}): the path holds "
             "NaN or infinite values"
         )
     if v < _ZERO_VARIATION:
         raise ZeroVariation(
-            f"variation vanished (filter order {spec.filter.order} "
+            f"variation vanished (filter order {a.order} "
             "annihilates this path)"
         )
     return v
 
 
-def _log_ratio(
-    path: SampledPath, a: DiscreteFilter, u: int, v: int
+def log_ratio_at_level(
+    values, nu: int, a: DiscreteFilter, u: int, v: int
 ) -> tuple[float, float, float]:
-    """(log(V_u / V_v) / (2 log(u / v)), V_u, V_v) over the whole path."""
+    """(log(V_u / V_v) / (2 log(u / v)), V_v, V_u) on ``values[::2^nu]``.
+
+    V_d is the variation at dilation d of the step-2^nu subsample of a
+    sampled process.
+    """
     if u == v:
         raise EqualDilations("need two distinct dilation factors")
-    N = path.n_steps
-    v_u = _checked_variation(path, VariationSpec(a, u, N))
-    v_v = _checked_variation(path, VariationSpec(a, v, N))
-    return math.log(v_u / v_v) / (2.0 * math.log(u / v)), v_u, v_v
+    x = np.asarray(values)[:: 1 << nu]
+    v_u = _checked_variation(x, a, u)
+    v_v = _checked_variation(x, a, v)
+    return math.log(v_u / v_v) / (2.0 * math.log(u / v)), v_v, v_u
 
 
 def estimate_H(path: SampledPath, a: DiscreteFilter, u: int, v: int) -> float:
@@ -110,82 +103,51 @@ def estimate_H(path: SampledPath, a: DiscreteFilter, u: int, v: int) -> float:
     order exceeds the true exponent.  Invariant under path scaling since
     the ratio cancels amplitude.
     """
-    return _log_ratio(path, a, u, v)[0]
+    return log_ratio_at_level(path.values, 0, a, u, v)[0]
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    """A directional regularity estimate with its variations (T_1, T_2)."""
+def check_level(M: int, nu: int, a: DiscreteFilter, u: int) -> None:
+    """Reject a subsampling level nu of an M-step series that the
+    directional estimate cannot use.
 
-    value: float
-    variations: tuple[float, float]
-    direction: str | None = None
-    nu: int | None = None
-
-    @property
-    def out_of_range(self) -> bool:
-        """True when the raw estimate falls outside (0, 1).
-
-        Estimates are reported unclamped; synthesis bias can push them
-        past the admissible range.
-        """
-        return not 0.0 < self.value < 1.0
-
-
-def log_ratio_at_level(
-    values: np.ndarray, nu: int, a: DiscreteFilter, u: int, v: int
-) -> tuple[float, float, float]:
-    """(estimate, V_u, V_v) of the log-ratio on ``values[::2^nu]``.
-
-    The step-2^nu subsample of a sampled process, estimated as by
-    :func:`estimate_H`, with both variations returned alongside.
+    The stride 2^nu must divide M and leave at least 8 steps, and the
+    filter dilated by u must leave at least two summands on them.
     """
-    return _log_ratio(SampledPath(values=values[:: 1 << nu]), a, u, v)
-
-
-def _check_level(M: int, nu: int) -> None:
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    stride = 1 << nu
-    if M % stride != 0 or M // stride < 8:
+    steps = M >> nu
+    if M % (1 << nu) != 0 or steps < 8:
         raise GridTooCoarse(
             f"grid size {M} at subsampling 2^{nu} leaves fewer than 8 steps"
         )
+    if _summands(steps, a, u) < 2:
+        raise GridTooCoarse(
+            f"grid size {M} at subsampling 2^{nu} leaves {steps} steps, "
+            f"too few for a {a.length}-tap filter at dilation {u}"
+        )
 
 
-def _projected_index(
-    values: np.ndarray, nu: int, a: DiscreteFilter
-) -> tuple[float, float, float]:
-    """(index estimate, T_1, T_2) of one axis projection at level nu."""
-    h, t2, t1 = log_ratio_at_level(values, nu, a, 2, 1)
-    return h - 0.5, t1, t2
-
-
-def estimate_direction(
-    field: GridField2D,
-    direction: str,
+def estimate_projection(
+    values: np.ndarray,
     nu: int = 0,
     a: DiscreteFilter | None = None,
-) -> EstimateResult:
-    """Directional index estimate from one field at subsampling level nu.
+    u: int = 2,
+    v: int = 1,
+) -> tuple[float, float, float]:
+    """(h, T_1, T_2): the directional index of one axis projection at
+    subsampling level nu, with its two variations.
 
-    Projects the field on the given axis, strides the projection by 2^nu
-    (step 2^nu / M), computes the variations of the base and 2-dilated
-    filter at that step, and returns
-    ``log(T_2 / T_1) / (2 log 2) - 1/2``, the 1/2 correcting for the
-    hyperplane average.
+    ``values`` is a projection at k/M, k = 0..M (see ``project_axis``).
+    It is strided by 2^nu (step 2^nu / M); T_1 and T_2 are its variations
+    at the dilations v and u, and
+    ``h = log(T_2 / T_1) / (2 log(u / v)) - 1/2``, the 1/2 correcting for
+    the hyperplane average.
     """
     if a is None:
         a = binomial_filter(2)
-    _check_level(field.grid_size, nu)
-    proj = project_axis(field, direction)
-    value, t1, t2 = _projected_index(proj.values, nu, a)
-    return EstimateResult(
-        value=value,
-        variations=(t1, t2),
-        direction=direction,
-        nu=nu,
-    )
+    check_level(values.size - 1, nu, a, max(u, v))
+    r, t1, t2 = log_ratio_at_level(values, nu, a, u, v)
+    return r - 0.5, t1, t2
 
 
 class PairEstimate(NamedTuple):
@@ -203,19 +165,16 @@ def estimate_pair(
 ) -> tuple[PairEstimate, ...]:
     """Both directional indices and their difference at each level in nus.
 
-    Projects the field once per axis and strides each projection per
-    level, so the estimates equal those of :func:`estimate_direction` bit
-    for bit.
+    Projects the field once per axis and estimates each level on those
+    projections with the dilations u = 2, v = 1.
     """
     if a is None:
         a = binomial_filter(2)
-    for nu in nus:
-        _check_level(field.grid_size, nu)
-    horizontal = project_axis(field, "horizontal").values
-    vertical = project_axis(field, "vertical").values
+    horizontal = project_axis(field, "horizontal")
+    vertical = project_axis(field, "vertical")
     out = []
     for nu in nus:
-        h_h = _projected_index(horizontal, nu, a)[0]
-        h_v = _projected_index(vertical, nu, a)[0]
+        h_h = estimate_projection(horizontal, nu, a)[0]
+        h_v = estimate_projection(vertical, nu, a)[0]
         out.append(PairEstimate(h_h, h_v, h_h - h_v))
     return tuple(out)

@@ -19,10 +19,8 @@ from .errors import AllMomentsVanish, OrderZero
 __all__ = [
     "DiscreteFilter",
     "infer_order",
-    "dilate",
     "transfer_sq",
     "cross_transfer",
-    "taylor_constant",
     "apply_filter",
     "binomial_filter",
     "parse_filter",
@@ -116,20 +114,6 @@ def binomial_filter(order: int) -> DiscreteFilter:
     return DiscreteFilter(coeffs)
 
 
-def dilate(a: DiscreteFilter, u: int) -> DiscreteFilter:
-    """Spread coefficients by an integer factor u: a^u_{ku} = a_k, else 0.
-
-    The result has length l*u + 1 and the same order as ``a``.
-    """
-    if u < 1:
-        raise ValueError("dilation factor must be >= 1")
-    if u == 1:
-        return a
-    out = np.zeros((a.length - 1) * u + 1)
-    out[::u] = a.coeffs
-    return DiscreteFilter(out)
-
-
 def _poly_unit_circle(a: DiscreteFilter, xi):
     """Evaluate P_a(e^{-i xi}) = sum_k a_k e^{-ik xi} (vectorized in xi)."""
     xi = np.asarray(xi, dtype=float)
@@ -155,16 +139,6 @@ def cross_transfer(a: DiscreteFilter, u: int, v: int, xi):
     xi = np.asarray(xi, dtype=float)
     val = _poly_unit_circle(a, u * xi) * np.conj(_poly_unit_circle(a, v * xi))
     return complex(val) if val.ndim == 0 else val
-
-
-def taylor_constant(a: DiscreteFilter) -> float:
-    """Leading Taylor coefficient P_a^{(K)}(1) / K! = sum_k a_k C(k, K).
-
-    Computed from binomials instead of numerical differentiation, so the
-    value is exact for integer coefficients.
-    """
-    K = a.order
-    return float(sum(c * math.comb(k, K) for k, c in enumerate(a.coeffs)))
 
 
 def apply_filter(a: DiscreteFilter, values, u: int = 1) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import AnisofieldError, OrderTooLow, TooManyFailures
-from .estimator import estimate_H, estimate_pair
+from .estimator import check_level, estimate_H, estimate_pair
 from .filters import DiscreteFilter, parse_filter
 from .spectral import AnisotropicIndex, SpectralModel, parse_index
 from .synthesis import afb_sra, derived_stream, fbm_path
@@ -54,7 +54,11 @@ _FAILURE_SHARE = 0.01  # tolerated fraction of errored replicates
 
 @dataclass
 class ExperimentConfig:
-    """Everything one evaluation run needs, parseable from key=value text."""
+    """Everything one evaluation run needs, parseable from key=value text.
+
+    1-d mode reads neither ``grid_size`` nor ``nu_levels``; 2-d mode reads
+    neither ``hursts`` nor ``path_lengths``.
+    """
 
     mode: str = "2d"
     indices: tuple[AnisotropicIndex, ...] = ()
@@ -75,16 +79,14 @@ class ExperimentConfig:
             raise ValueError(f"mode must be '1d' or '2d', got {self.mode!r}")
         if self.reps < 2:
             raise ValueError("need at least two replicates")
-        for nu in self.nu_levels:
-            if nu < 0 or self.grid_size % (1 << nu) or self.grid_size >> nu < 8:
+        if self.mode == "2d":
+            if (self.dilation_u, self.dilation_v) != (2, 1):
                 raise ValueError(
-                    f"subsampling level {nu} too deep for grid {self.grid_size}"
+                    "2-d mode estimates with the dilations u = 2, v = 1; got "
+                    f"u = {self.dilation_u}, v = {self.dilation_v}"
                 )
-        if self.mode == "2d" and (self.dilation_u, self.dilation_v) != (2, 1):
-            raise ValueError(
-                "2-d mode estimates with the dilations u = 2, v = 1; got "
-                f"u = {self.dilation_u}, v = {self.dilation_v}"
-            )
+            for nu in self.nu_levels:
+                check_level(self.grid_size, nu, self.filter, self.dilation_u)
 
     @property
     def filter(self) -> DiscreteFilter:
@@ -375,6 +377,10 @@ def _split_list(values: list[str]) -> list[str]:
     return out
 
 
+# Keys that only the other mode reads.
+_IGNORED_KEYS = {"1d": {"index", "grid", "nu"}, "2d": {"hurst", "length"}}
+
+
 def _config_from_raw(raw: dict[str, list[str]]) -> ExperimentConfig:
     kwargs = {}
     if "mode" in raw:
@@ -414,4 +420,8 @@ def _config_from_raw(raw: dict[str, list[str]]) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    mode = kwargs.get("mode", ExperimentConfig.mode)
+    ignored = set(raw) & _IGNORED_KEYS.get(mode, set())
+    if ignored:
+        raise ValueError(f"config keys {sorted(ignored)} do not apply in {mode} mode")
     return ExperimentConfig(**kwargs)

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import EmbeddingNotPSD, MalformedFieldFile
+from .errors import EmbeddingNotPSD, MalformedFieldFile, PathTooShort
 from .spectral import SpectralModel, density
 
 __all__ = [
@@ -333,8 +333,16 @@ def field_to_csv(field: GridField2D, path) -> None:
 
 
 def write_path_csv(path_obj: SampledPath, path, seed: int | None = None) -> None:
-    """Two-column CSV (t, value) with ground truth carried in comments."""
+    """Two-column CSV (t, value) with ground truth carried in comments.
+
+    The positions t = k/N need N >= 1, so the path must hold two or more
+    values.
+    """
     n = path_obj.n_steps
+    if n < 1:
+        raise PathTooShort(
+            f"a path CSV needs at least two values, got {path_obj.values.size}"
+        )
     with open(path, "w", newline="") as fh:
         if path_obj.hurst_true is not None:
             fh.write(f"# hurst = {path_obj.hurst_true!r}\n")

@@ -10,17 +10,18 @@ from anisofield import (
     AnisotropicIndex,
     SampledPath,
     SpectralModel,
-    VariationSpec,
+    Window1DMinus,
     afb_sra,
     binomial_filter,
-    estimate_direction,
     estimate_H,
+    estimate_projection,
     fbm_path,
     project_axis,
     quad_variation,
     read_field,
     read_path_csv,
 )
+from anisofield import cli
 from anisofield.cli import main
 
 
@@ -93,8 +94,24 @@ class TestProject:
         assert rc == 0
         rows = _read_csv(out)
         vals = np.array([float(r[1]) for r in rows[1:]])
-        expected = project_axis(read_field(field_file), "vertical").values
+        expected = project_axis(read_field(field_file), "vertical")
         np.testing.assert_array_equal(vals, expected)
+
+    def test_windowed_matches_library(self, tmp_path):
+        field_file = tmp_path / "f.afb"
+        main(["simulate", "--index", "axes:0.7,0.2", "-M", "64", "--seed", "6",
+              "--out", str(field_file)])
+        out = tmp_path / "proj.csv"
+        rc = main(["project", "--field", str(field_file), "--direction", "horizontal",
+                   "--window", "gaussian:0.2,0.5", "--m-sub", "16", "--out", str(out)])
+        assert rc == 0
+        rows = _read_csv(out)
+        assert len(rows) == 1 + 65
+        vals = np.array([float(r[1]) for r in rows[1:]])
+        window = Window1DMinus.gaussian(0.2, center=0.5)
+        expected = project_axis(read_field(field_file), "horizontal", window, 16)
+        np.testing.assert_array_equal(vals, expected)
+        assert not np.array_equal(vals, project_axis(read_field(field_file), "horizontal"))
 
 
 class TestEstimate:
@@ -115,12 +132,49 @@ class TestEstimate:
         by_key = {(r[2], int(r[3])): r for r in rows[1:]}
         for direction in ("horizontal", "vertical"):
             for nu in (0, 1):
-                est = estimate_direction(field, direction, nu)
+                h, t1, t2 = estimate_projection(project_axis(field, direction), nu)
                 row = by_key[(direction, nu)]
-                assert float(row[4]) == est.value
+                assert row[4:7] == [repr(h), repr(t1), repr(t2)]
+                assert float(row[5]) < float(row[6])  # V1 at dilation 1, V2 at 2
                 assert row[0] == "8"
         truth = {r[2] for r in rows[1:]}
         assert truth == {"horizontal", "vertical"}
+
+    def test_field_honours_dilations(self, tmp_path):
+        field_file = tmp_path / "f.afb"
+        main(["simulate", "--index", "axes:0.7,0.2", "-M", "64", "--seed", "8",
+              "--out", str(field_file)])
+        outs = {}
+        for u in ("2", "3"):
+            outs[u] = tmp_path / f"est_u{u}.csv"
+            rc = main(["estimate", "--input", str(field_file), "--nu", "0", "1",
+                       "--u", u, "--out", str(outs[u])])
+            assert rc == 0
+        assert outs["2"].read_bytes() != outs["3"].read_bytes()
+        field = read_field(field_file)
+        a = binomial_filter(2)
+        rows = _read_csv(outs["3"])[1:]
+        for row in rows:
+            values = project_axis(field, row[2])
+            h, t1, t2 = estimate_projection(values, int(row[3]), a, 3, 1)
+            assert row[4:7] == [repr(h), repr(t1), repr(t2)]
+
+    def test_field_projects_each_axis_once(self, tmp_path, monkeypatch):
+        field_file = tmp_path / "f.afb"
+        main(["simulate", "--index", "axes:0.7,0.2", "-M", "64", "--seed", "8",
+              "--out", str(field_file)])
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return project_axis(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "project_axis", counting)
+        rc = main(["estimate", "--input", str(field_file), "--nu", "0", "1", "2", "3",
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == 0
+        assert calls == ["horizontal", "vertical"]
+        assert len(_read_csv(tmp_path / "est.csv")) == 1 + 8
 
     @pytest.mark.parametrize("damage", ["truncated", "extended", "wrong_m"])
     def test_malformed_field_file(self, tmp_path, capsys, damage):
@@ -151,17 +205,17 @@ class TestEstimate:
         assert rows[1][1] == "0.5" and rows[1][2] == "path"
         est = float(rows[1][4])
         assert 0.2 < est < 0.8  # sanity at N=512
-        # each row is the library's estimate and variations on the strided path
+        # each row is the library's estimate on the strided path, with
+        # V1 the variation at dilation v = 1 and V2 at u = 2, as for fields
         path, _ = read_path_csv(path_file)
         a = binomial_filter(2)
         for nu, row in zip((0, 1), rows[1:]):
             sub = SampledPath(values=path.values[:: 1 << nu])
-            n = sub.n_steps
             assert row[3:7] == [
                 str(nu),
                 repr(estimate_H(sub, a, 2, 1)),
-                repr(quad_variation(sub, VariationSpec(a, 2, n))),
-                repr(quad_variation(sub, VariationSpec(a, 1, n))),
+                repr(quad_variation(sub.values, a, 1)),
+                repr(quad_variation(sub.values, a, 2)),
             ]
 
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisofield import (
     AnisotropicIndex,
+    DiscreteFilter,
     EqualDilations,
     GridField2D,
     GridTooCoarse,
@@ -12,16 +15,16 @@ from anisofield import (
     PathTooShort,
     SampledPath,
     SpectralModel,
-    VariationSpec,
     ZeroVariation,
     afb_sra,
     binomial_filter,
+    check_level,
     derived_stream,
-    dilate,
     estimate_H,
-    estimate_direction,
     estimate_pair,
+    estimate_projection,
     fbm_path,
+    log_ratio_at_level,
     project_axis,
     quad_variation,
 )
@@ -39,39 +42,39 @@ class TestQuadVariation:
         N = 64
         t = np.arange(N + 1) / N
         for u in (1, 2, 3):
-            v = quad_variation(_path(1.7 + 0.3 * t), VariationSpec(A2, u, N))
-            assert v <= 1e-20
+            assert quad_variation(1.7 + 0.3 * t, A2, u) <= 1e-20
 
     def test_quadratic_closed_form(self):
         # second difference of (k/N)^2 is the constant 2/N^2
         N = 32
         t = np.arange(N + 1) / N
-        v = quad_variation(_path(t**2), VariationSpec(A2, 1, N))
-        assert v == pytest.approx(4.0 / N**4, rel=1e-12)
+        assert quad_variation(t**2, A2, 1) == pytest.approx(4.0 / N**4, rel=1e-12)
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(0)
         vals = rng.normal(size=65)
-        spec = VariationSpec(A2, 2, 64)
-        v1 = quad_variation(_path(vals), spec)
-        v2 = quad_variation(_path(5.0 * vals), spec)
+        v1 = quad_variation(vals, A2, 2)
+        v2 = quad_variation(5.0 * vals, A2, 2)
         assert v2 == pytest.approx(25.0 * v1, rel=1e-12)
 
     def test_dilated_filter_equals_dilation_factor(self):
         # filter (1,0,-2,0,1) at step 1 == filter (1,-2,1) at dilation 2
         rng = np.random.default_rng(1)
         vals = rng.normal(size=129)
-        lhs = quad_variation(_path(vals), VariationSpec(dilate(A2, 2), 1, 128))
-        rhs = quad_variation(_path(vals), VariationSpec(A2, 2, 128))
-        assert lhs == rhs
+        spread = DiscreteFilter((1.0, 0.0, -2.0, 0.0, 1.0))
+        assert quad_variation(vals, spread, 1) == quad_variation(vals, A2, 2)
 
     def test_path_too_short(self):
         with pytest.raises(PathTooShort):
-            quad_variation(_path(np.zeros(10)), VariationSpec(A2, 1, 32))
+            quad_variation(np.zeros(2), A2, 1)
 
     def test_spec_needs_two_summands(self):
-        with pytest.raises(ValueError):
-            VariationSpec(A2, 8, 16)
+        # the 2-step filter dilated by 8 spans 16 steps: 17 values leave
+        # one summand, 18 leave two
+        with pytest.raises(PathTooShort):
+            quad_variation(np.zeros(17), A2, 8)
+        # second difference of k^2 at dilation 8 is the constant 2 * 8^2
+        assert quad_variation(np.arange(18.0) ** 2, A2, 8) == 128.0**2
 
 
 class TestEstimateH:
@@ -159,31 +162,41 @@ def sra_field():
     return afb_sra(model, 256, 99)[0]
 
 
+def _index(field, direction, nu=0, a=A2):
+    return estimate_projection(project_axis(field, direction), nu, a)[0]
+
+
 class TestEstimateDirection:
+    """The directional index of one axis projection."""
+
     def test_matches_manual_pipeline(self, sra_field):
-        # striding the projection then running the unstrided estimator
-        # reproduces the subsampled code path exactly
-        M = sra_field.grid_size
+        # striding the projection then taking both variations reproduces
+        # the subsampled code path exactly
         for nu in (0, 1, 2):
             for direction in ("horizontal", "vertical"):
-                est = estimate_direction(sra_field, direction, nu)
-                sub = project_axis(sra_field, direction).values[:: 1 << nu]
-                n = M >> nu
-                t1 = quad_variation(_path(sub), VariationSpec(A2, 1, n))
-                t2 = quad_variation(_path(sub), VariationSpec(A2, 2, n))
+                values = project_axis(sra_field, direction)
+                sub = values[:: 1 << nu]
+                t1 = quad_variation(sub, A2, 1)
+                t2 = quad_variation(sub, A2, 2)
                 manual = math.log(t2 / t1) / (2 * math.log(2)) - 0.5
-                assert est.value == manual
-                assert est.variations == (t1, t2)
+                assert estimate_projection(values, nu) == (manual, t1, t2)
+
+    def test_other_dilations(self, sra_field):
+        # T_1 and T_2 are the variations at v and u, whatever u and v are
+        values = project_axis(sra_field, "horizontal")
+        a3 = binomial_filter(3)
+        r, v_v, v_u = log_ratio_at_level(values, 1, a3, 3, 1)
+        assert estimate_projection(values, 1, a3, 3, 1) == (r - 0.5, v_v, v_u)
+        assert v_u == quad_variation(values[::2], a3, 3)
+        assert v_v == quad_variation(values[::2], a3, 1)
 
     def test_field_scaling_invariance(self, sra_field):
         doubled = GridField2D(values=2.0 * sra_field.values)
         scaled = GridField2D(values=10.0 * sra_field.values)
         for direction in ("horizontal", "vertical"):
-            base = estimate_direction(sra_field, direction, 0).value
-            assert estimate_direction(doubled, direction, 0).value == base
-            assert estimate_direction(scaled, direction, 0).value == pytest.approx(
-                base, abs=1e-12
-            )
+            base = _index(sra_field, direction)
+            assert _index(doubled, direction) == base
+            assert _index(scaled, direction) == pytest.approx(base, abs=1e-12)
 
     def test_shift_and_trend_invariance(self, sra_field):
         # adding a constant plus an affine trend in the varying coordinate
@@ -191,13 +204,12 @@ class TestEstimateDirection:
         M = sra_field.grid_size
         t = np.arange(M + 1) / M
         shifted = GridField2D(values=sra_field.values + 5.0 + 2.0 * t[:, None])
-        base = estimate_direction(sra_field, "horizontal", 0).value
-        moved = estimate_direction(shifted, "horizontal", 0).value
-        assert moved == pytest.approx(base, abs=1e-10)
+        base = _index(sra_field, "horizontal")
+        assert _index(shifted, "horizontal") == pytest.approx(base, abs=1e-10)
 
     def test_too_coarse(self, sra_field):
         with pytest.raises(GridTooCoarse):
-            estimate_direction(sra_field, "horizontal", 6)
+            _index(sra_field, "horizontal", 6)
 
     def test_non_finite_field_rejected(self, sra_field):
         values = sra_field.values.copy()
@@ -208,8 +220,21 @@ class TestEstimateDirection:
     def test_out_of_range_flag(self):
         t = np.arange(65) / 64.0
         smooth = GridField2D(values=np.outer(t**2, np.ones(65)))
-        est = estimate_direction(smooth, "horizontal", 0)
-        assert est.out_of_range  # a C^2 ramp estimates far above 1
+        assert _index(smooth, "horizontal") > 1.0  # a C^2 ramp estimates far above 1
+
+
+class TestCheckLevel:
+    def test_steps_and_filter_length(self):
+        check_level(64, 3, A2, 2)
+        with pytest.raises(GridTooCoarse, match="fewer than 8 steps"):
+            check_level(64, 4, A2, 2)
+        with pytest.raises(GridTooCoarse, match="fewer than 8 steps"):
+            check_level(60, 3, A2, 2)  # 8 does not divide 60
+        # six taps at dilation 2 span 10 steps, more than the 8 at nu = 3
+        with pytest.raises(GridTooCoarse, match="6-tap filter at dilation 2"):
+            check_level(64, 3, binomial_filter(5), 2)
+        with pytest.raises(ValueError):
+            check_level(64, -1, A2, 2)
 
 
 class TestEstimatePair:
@@ -221,20 +246,25 @@ class TestEstimatePair:
             pairs = estimate_pair(sra_field, nus, a)
             assert len(pairs) == len(nus)
             for nu, pair in zip(nus, pairs):
-                e_h = estimate_direction(sra_field, "horizontal", nu, a).value
-                e_v = estimate_direction(sra_field, "vertical", nu, a).value
+                e_h = _index(sra_field, "horizontal", nu, a)
+                e_v = _index(sra_field, "vertical", nu, a)
                 assert pair == (e_h, e_v, e_h - e_v)
 
     def test_too_coarse_level_rejected(self, sra_field):
         with pytest.raises(GridTooCoarse):
             estimate_pair(sra_field, (0, 6))
 
-    def test_transpose_negates_difference(self, sra_field):
-        flipped = GridField2D(values=sra_field.values.T.copy())
-        (a,) = estimate_pair(sra_field, (1,))
-        (b,) = estimate_pair(flipped, (1,))
-        assert a.difference == -b.difference
-        assert a.h_h == b.h_v and a.h_v == b.h_h
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h_h=st.sampled_from([0.2, 0.5, 0.7]))
+    def test_transpose_negates_difference(self, seed, h_h):
+        # at every level the transposed field swaps the two indices bit for bit
+        model = SpectralModel(AnisotropicIndex.axis_pair(h_h, 0.4))
+        field = afb_sra(model, 64, seed)[0]
+        flipped = GridField2D(values=field.values.T.copy())
+        nus = (0, 1, 2, 3)
+        for a, b in zip(estimate_pair(field, nus), estimate_pair(flipped, nus)):
+            assert a.h_h == b.h_v and a.h_v == b.h_h
+            assert a.difference == -b.difference
 
     def test_isotropic_difference_small(self):
         model = SpectralModel(AnisotropicIndex.constant(0.5))

@@ -10,14 +10,24 @@ from anisofield import (
     apply_filter,
     binomial_filter,
     cross_transfer,
-    dilate,
     infer_order,
     parse_filter,
-    taylor_constant,
     transfer_sq,
 )
 
 SECOND_DIFF = (1.0, -2.0, 1.0)
+
+
+def _dilated(a, u):
+    """The filter spread by u: coefficient a_k at position k*u, zeros between."""
+    out = np.zeros((a.length - 1) * u + 1)
+    out[::u] = a.coeffs
+    return DiscreteFilter(out)
+
+
+def _taylor_constant(a):
+    """P_a^(K)(1) / K! = sum_k a_k C(k, K), exact for integer coefficients."""
+    return sum(c * math.comb(k, a.order) for k, c in enumerate(a.coeffs))
 
 
 class TestInferOrder:
@@ -51,22 +61,31 @@ class TestInferOrder:
 
 
 class TestDilate:
+    """Dilation as ``apply_filter`` applies it: the filter at step u."""
+
+    x = np.random.default_rng(7).normal(size=40)
+
     def test_second_difference_doubled(self):
-        f = dilate(DiscreteFilter(SECOND_DIFF), 2)
-        assert np.array_equal(f.coeffs, [1.0, 0.0, -2.0, 0.0, 1.0])
+        # (1,-2,1) at dilation 2 is (1,0,-2,0,1) at step 1, bit for bit
+        lhs = apply_filter(DiscreteFilter(SECOND_DIFF), self.x, 2)
+        rhs = apply_filter(DiscreteFilter((1.0, 0.0, -2.0, 0.0, 1.0)), self.x)
+        assert np.array_equal(lhs, rhs)
+        assert np.array_equal(_dilated(DiscreteFilter(SECOND_DIFF), 2).coeffs,
+                              [1.0, 0.0, -2.0, 0.0, 1.0])
 
     def test_identity(self):
-        f = DiscreteFilter(SECOND_DIFF)
-        assert np.array_equal(dilate(f, 1).coeffs, f.coeffs)
+        x = self.x
+        got = apply_filter(DiscreteFilter(SECOND_DIFF), x, 1)
+        assert np.array_equal(got, x[:-2] - 2.0 * x[1:-1] + x[2:])
 
     def test_increment_tripled(self):
-        f = dilate(DiscreteFilter((1.0, -1.0)), 3)
-        assert np.array_equal(f.coeffs, [1.0, 0.0, 0.0, -1.0])
+        got = apply_filter(DiscreteFilter((1.0, -1.0)), self.x, 3)
+        assert np.array_equal(got, self.x[:-3] - self.x[3:])
 
     def test_length(self):
         f = DiscreteFilter(SECOND_DIFF)
         for u in range(1, 9):
-            assert dilate(f, u).length == 2 * u + 1
+            assert apply_filter(f, self.x, u).size == self.x.size - 2 * u
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -75,11 +94,11 @@ class TestDilate:
     def test_order_preserved(self, coeffs):
         base = DiscreteFilter(coeffs)
         for u in range(1, 9):
-            assert dilate(base, u).order == base.order
+            assert _dilated(base, u).order == base.order
 
     def test_bad_factor(self):
         with pytest.raises(ValueError):
-            dilate(DiscreteFilter(SECOND_DIFF), 0)
+            apply_filter(DiscreteFilter(SECOND_DIFF), self.x, 0)
 
 
 class TestTransfer:
@@ -105,13 +124,13 @@ class TestTransfer:
         # transfer_sq / xi^(2K) -> (P^(K)(1)/K!)^2 as xi -> 0
         for coeffs in [SECOND_DIFF, (1.0, -1.0), (1.0, -3.0, 3.0, -1.0)]:
             f = DiscreteFilter(coeffs)
-            target = taylor_constant(f) ** 2
+            target = _taylor_constant(f) ** 2
             for xi in (1e-3, 1e-4):
                 ratio = transfer_sq(f, xi) / xi ** (2 * f.order)
                 assert ratio == pytest.approx(target, rel=1e-4)
 
     def test_taylor_constant_second_diff(self):
-        assert taylor_constant(DiscreteFilter(SECOND_DIFF)) == pytest.approx(1.0)
+        assert _taylor_constant(DiscreteFilter(SECOND_DIFF)) == 1.0
 
 
 class TestCrossTransfer:
@@ -132,7 +151,7 @@ class TestCrossTransfer:
         # h^{u,u}(xi) equals the squared transfer of the dilated filter
         f = DiscreteFilter(SECOND_DIFF)
         for u in (2, 3):
-            fu = dilate(f, u)
+            fu = _dilated(f, u)
             for xi in (0.3, 1.1, 2.7):
                 assert cross_transfer(f, u, u, xi).real == pytest.approx(
                     transfer_sq(fu, xi), rel=1e-12

@@ -298,6 +298,33 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(mode="3d")
 
+    def test_2d_filter_too_long_for_coarsest_level(self):
+        # six taps at dilation 2 span 10 steps; nu = 3 of grid 64 has 8
+        coeffs = tuple(binomial_filter(5).coeffs)
+        with pytest.raises(ValueError, match="6-tap filter at dilation 2"):
+            _cfg_2d(grid_size=64, nu_levels=(0, 1, 2, 3), filter_coeffs=coeffs)
+        assert _cfg_2d(grid_size=64, nu_levels=(0, 1, 2), filter_coeffs=coeffs).mode == "2d"
+
+    def test_1d_does_not_check_levels_against_grid(self):
+        assert _cfg_1d(grid_size=16).grid_size == 16
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "mode = 1d\nhurst = 0.5\nindex = constant:0.5\n",
+            "mode = 1d\nhurst = 0.5\ngrid = 64\n",
+            "mode = 1d\nhurst = 0.5\nnu = 0,1\n",
+            "mode = 2d\nindex = constant:0.5\nhurst = 0.5\n",
+            "index = constant:0.5\nlength = 1024\n",
+        ],
+        ids=["1d_index", "1d_grid", "1d_nu", "2d_hurst", "2d_length"],
+    )
+    def test_keys_of_the_other_mode_rejected(self, tmp_path, text):
+        f = tmp_path / "cfg.txt"
+        f.write_text(text)
+        with pytest.raises(ValueError, match="do not apply"):
+            load_config(f)
+
     def test_load_config(self, tmp_path):
         text = """\
 # evaluation grid

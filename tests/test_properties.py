@@ -1,5 +1,6 @@
 """Property tests: file readers under fuzzed input, exact path CSV
-round-trips, and invariances of the 1-d estimator."""
+round-trips, polynomial annihilation by the variations, and invariances of
+the 1-d estimator."""
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisofield import (
+    DiscreteFilter,
     MalformedFieldFile,
+    PathTooShort,
     SampledPath,
     binomial_filter,
     derived_stream,
     estimate_H,
     fbm_path,
+    quad_variation,
     read_field,
     read_path_csv,
     write_path_csv,
@@ -79,18 +83,45 @@ _finite = st.floats(allow_nan=False)
 
 @_settings
 @given(
-    values=st.lists(_finite, min_size=2, max_size=40),
+    values=st.lists(_finite, max_size=40),
     hurst=st.one_of(st.none(), _finite),
     seed=st.one_of(st.none(), st.integers()),
 )
 def test_path_csv_round_trip_is_exact(workdir, values, hurst, seed):
     path = SampledPath(values=np.array(values), hurst_true=hurst)
     f = workdir / "path.csv"
+    if len(values) < 2:
+        # positions k/N need N >= 1
+        with pytest.raises(PathTooShort):
+            write_path_csv(path, f, seed=seed)
+        return
     write_path_csv(path, f, seed=seed)
     back, back_seed = read_path_csv(f)
     assert back.values.tobytes() == path.values.tobytes()
     assert back.hurst_true == hurst
     assert back_seed == seed
+
+
+@_settings
+@given(
+    order=st.integers(1, 4),
+    extra=st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(
+        lambda taps: sum(taps) != 0
+    ),
+    poly=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+    u=st.integers(1, 4),
+    n_steps=st.integers(32, 256),
+)
+def test_quad_variation_annihilates_low_degree_polynomials(order, extra, poly, u, n_steps):
+    # a filter of order K (here the K-th difference convolved with taps
+    # that do not sum to zero) sends polynomials of degree < K to zero at
+    # every dilation, up to round-off
+    a = DiscreteFilter(np.convolve(binomial_filter(order).coeffs, extra))
+    assert a.order == order
+    coef = np.array(poly[:order])
+    x = np.polynomial.polynomial.polyval(np.arange(n_steps + 1) / n_steps, coef)
+    bound = 32 * np.finfo(float).eps * np.abs(a.coeffs).sum() * np.abs(coef).sum()
+    assert quad_variation(x, a, u) <= bound**2
 
 
 _paths = st.builds(

@@ -17,7 +17,6 @@ from anisofield import (
     estimate_H,
     fbm_path,
     quad_variation,
-    VariationSpec,
 )
 from anisofield import theory
 
@@ -265,8 +264,8 @@ class TestExpectedVariation:
         v1 = np.empty(reps)
         for i in range(reps):
             path = fbm_path(H, N, derived_stream(21, i))[0]
-            v2[i] = quad_variation(path, VariationSpec(A2, 2, N))
-            v1[i] = quad_variation(path, VariationSpec(A2, 1, N))
+            v2[i] = quad_variation(path.values, A2, 2)
+            v1[i] = quad_variation(path.values, A2, 1)
         ratio = v2.mean() / v1.mean()
         assert ratio == pytest.approx(2**1.4, rel=0.02)
 
@@ -279,7 +278,7 @@ class TestExpectedVariation:
         vals = np.empty(reps)
         for i in range(reps):
             path = fbm_path(H, N, derived_stream(22, i))[0]
-            vals[i] = quad_variation(path, VariationSpec(A2, 2, N))
+            vals[i] = quad_variation(path.values, A2, 2)
         limit = c * theory.E_const(A2, 2, H)
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(N ** (2 * H) * vals.mean() - limit) <= 4.0 * N ** (2 * H) * se
