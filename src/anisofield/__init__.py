@@ -61,6 +61,7 @@ from .projection import (
 )
 from .estimator import (
     PairEstimate,
+    axis_projections,
     check_level,
     estimate_H,
     estimate_pair,

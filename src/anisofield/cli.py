@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AnisofieldError, ValueError) as exc:
+    except (AnisofieldError, ValueError, OSError) as exc:
         print(f"anisofield: {exc}", file=sys.stderr)
         return 1
 

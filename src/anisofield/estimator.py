@@ -23,7 +23,7 @@ from .errors import (
     ZeroVariation,
 )
 from .filters import DiscreteFilter, apply_filter, binomial_filter
-from .projection import project_axis
+from .projection import DIRECTIONS, project_axis
 from .synthesis import GridField2D, SampledPath
 
 __all__ = [
@@ -32,7 +32,9 @@ __all__ = [
     "estimate_H",
     "log_ratio_at_level",
     "check_level",
+    "check_span",
     "estimate_projection",
+    "axis_projections",
     "estimate_pair",
 ]
 
@@ -47,29 +49,33 @@ def _summands(n_steps: int, a: DiscreteFilter, u: int) -> int:
     return n_steps - (a.length - 1) * u + 1
 
 
-def quad_variation(path, a: DiscreteFilter, u: int) -> float:
+def quad_variation(path, a: DiscreteFilter, u: int):
     """Mean of squared filtered samples over all admissible offsets.
 
-    ``path`` holds the values X(k/N), k = 0..N, of a sampled process.
-    Averages (sum_k a_k X((p + k*u)/N))^2 for p = 0..N - l*u, normalizing
-    by the number of terms; raises PathTooShort when there are fewer than
-    two terms.
+    ``path`` holds the values X(k/N), k = 0..N, of a sampled process, or
+    an array of such series along its last axis.  Averages
+    (sum_k a_k X((p + k*u)/N))^2 for p = 0..N - l*u, normalizing by the
+    number of terms; raises PathTooShort when there are fewer than two
+    terms.  Returns a float for one series and an array of the leading
+    shape otherwise, each entry equal bit for bit to the float its series
+    gives on its own.
     """
-    x = np.asarray(path, dtype=float)
-    if _summands(x.size - 1, a, u) < 2:
+    x = np.atleast_1d(np.asarray(path, dtype=float))
+    if _summands(x.shape[-1] - 1, a, u) < 2:
         raise PathTooShort(
-            f"{x.size} values leave fewer than two summands for a "
+            f"{x.shape[-1]} values leave fewer than two summands for a "
             f"{a.length}-tap filter at dilation {u}"
         )
     z = apply_filter(a, x, u)
-    return float(np.mean(z * z))
+    # np.mean's reduction and division, along the last axis
+    v = np.add.reduce(z * z, axis=-1) / z.shape[-1]
+    return float(v) if x.ndim == 1 else v
 
 
-def _checked_variation(x: np.ndarray, a: DiscreteFilter, u: int) -> float:
-    v = quad_variation(x, a, u)
+def _check_variation(v: float, d: int, a: DiscreteFilter) -> None:
     if not math.isfinite(v):
         raise NonFiniteVariation(
-            f"variation is {v} (dilation {u}): the path holds "
+            f"variation is {v} (dilation {d}): the path holds "
             "NaN or infinite values"
         )
     if v < _ZERO_VARIATION:
@@ -77,23 +83,46 @@ def _checked_variation(x: np.ndarray, a: DiscreteFilter, u: int) -> float:
             f"variation vanished (filter order {a.order} "
             "annihilates this path)"
         )
-    return v
+
+
+def _check_variations(a: DiscreteFilter, u: int, v_u, v: int, v_v) -> None:
+    """Raise for the first series, in order, whose variation at dilation
+    u, or else at v, is not finite or vanished."""
+    for var_u, var_v in zip(np.ravel(v_u), np.ravel(v_v)):
+        _check_variation(float(var_u), u, a)
+        _check_variation(float(var_v), v, a)
+
+
+def _log(x):
+    """math.log of a float, or of each entry of an array.
+
+    numpy's log can differ from math.log in the last bit, and an estimate
+    must not depend on whether its series came alone or in a block.
+    """
+    if np.ndim(x) == 0:
+        return math.log(x)
+    return np.fromiter(map(math.log, x.flat), float, x.size).reshape(x.shape)
 
 
 def log_ratio_at_level(
     values, nu: int, a: DiscreteFilter, u: int, v: int
-) -> tuple[float, float, float]:
-    """(log(V_u / V_v) / (2 log(u / v)), V_v, V_u) on ``values[::2^nu]``.
+):
+    """(log(V_u / V_v) / (2 log(u / v)), V_v, V_u) on ``values[..., ::2^nu]``.
 
     V_d is the variation at dilation d of the step-2^nu subsample of a
-    sampled process.
+    sampled process.  ``values`` is one series or an array of series
+    along its last axis; the three results are floats for one series and
+    arrays of the leading shape otherwise.
     """
     if u == v:
         raise EqualDilations("need two distinct dilation factors")
-    x = np.asarray(values)[:: 1 << nu]
-    v_u = _checked_variation(x, a, u)
-    v_v = _checked_variation(x, a, v)
-    return math.log(v_u / v_v) / (2.0 * math.log(u / v)), v_v, v_u
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
+    x = np.asarray(values)[..., :: 1 << nu]
+    v_u = quad_variation(x, a, u)
+    v_v = quad_variation(x, a, v)
+    _check_variations(a, u, v_u, v, v_v)
+    return _log(v_u / v_v) / (2.0 * math.log(u / v)), v_v, v_u
 
 
 def estimate_H(path: SampledPath, a: DiscreteFilter, u: int, v: int) -> float:
@@ -120,9 +149,15 @@ def check_level(M: int, nu: int, a: DiscreteFilter, u: int) -> None:
         raise GridTooCoarse(
             f"grid size {M} at subsampling 2^{nu} leaves fewer than 8 steps"
         )
-    if _summands(steps, a, u) < 2:
+    check_span(steps, a, u, f"grid size {M} at subsampling 2^{nu}")
+
+
+def check_span(n_steps: int, a: DiscreteFilter, u: int, what: str) -> None:
+    """Reject a series of n_steps steps on which the filter dilated by u
+    leaves fewer than two summands; ``what`` names the series."""
+    if _summands(n_steps, a, u) < 2:
         raise GridTooCoarse(
-            f"grid size {M} at subsampling 2^{nu} leaves {steps} steps, "
+            f"{what} leaves {n_steps} steps, "
             f"too few for a {a.length}-tap filter at dilation {u}"
         )
 
@@ -133,48 +168,59 @@ def estimate_projection(
     a: DiscreteFilter | None = None,
     u: int = 2,
     v: int = 1,
-) -> tuple[float, float, float]:
+):
     """(h, T_1, T_2): the directional index of one axis projection at
     subsampling level nu, with its two variations.
 
-    ``values`` is a projection at k/M, k = 0..M (see ``project_axis``).
-    It is strided by 2^nu (step 2^nu / M); T_1 and T_2 are its variations
-    at the dilations v and u, and
+    ``values`` is a projection at k/M, k = 0..M (see ``project_axis``), or
+    an array of projections along its last axis, which gives arrays of
+    the leading shape.  It is strided by 2^nu (step 2^nu / M); T_1 and T_2
+    are its variations at the dilations v and u, and
     ``h = log(T_2 / T_1) / (2 log(u / v)) - 1/2``, the 1/2 correcting for
     the hyperplane average.
     """
     if a is None:
         a = binomial_filter(2)
-    check_level(values.size - 1, nu, a, max(u, v))
+    check_level(values.shape[-1] - 1, nu, a, max(u, v))
     r, t1, t2 = log_ratio_at_level(values, nu, a, u, v)
     return r - 0.5, t1, t2
 
 
 class PairEstimate(NamedTuple):
-    """Estimates for both axes and their difference."""
+    """Estimates for both axes and their difference: floats for one
+    field, arrays over the replicates for a block of projections."""
 
-    h_h: float
-    h_v: float
-    difference: float
+    h_h: float | np.ndarray
+    h_v: float | np.ndarray
+    difference: float | np.ndarray
+
+
+def axis_projections(field: GridField2D) -> np.ndarray:
+    """The horizontal and the vertical projection of a field, as the rows
+    of a (2, M+1) array."""
+    return np.stack([project_axis(field, d) for d in DIRECTIONS])
 
 
 def estimate_pair(
-    field: GridField2D,
+    field: GridField2D | np.ndarray,
     nus: tuple[int, ...] = (0,),
     a: DiscreteFilter | None = None,
 ) -> tuple[PairEstimate, ...]:
     """Both directional indices and their difference at each level in nus.
 
-    Projects the field once per axis and estimates each level on those
-    projections with the dilations u = 2, v = 1.
+    ``field`` is a field, which is projected once per axis, or a block of
+    such projection pairs: an array of shape (..., 2, M+1) whose last two
+    axes are what ``axis_projections`` returns.  Each level is estimated
+    on all projections at once with the dilations u = 2, v = 1; a block
+    gives arrays of its leading shape, equal bit for bit to the floats of
+    its fields one at a time.
     """
     if a is None:
         a = binomial_filter(2)
-    horizontal = project_axis(field, "horizontal")
-    vertical = project_axis(field, "vertical")
+    if isinstance(field, GridField2D):
+        field = axis_projections(field)
     out = []
     for nu in nus:
-        h_h = estimate_projection(horizontal, nu, a)[0]
-        h_v = estimate_projection(vertical, nu, a)[0]
+        h_h, h_v = np.moveaxis(estimate_projection(field, nu, a)[0], -1, 0)
         out.append(PairEstimate(h_h, h_v, h_h - h_v))
     return tuple(out)

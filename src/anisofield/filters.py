@@ -142,21 +142,25 @@ def cross_transfer(a: DiscreteFilter, u: int, v: int, xi):
 
 
 def apply_filter(a: DiscreteFilter, values, u: int = 1) -> np.ndarray:
-    """Filtered series Z_p = sum_k a_k x_{p + k*u} for every admissible p.
+    """Filtered series Z_p = sum_k a_k x_{p + k*u} for every admissible p,
+    along the last axis of ``values``.
 
-    Returns an array of length ``len(values) - l*u`` (empty input raises).
+    The last axis of the result has length ``n - l*u``, n being that of
+    ``values`` (empty input raises).  Each series is filtered with the same
+    operations as on its own, so the result does not depend on how many
+    series are stacked.
     """
-    x = np.asarray(values, dtype=float)
+    x = np.atleast_1d(np.asarray(values, dtype=float))
     if u < 1:
         raise ValueError("dilation factor must be >= 1")
     span = (a.length - 1) * u
-    count = x.size - span
+    count = x.shape[-1] - span
     if count < 1:
         raise ValueError("input shorter than the dilated filter")
-    out = np.zeros(count)
+    out = np.zeros(x.shape[:-1] + (count,))
     for k, c in enumerate(a.coeffs):
         if c != 0.0:
-            out += c * x[k * u : k * u + count]
+            out += c * x[..., k * u : k * u + count]
     return out
 
 

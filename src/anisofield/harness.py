@@ -16,12 +16,20 @@ replicates.
   every 2-d report, and the acceptance grid's fixed-seed reference check
   does not survive a redraw (see ROADMAP item 2).
 
-Tasks run across a worker pool; aggregation order is fixed by replicate
-index, so parallelism cannot change output.
+A task is a contiguous block of replicates of one cell, about eight per
+worker and cell; a 1-d block holds whole pairs.  A 2-d task keeps only the
+two axis projections of each field and estimates every level of the whole
+block in one call, bit for bit as one field at a time; a block that raises
+is redone one replicate at a time, so only the replicates at fault fail.
+A run opens one process pool and queues every cell's tasks on it at once;
+results are collected in cell and replicate order, so parallelism cannot
+change output.  Each worker caches the amplitude table of the latest
+cell only (a 2 MB quadrant at M = 512).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -32,7 +40,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import AnisofieldError, OrderTooLow, TooManyFailures
-from .estimator import check_level, estimate_H, estimate_pair
+from .estimator import (
+    axis_projections,
+    check_level,
+    check_span,
+    estimate_H,
+    estimate_pair,
+)
 from .filters import DiscreteFilter, parse_filter
 from .spectral import AnisotropicIndex, SpectralModel, parse_index
 from .synthesis import afb_sra, derived_stream, fbm_path
@@ -87,6 +101,10 @@ class ExperimentConfig:
                 )
             for nu in self.nu_levels:
                 check_level(self.grid_size, nu, self.filter, self.dilation_u)
+        else:
+            dilation = max(self.dilation_u, self.dilation_v)
+            for n in self.path_lengths:
+                check_span(n, self.filter, dilation, f"path length {n}")
 
     @property
     def filter(self) -> DiscreteFilter:
@@ -127,45 +145,95 @@ class EvalReport:
     failure_log: list = dc_field(default_factory=list)
 
 
-def _map_replicates(fn, tasks, workers):
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(tasks) < 4:
-        return [fn(task) for task in tasks]
-    chunk = max(1, len(tasks) // (workers * 8))
+def _blocks(n: int, workers: int) -> list[tuple[int, int]]:
+    """(first, count) of the contiguous blocks that split n units into
+    about eight tasks per worker."""
+    size = max(1, n // (workers * 8))
+    return [(first, min(size, n - first)) for first in range(0, n, size)]
+
+
+def _map_cells(fn, specs, blocks, workers):
+    """Yield the replicate outcomes of each cell, in cell order.
+
+    A task ``(spec, cell, first, count)`` is the block of replicates
+    first..first+count-1 of the cell that ``specs[cell]`` describes, and
+    ``fn`` maps it to one (status, payload) per replicate.  With more than
+    one worker, every cell's tasks are queued at once on one process pool,
+    so workers move on to the next cell while the last tasks of the
+    current one finish.  Closing the generator early cancels the tasks
+    that have not started.
+    """
+    cell_tasks = [
+        [(spec, cell, first, count) for first, count in blocks]
+        for cell, spec in enumerate(specs)
+    ]
+    if workers <= 1 or len(specs) * len(blocks) < 4:
+        for tasks in cell_tasks:
+            yield [out for task in tasks for out in fn(task)]
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
-
-
-def _replicate_2d(task):
-    kind, h_h, h_v, grid, nus, coeffs, seed, cell, rep = task
-    try:
-        index = AnisotropicIndex(kind, h_h, h_v)
-        field = afb_sra(
-            SpectralModel(index), grid, derived_stream(seed, cell, rep)
-        )[0]
-        pairs = estimate_pair(field, nus, DiscreteFilter(coeffs))
-        return ("ok", [(nu, p.h_h, p.h_v) for nu, p in zip(nus, pairs)])
-    except AnisofieldError as exc:
-        return ("err", f"cell {cell} rep {rep}: {exc!r}")
-
-
-def _replicate_1d(task):
-    """Replicates 2j and 2j+1 (or 2j alone, when count is 1) of one cell,
-    as one (status, payload) per replicate."""
-    hurst, n_steps, coeffs, u, v, seed, cell, pair, count = task
-    reps = range(2 * pair, 2 * pair + count)
-    try:
-        paths = fbm_path(hurst, n_steps, derived_stream(seed, cell, pair))
-    except AnisofieldError as exc:
-        return [("err", f"cell {cell} rep {rep}: {exc!r}") for rep in reps]
-    filt = DiscreteFilter(coeffs)
-    out = []
-    for rep, path in zip(reps, paths):
+        futures = [[pool.submit(fn, task) for task in tasks] for tasks in cell_tasks]
         try:
-            out.append(("ok", estimate_H(path, filt, u, v)))
+            for cell in futures:
+                results = [out for future in cell for out in future.result()]
+                cell.clear()  # the parent holds one cell's results at a time
+                yield results
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _block_2d(task):
+    """Replicates first..first+count-1 of one 2-d cell.
+
+    Keeps only the two axis projections of each field and estimates every
+    level for the whole block in one call.  If the block raises, it is
+    redone one replicate at a time, so only the replicates at fault fail.
+    The payload of a replicate is its (h_h, h_v) per level.
+    """
+    (kind, h_h, h_v, grid, nus, coeffs, seed), cell, first, count = task
+    try:
+        model = SpectralModel(AnisotropicIndex(kind, h_h, h_v))
+        projections = np.empty((count, 2, grid + 1))
+        for i in range(count):
+            stream = derived_stream(seed, cell, first + i)
+            projections[i] = axis_projections(afb_sra(model, grid, stream)[0])
+        pairs = estimate_pair(projections, nus, DiscreteFilter(coeffs))
+    except AnisofieldError as exc:
+        if count == 1:
+            return [("err", f"cell {cell} rep {first}: {exc!r}")]
+        return [
+            out
+            for rep in range(first, first + count)
+            for out in _block_2d(task[:-2] + (rep, 1))
+        ]
+    return [
+        ("ok", [(float(p.h_h[i]), float(p.h_v[i])) for p in pairs])
+        for i in range(count)
+    ]
+
+
+def _block_1d(task):
+    """Replicates first..first+count-1 of one 1-d cell, first even.
+
+    Replicates 2j and 2j+1 share the transform of stream (cell, j); with
+    the block ending at 2j only, the imaginary path is not estimated.
+    """
+    (hurst, n_steps, coeffs, u, v, seed), cell, first, count = task
+    filt = DiscreteFilter(coeffs)
+    end = first + count
+    out = []
+    for pair in range(first // 2, (end + 1) // 2):
+        reps = range(2 * pair, min(2 * pair + 2, end))
+        try:
+            paths = fbm_path(hurst, n_steps, derived_stream(seed, cell, pair))
         except AnisofieldError as exc:
-            out.append(("err", f"cell {cell} rep {rep}: {exc!r}"))
+            out += [("err", f"cell {cell} rep {rep}: {exc!r}") for rep in reps]
+            continue
+        for rep, path in zip(reps, paths):
+            try:
+                out.append(("ok", estimate_H(path, filt, u, v)))
+            except AnisofieldError as exc:
+                out.append(("err", f"cell {cell} rep {rep}: {exc!r}"))
     return out
 
 
@@ -186,6 +254,12 @@ def _collect(results, reps, failure_log):
     return ok, failed
 
 
+def _workers(config: ExperimentConfig) -> int:
+    if config.workers is None:
+        return os.cpu_count() or 1
+    return max(1, config.workers)
+
+
 def run_eval_2d(config: ExperimentConfig) -> EvalReport:
     """Bias/σ of both directional estimators over replicated 2-d fields.
 
@@ -197,45 +271,40 @@ def run_eval_2d(config: ExperimentConfig) -> EvalReport:
         raise ValueError("2-d evaluation needs at least one index")
     t0 = time.perf_counter()
     nus = tuple(sorted(config.nu_levels))
+    workers = _workers(config)
+    specs = [
+        (
+            index.kind, index.h_h, index.h_v,
+            config.grid_size, nus, config.filter_coeffs, config.seed,
+        )
+        for index in config.indices
+    ]
     rows: list[EvalRow2D] = []
     failure_log: list[str] = []
     total_failed = 0
-    for cell, index in enumerate(config.indices):
-        tasks = [
-            (
-                index.kind,
-                index.h_h,
-                index.h_v,
-                config.grid_size,
-                nus,
-                config.filter_coeffs,
-                config.seed,
-                cell,
-                rep,
-            )
-            for rep in range(config.reps)
-        ]
-        results = _map_replicates(_replicate_2d, tasks, config.workers)
-        ok, failed = _collect(results, config.reps, failure_log)
-        total_failed += failed
-        for pos, nu in enumerate(nus):
-            hh = np.array([rep_out[pos][1] for rep_out in ok])
-            hv = np.array([rep_out[pos][2] for rep_out in ok])
-            bias_h = float(hh.mean() - index.h_h)
-            bias_v = float(hv.mean() - index.h_v)
-            rows.append(
-                EvalRow2D(
-                    h_h=index.h_h,
-                    h_v=index.h_v,
-                    nu=nu,
-                    bias_h=bias_h,
-                    sigma_h=float(hh.std(ddof=1)),
-                    bias_v=bias_v,
-                    sigma_v=float(hv.std(ddof=1)),
-                    bias_diff=bias_h - bias_v,
-                    sigma_diff=float((hh - hv).std(ddof=1)),
+    outcomes = _map_cells(_block_2d, specs, _blocks(config.reps, workers), workers)
+    with contextlib.closing(outcomes):
+        for index, results in zip(config.indices, outcomes):
+            ok, failed = _collect(results, config.reps, failure_log)
+            total_failed += failed
+            for pos, nu in enumerate(nus):
+                hh = np.array([rep_out[pos][0] for rep_out in ok])
+                hv = np.array([rep_out[pos][1] for rep_out in ok])
+                bias_h = float(hh.mean() - index.h_h)
+                bias_v = float(hv.mean() - index.h_v)
+                rows.append(
+                    EvalRow2D(
+                        h_h=index.h_h,
+                        h_v=index.h_v,
+                        nu=nu,
+                        bias_h=bias_h,
+                        sigma_h=float(hh.std(ddof=1)),
+                        bias_v=bias_v,
+                        sigma_v=float(hv.std(ddof=1)),
+                        bias_diff=bias_h - bias_v,
+                        sigma_diff=float((hh - hv).std(ddof=1)),
+                    )
                 )
-            )
     return EvalReport(
         mode="2d",
         rows=rows,
@@ -258,49 +327,42 @@ def run_eval_1d(config: ExperimentConfig) -> EvalReport:
     t0 = time.perf_counter()
     filt = config.filter
     u, v = config.dilation_u, config.dilation_v
-    rows: list[EvalRow1D] = []
-    failure_log: list[str] = []
-    total_failed = 0
+    workers = _workers(config)
     cells = [
         (hurst, n) for hurst in config.hursts for n in config.path_lengths
     ]
-    for cell, (hurst, n_steps) in enumerate(cells):
-        tasks = [
-            (
-                hurst,
-                n_steps,
-                config.filter_coeffs,
-                u,
-                v,
-                config.seed,
-                cell,
-                pair,
-                min(2, config.reps - 2 * pair),
+    specs = [
+        (hurst, n_steps, config.filter_coeffs, u, v, config.seed)
+        for hurst, n_steps in cells
+    ]
+    # Blocks of whole pairs of replicates: a transform yields two paths.
+    blocks = [
+        (2 * first, min(2 * count, config.reps - 2 * first))
+        for first, count in _blocks((config.reps + 1) // 2, workers)
+    ]
+    rows: list[EvalRow1D] = []
+    failure_log: list[str] = []
+    total_failed = 0
+    outcomes = _map_cells(_block_1d, specs, blocks, workers)
+    with contextlib.closing(outcomes):
+        for (hurst, n_steps), results in zip(cells, outcomes):
+            ok, failed = _collect(results, config.reps, failure_log)
+            total_failed += failed
+            est = np.array(ok)
+            try:
+                gamma = theory.gamma_const(filt, u, v, hurst)
+            except OrderTooLow:
+                gamma = math.nan
+            rows.append(
+                EvalRow1D(
+                    hurst=hurst,
+                    n_steps=n_steps,
+                    bias=float(est.mean() - hurst),
+                    sigma=float(est.std(ddof=1)),
+                    n_var=float(n_steps * est.var(ddof=1)),
+                    gamma=gamma,
+                )
             )
-            for pair in range((config.reps + 1) // 2)
-        ]
-        results = [
-            result
-            for task_results in _map_replicates(_replicate_1d, tasks, config.workers)
-            for result in task_results
-        ]
-        ok, failed = _collect(results, config.reps, failure_log)
-        total_failed += failed
-        est = np.array(ok)
-        try:
-            gamma = theory.gamma_const(filt, u, v, hurst)
-        except OrderTooLow:
-            gamma = math.nan
-        rows.append(
-            EvalRow1D(
-                hurst=hurst,
-                n_steps=n_steps,
-                bias=float(est.mean() - hurst),
-                sigma=float(est.std(ddof=1)),
-                n_var=float(n_steps * est.var(ddof=1)),
-                gamma=gamma,
-            )
-        )
     return EvalReport(
         mode="1d",
         rows=rows,

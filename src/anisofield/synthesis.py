@@ -190,35 +190,42 @@ def fbm_path(H: float, N: int, seed) -> tuple[SampledPath, SampledPath]:
     return _fbm_from_fgn(real, H), _fbm_from_fgn(imag, H)
 
 
-def _fft_order_frequencies(M: int) -> np.ndarray:
-    """Frequency indices n in FFT storage order, covering -M+1..M.
-
-    Index M holds the Nyquist term; n = +M and n = -M give identical
-    complex exponentials on the half-integer grid, so the wrap is exact.
-    """
-    n = np.arange(2 * M)
-    return np.where(n <= M, n, n - 2 * M)
-
-
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _sra_amplitude(model: SpectralModel, M: int) -> np.ndarray:
-    """Square root of the density on the (2M) x (2M) frequency grid.
+    """Square root of the density on the frequency quadrant pi * {0..M}^2,
+    zero at the origin.
 
-    Frequencies are pi * n for n in -M+1..M on both axes (FFT storage
-    order); the origin amplitude is set to zero.  The density is even in
-    each coordinate (it depends on |xi_1| and |xi_2| only), so it is
-    evaluated once on the quadrant n in {0..M}^2 and indexed by |n|; the
-    result equals a full-grid evaluation bit for bit.
+    The density depends on |xi_1| and |xi_2| only, so the quadrant holds
+    every amplitude of the (2M) x (2M) frequency grid pi * {-M+1..M}^2:
+    frequency (n_1, n_2) takes entry (|n_1|, |n_2|) (see _shape_noise).
+    Only the latest table is kept: runs synthesize one cell at a time, and
+    at M = 512 a table takes 2 MB.
     """
     xi = np.pi * np.arange(M + 1, dtype=float)
     pts = np.stack(np.broadcast_arrays(xi[:, None], xi[None, :]), axis=-1)
     quadrant = np.zeros((M + 1, M + 1))
     quadrant.flat[1:] = density(model, pts.reshape(-1, 2)[1:])
     np.sqrt(quadrant, out=quadrant)
-    n = np.abs(_fft_order_frequencies(M))
-    g = quadrant[np.ix_(n, n)]
-    g.flags.writeable = False
-    return g
+    quadrant.flags.writeable = False
+    return quadrant
+
+
+def _shape_noise(z: np.ndarray, quadrant: np.ndarray) -> None:
+    """Multiply the (2M) x (2M) noise z in place by the amplitude of each
+    frequency, in FFT storage order.
+
+    Rows and columns 0..M of z hold the frequencies 0..M and take the
+    quadrant's rows and columns as they are; rows and columns M+1..2M-1
+    hold -M+1..-1 and take the quadrant's M-1..1 mirrored.  The products
+    are those of a multiply by the full (2M) x (2M) table.
+    """
+    M = quadrant.shape[0] - 1
+    head, tail = slice(0, M + 1), slice(M + 1, None)
+    mirrored = slice(M - 1, 0, -1)
+    z[head, head] *= quadrant
+    z[head, tail] *= quadrant[:, mirrored]
+    z[tail, head] *= quadrant[mirrored]
+    z[tail, tail] *= quadrant[mirrored, mirrored]
 
 
 def _field_params(model: SpectralModel) -> tuple[float, float]:
@@ -265,9 +272,10 @@ def afb_sra(model: SpectralModel, M: int, seed) -> tuple[GridField2D, GridField2
         raise ValueError("field synthesis requires a 2-d model")
     if not _power_of_two(M) or M < 4:
         raise ValueError("grid size must be a power of two >= 4")
-    g = _sra_amplitude(model, int(M))
+    # The table first: its temporaries and the noise then do not coexist.
+    quadrant = _sra_amplitude(model, int(M))
     z = _draw_complex_noise(_rng(seed), (2 * M, 2 * M))
-    z *= g
+    _shape_noise(z, quadrant)
     y = sp_fft.fft(z, axis=1, overwrite_x=True)[:, : M + 1]
     y = sp_fft.fft(y, axis=0, overwrite_x=True)[: M + 1]
     y *= np.pi

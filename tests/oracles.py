@@ -4,7 +4,16 @@ checked against.  Not collected as tests (no ``test_`` prefix)."""
 import numpy as np
 
 from anisofield import density
-from anisofield.synthesis import _fft_order_frequencies
+
+
+def _fft_order_frequencies(M):
+    """Frequency indices n in FFT storage order, covering -M+1..M.
+
+    Index M holds the Nyquist term; n = +M and n = -M give identical
+    complex exponentials on the half-integer grid, so the wrap is exact.
+    """
+    n = np.arange(2 * M)
+    return np.where(n <= M, n, n - 2 * M)
 
 
 def full_grid_amplitude(model, M):

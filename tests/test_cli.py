@@ -37,14 +37,21 @@ def _read_csv(path):
         ["simulate", "--index", "axes:0.7,0.2", "--grid", "12", "--out", "{tmp}/f.afb"],
         ["evaluate", "--config", "{tmp}/bad.cfg"],
         ["evaluate", "--config", "{tmp}/dilations.cfg"],
+        ["evaluate", "--config", "{tmp}/short.cfg"],
+        ["estimate", "--input", "{tmp}/missing.csv"],
+        ["evaluate", "--config", "{tmp}/missing.cfg"],
     ],
-    ids=["theory_u0", "simulate_grid12", "evaluate_unknown_key", "evaluate_2d_u3"],
+    ids=[
+        "theory_u0", "simulate_grid12", "evaluate_unknown_key", "evaluate_2d_u3",
+        "evaluate_1d_length4", "estimate_missing_input", "evaluate_missing_config",
+    ],
 )
 def test_value_errors_reported_in_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.cfg").write_text("mode = 2d\nindex = constant:0.5\nmodee = 1d\n")
     (tmp_path / "dilations.cfg").write_text(
         "mode = 2d\nindex = constant:0.5\ngrid = 32\nnu = 0\nu = 3\n"
     )
+    (tmp_path / "short.cfg").write_text("mode = 1d\nhurst = 0.5\nlength = 4\n")
     rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert rc == 1
     err = capsys.readouterr().err
@@ -115,6 +122,13 @@ class TestProject:
 
 
 class TestEstimate:
+    def test_path_negative_level_rejected(self, tmp_path, capsys):
+        path_file = tmp_path / "p.csv"
+        main(["simulate", "--hurst", "0.6", "-N", "64", "--out", str(path_file)])
+        rc = main(["estimate", "--input", str(path_file), "--nu", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "anisofield: nu must be >= 0\n"
+
     def test_field_rows(self, tmp_path):
         field_file = tmp_path / "f.afb"
         main(["simulate", "--index", "axes:0.7,0.2", "-M", "64", "--seed", "8",

@@ -17,6 +17,7 @@ from anisofield import (
     SpectralModel,
     ZeroVariation,
     afb_sra,
+    axis_projections,
     binomial_filter,
     check_level,
     derived_stream,
@@ -181,6 +182,20 @@ class TestEstimateDirection:
                 manual = math.log(t2 / t1) / (2 * math.log(2)) - 0.5
                 assert estimate_projection(values, nu) == (manual, t1, t2)
 
+    def test_block_matches_series_one_at_a_time(self):
+        # numpy's log differs from math.log in the last bit for about one
+        # ratio in 2000, so many series are needed to show the difference
+        x = np.cumsum(np.random.default_rng(3).normal(size=(10_000, 17)), axis=-1)
+        r, v_v, v_u = log_ratio_at_level(x, 0, A2, 2, 1)
+        for i, series in enumerate(x):
+            assert (r[i], v_v[i], v_u[i]) == log_ratio_at_level(series, 0, A2, 2, 1)
+
+    def test_negative_level_rejected(self, sra_field):
+        values = project_axis(sra_field, "horizontal")
+        for call in (estimate_projection, lambda x, nu: log_ratio_at_level(x, nu, A2, 2, 1)):
+            with pytest.raises(ValueError, match="nu must be >= 0"):
+                call(values, -1)
+
     def test_other_dilations(self, sra_field):
         # T_1 and T_2 are the variations at v and u, whatever u and v are
         values = project_axis(sra_field, "horizontal")
@@ -214,7 +229,8 @@ class TestEstimateDirection:
     def test_non_finite_field_rejected(self, sra_field):
         values = sra_field.values.copy()
         values[5, 7] = np.inf
-        with pytest.raises(NonFiniteVariation):
+        # the horizontal projection at dilation u = 2 is checked first
+        with pytest.raises(NonFiniteVariation, match=r"is inf \(dilation 2\)"):
             estimate_pair(GridField2D(values=values), (0,))
 
     def test_out_of_range_flag(self):
@@ -253,6 +269,23 @@ class TestEstimatePair:
     def test_too_coarse_level_rejected(self, sra_field):
         with pytest.raises(GridTooCoarse):
             estimate_pair(sra_field, (0, 6))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_block_matches_fields(self, order):
+        # a block of projection pairs, with any leading shape, gives at
+        # every level the estimates of its fields one at a time, bit for bit
+        a = binomial_filter(order)
+        model = SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2))
+        fields = [afb_sra(model, 64, derived_stream(21, i))[0] for i in range(6)]
+        block = np.stack([axis_projections(f) for f in fields]).reshape(2, 3, 2, 65)
+        nus = (0, 1, 2, 3)
+        pairs = estimate_pair(block, nus, a)
+        for i, field in enumerate(fields):
+            for nu, pair, single in zip(nus, pairs, estimate_pair(field, nus, a)):
+                e_h = _index(field, "horizontal", nu, a)
+                e_v = _index(field, "vertical", nu, a)
+                got = tuple(x[divmod(i, 3)] for x in pair)
+                assert got == tuple(single) == (e_h, e_v, e_h - e_v)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), h_h=st.sampled_from([0.2, 0.5, 0.7]))

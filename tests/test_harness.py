@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from anisofield import (
     EmbeddingNotPSD,
     EvalReport,
     ExperimentConfig,
+    GridField2D,
     SpectralModel,
     TooManyFailures,
     ZeroVariation,
@@ -24,6 +27,13 @@ from anisofield import (
     run_eval_2d,
 )
 from anisofield import harness
+
+
+def _slow_failing_block(task):
+    """A 2-d task whose every replicate fails after a pause; defined at
+    module level so that pool workers can unpickle it."""
+    time.sleep(0.05)
+    return [("err", "boom")] * task[-1]
 
 
 def _cfg_2d(**kw):
@@ -101,18 +111,8 @@ class TestRun2D:
 
     def test_each_replicate_reproducible_on_its_own(self, monkeypatch):
         # Replicates 0..4 agree across replicate counts and worker counts.
-        real_map = harness._map_replicates
-
         def per_replicate(**kw):
-            seen = []
-
-            def recording(fn, tasks, workers):
-                out = real_map(fn, tasks, workers)
-                seen.extend(out)
-                return out
-
-            monkeypatch.setattr(harness, "_map_replicates", recording)
-            run_eval_2d(_cfg_2d(**kw))
+            seen = _per_replicate(monkeypatch, run_eval_2d, _cfg_2d(**kw))
             assert all(status == "ok" for status, _ in seen)
             return [payload for _, payload in seen]
 
@@ -121,6 +121,61 @@ class TestRun2D:
         for reps in (5, 9):
             for workers in (1, 2):
                 assert per_replicate(reps=reps, workers=workers)[:5] == base
+
+    def test_one_pool_per_run(self, monkeypatch):
+        pools = []
+
+        class Counting(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Counting)
+        cfg = _cfg_2d(
+            indices=(AnisotropicIndex.constant(0.5), AnisotropicIndex.axis_pair(0.7, 0.2)),
+            reps=6,
+            workers=2,
+        )
+        report = run_eval_2d(cfg)
+        assert len(pools) == 1
+        assert report.rows == run_eval_2d(dataclasses.replace(cfg, workers=1)).rows
+
+    def test_block_failure_fails_one_replicate(self, monkeypatch):
+        # replicate 2 of the block 1..4 gives a NaN field: the block is
+        # redone one replicate at a time and only replicate 2 fails
+        real_sra = harness.afb_sra
+        task = (("axis_pair", 0.7, 0.2, 32, (0, 1), (1.0, -2.0, 1.0), 5), 3, 1, 4)
+        expected = harness._block_2d(task)
+
+        def nan_at_rep_2(model, M, seed):
+            fields = real_sra(model, M, seed)
+            if seed.spawn_key == (3, 2):
+                nan = GridField2D(values=np.full_like(fields[0].values, np.nan))
+                return (nan, fields[1])
+            return fields
+
+        monkeypatch.setattr(harness, "afb_sra", nan_at_rep_2)
+        out = harness._block_2d(task)
+        assert [status for status, _ in out] == ["ok", "err", "ok", "ok"]
+        assert out[1][1].startswith("cell 3 rep 2: NonFiniteVariation(")
+        assert [out[i] for i in (0, 2, 3)] == [expected[i] for i in (0, 2, 3)]
+
+    def test_too_many_failures_cancels_pending_tasks(self, monkeypatch):
+        futures = []
+
+        class Recording(harness.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(harness, "_block_2d", _slow_failing_block)
+        cfg = _cfg_2d(indices=(AnisotropicIndex.constant(0.5),) * 4, reps=32, workers=2)
+        with pytest.raises(TooManyFailures, match="first: boom"):
+            run_eval_2d(cfg)
+        assert len(futures) == 4 * 16
+        assert any(f.cancelled() for f in futures[16:])
+        assert all(f.done() for f in futures)
 
     def test_default_filter_is_the_binomial_one(self):
         default = ExperimentConfig().filter
@@ -151,21 +206,24 @@ class TestRun2D:
         assert _cfg_1d(**{key: 3}).mode == "1d"  # 1-d mode takes them
 
 
-def _per_replicate_1d(monkeypatch, **kw):
-    """(status, payload) of every replicate of a 1-d run, in order."""
-    real_map = harness._map_replicates
+def _per_replicate(monkeypatch, run, config):
+    """(status, payload) of every replicate of a run, in order."""
+    real_map = harness._map_cells
     seen = []
 
-    def recording(fn, tasks, workers):
-        out = real_map(fn, tasks, workers)
-        for task_results in out:
-            seen.extend(task_results)
-        return out
+    def recording(*args):
+        for results in real_map(*args):
+            seen.extend(results)
+            yield results
 
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_map_replicates", recording)
-        run_eval_1d(_cfg_1d(**kw))
+        patch.setattr(harness, "_map_cells", recording)
+        run(config)
     return seen
+
+
+def _per_replicate_1d(monkeypatch, **kw):
+    return _per_replicate(monkeypatch, run_eval_1d, _cfg_1d(**kw))
 
 
 class TestRun1D:
@@ -187,10 +245,10 @@ class TestRun1D:
 
     def test_failure_policy(self, monkeypatch):
         def always_fail(task):
-            count = task[-1]  # replicates in this task's pair
+            count = task[-1]  # replicates in this task's block
             return [("err", "boom")] * count
 
-        monkeypatch.setattr(harness, "_replicate_1d", always_fail)
+        monkeypatch.setattr(harness, "_block_1d", always_fail)
         with pytest.raises(TooManyFailures):
             run_eval_1d(_cfg_1d(reps=10))
 
@@ -229,7 +287,7 @@ class TestRun1D:
             raise EmbeddingNotPSD("boom")
 
         monkeypatch.setattr(harness, "fbm_path", broken)
-        out = harness._replicate_1d((0.5, 64, (1.0, -2.0, 1.0), 2, 1, 5, 3, 4, 2))
+        out = harness._block_1d(((0.5, 64, (1.0, -2.0, 1.0), 2, 1, 5), 3, 8, 2))
         assert [status for status, _ in out] == ["err", "err"]
         assert out[0][1].startswith("cell 3 rep 8: ")
         assert out[1][1].startswith("cell 3 rep 9: ")
@@ -240,14 +298,14 @@ class TestRun1D:
                 raise ZeroVariation("boom")
             return 0.5
 
-        task = (0.5, 64, (1.0, -2.0, 1.0), 2, 1, 5, 3, 4, 2)
+        task = ((0.5, 64, (1.0, -2.0, 1.0), 2, 1, 5), 3, 8, 2)
         imag_end = fbm_path(0.5, 64, derived_stream(5, 3, 4))[1].values[-1]
         monkeypatch.setattr(harness, "estimate_H", imag_fails)
-        out = harness._replicate_1d(task)
+        out = harness._block_1d(task)
         assert out[0] == ("ok", 0.5)
         assert out[1][0] == "err" and out[1][1].startswith("cell 3 rep 9: ")
         # with one replicate left the imaginary path is not estimated
-        assert harness._replicate_1d(task[:-1] + (1,)) == [("ok", 0.5)]
+        assert harness._block_1d(task[:-1] + (1,)) == [("ok", 0.5)]
 
     def test_failure_message_names_failing_cell(self, monkeypatch):
         # cell 0 tolerates one failure (1 of 100); cell 1 fails throughout
@@ -304,6 +362,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="6-tap filter at dilation 2"):
             _cfg_2d(grid_size=64, nu_levels=(0, 1, 2, 3), filter_coeffs=coeffs)
         assert _cfg_2d(grid_size=64, nu_levels=(0, 1, 2), filter_coeffs=coeffs).mode == "2d"
+
+    def test_1d_length_too_short_for_filter(self):
+        # (1,-2,1) at dilation 2 spans 4 steps: length 4 leaves one summand
+        with pytest.raises(ValueError, match="path length 4 leaves 4 steps"):
+            _cfg_1d(path_lengths=(256, 4))
+        assert _cfg_1d(path_lengths=(5,)).path_lengths == (5,)
+        # the rule takes the larger dilation, whichever of u and v it is
+        with pytest.raises(ValueError, match="3-tap filter at dilation 3"):
+            _cfg_1d(path_lengths=(6,), dilation_u=1, dilation_v=3)
 
     def test_1d_does_not_check_levels_against_grid(self):
         assert _cfg_1d(grid_size=16).grid_size == 16

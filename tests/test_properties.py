@@ -1,14 +1,16 @@
-"""Property tests: file readers under fuzzed input, exact path CSV
-round-trips, polynomial annihilation by the variations, and invariances of
-the 1-d estimator."""
+"""Property tests: file readers under fuzzed input, exact field-file and
+path CSV round-trips, polynomial annihilation by the variations, and
+invariances of the 1-d estimator."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from anisofield import (
     DiscreteFilter,
+    GridField2D,
     MalformedFieldFile,
     PathTooShort,
     SampledPath,
@@ -19,6 +21,7 @@ from anisofield import (
     quad_variation,
     read_field,
     read_path_csv,
+    write_field,
     write_path_csv,
 )
 from anisofield import synthesis
@@ -79,6 +82,27 @@ def test_read_field_parses_or_rejects(workdir, blob):
 
 
 _finite = st.floats(allow_nan=False)
+
+
+@_settings
+@given(
+    values=st.integers(0, 6).flatmap(
+        lambda M: hnp.arrays(np.float64, (M + 1, M + 1))
+    ),
+    params=st.one_of(st.none(), st.tuples(_finite, _finite)),
+    # 2**64 - 1 is the header's mark for an unknown seed
+    seed=st.one_of(st.none(), st.integers(0, 2**64 - 2)),
+)
+def test_field_file_round_trip_is_exact(workdir, values, params, seed):
+    f = workdir / "field.afb"
+    write_field(GridField2D(values=values, params_true=params, seed=seed), f)
+    back = read_field(f)
+    assert back.values.tobytes() == values.tobytes()
+    if params is None:
+        assert back.params_true is None
+    else:
+        assert np.array(back.params_true).tobytes() == np.array(params).tobytes()
+    assert back.seed == seed
 
 
 @_settings

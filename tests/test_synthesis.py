@@ -174,10 +174,17 @@ class TestSra:
         "index", [AnisotropicIndex.constant(0.3), AnisotropicIndex.axis_pair(0.7, 0.2)]
     )
     def test_mirrored_amplitude_table(self, index, M):
+        # shaping by the mirrored quadrant multiplies every noise term by
+        # its full-grid amplitude, bit for bit
         model = SpectralModel(index)
-        assert np.array_equal(
-            synthesis._sra_amplitude(model, M), full_grid_amplitude(model, M)
-        )
+        full = full_grid_amplitude(model, M)
+        quadrant = synthesis._sra_amplitude(model, M)
+        assert quadrant.shape == (M + 1, M + 1)
+        assert np.array_equal(quadrant, full[: M + 1, : M + 1])
+        z = synthesis._draw_complex_noise(np.random.default_rng(M), (2 * M, 2 * M))
+        expected = z * full
+        synthesis._shape_noise(z, quadrant)
+        assert z.tobytes() == expected.tobytes()
 
     def test_pair_law(self, aniso_model):
         # The real and imaginary parts of one transform are independent
