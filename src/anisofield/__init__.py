@@ -16,7 +16,6 @@ from .errors import (
     OrderZero,
     PathTooShort,
     QuadratureFailure,
-    TailNotConverged,
     TooManyFailures,
     WindowOutOfSupport,
     ZeroFrequency,

@@ -71,10 +71,6 @@ class OrderTooLow(AnisofieldError):
     """Filter order is too small for the requested constant to be finite."""
 
 
-class TailNotConverged(AnisofieldError):
-    """Series truncation or roundoff error could not be certified below tolerance."""
-
-
 class NegativeVariance(AnisofieldError):
     """Composed limit variance came out negative beyond roundoff."""
 

@@ -291,7 +291,14 @@ _HEADER = struct.Struct("<4sIddQ")
 
 
 def write_field(field: GridField2D, path) -> None:
-    """Serialize a field to the AFB1 binary format."""
+    """Serialize a field to the AFB1 binary format.
+
+    The header holds a seed in 0..2^64-2; 2^64-1 marks an unknown seed.
+    """
+    if field.seed is not None and not 0 <= field.seed < _NO_SEED:
+        raise ValueError(
+            f"seed {field.seed} is outside 0..2^64-2, the range a field file holds"
+        )
     if field.params_true is not None:
         h_h, h_v = field.params_true
     else:

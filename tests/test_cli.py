@@ -40,10 +40,18 @@ def _read_csv(path):
         ["evaluate", "--config", "{tmp}/short.cfg"],
         ["estimate", "--input", "{tmp}/missing.csv"],
         ["evaluate", "--config", "{tmp}/missing.cfg"],
+        ["theory", "--H", "nan"],
+        ["theory", "--H", "1e-300"],
+        ["simulate", "--index", "constant:0.5", "--grid", "8",
+         "--seed", "18446744073709551616", "--out", "{tmp}/f.afb"],
+        ["simulate", "--index", "constant:0.5", "--grid", "8",
+         "--seed", "18446744073709551615", "--out", "{tmp}/f.afb"],
     ],
     ids=[
         "theory_u0", "simulate_grid12", "evaluate_unknown_key", "evaluate_2d_u3",
         "evaluate_1d_length4", "estimate_missing_input", "evaluate_missing_config",
+        "theory_Hnan", "theory_H1e-300", "simulate_seed_2e64",
+        "simulate_seed_unknown_mark",
     ],
 )
 def test_value_errors_reported_in_one_line(tmp_path, capsys, argv):
@@ -244,6 +252,13 @@ class TestTheoryCommand:
         assert e_v == pytest.approx(4 * math.pi, rel=1e-8)
         assert e_u == pytest.approx(2 * 4 * math.pi, rel=1e-8)
         assert gamma == pytest.approx(7 / (8 * math.log(2) ** 2), rel=1e-8)
+
+    @pytest.mark.parametrize("H", ["1.6", "0.999999999"])
+    def test_hard_h(self, capsys, H):
+        # near K - 1/4, and next to an integer H
+        assert main(["theory", "--H", H]) == 0
+        gamma = float(capsys.readouterr().out.splitlines()[1].split(",")[-1])
+        assert math.isfinite(gamma) and gamma > 0.0
 
 
 class TestEvaluateCommand:

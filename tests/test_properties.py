@@ -4,7 +4,7 @@ invariances of the 1-d estimator."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -103,6 +103,21 @@ def test_field_file_round_trip_is_exact(workdir, values, params, seed):
     else:
         assert np.array(back.params_true).tobytes() == np.array(params).tobytes()
     assert back.seed == seed
+
+
+@_settings
+@given(seed=st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64 - 1)))
+@example(seed=-1)
+@example(seed=2**64 - 1)
+@example(seed=2**64)
+def test_field_file_rejects_seed_out_of_range(workdir, seed):
+    # 2**64 - 1 would read back as an unknown seed; beyond it u64 overflows
+    f = workdir / "bad_seed.afb"
+    f.unlink(missing_ok=True)
+    field = GridField2D(values=np.zeros((2, 2)), params_true=None, seed=seed)
+    with pytest.raises(ValueError, match=r"0\.\.2\^64-2"):
+        write_field(field, f)
+    assert not f.exists()
 
 
 @_settings

@@ -8,9 +8,9 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import zeta
 
 from anisofield import (
+    DiscreteFilter,
     EqualDilations,
     OrderTooLow,
-    TailNotConverged,
     binomial_filter,
     cross_transfer,
     derived_stream,
@@ -22,6 +22,7 @@ from anisofield import theory
 
 A2 = binomial_filter(2)
 A1 = binomial_filter(1)
+A3 = binomial_filter(3)
 
 
 def _j_const(H: float) -> float:
@@ -82,6 +83,20 @@ def _quad_oracle(a, u, v, H, p) -> float:
     if u != v:
         val += math.copysign(1.0, p) * half(lambda z: z.imag, "sin")
     return 2.0 * val
+
+
+def _parseval_oracle(a, u, v, H) -> float:
+    """Frequency-domain route to C: by Parseval, 2 sum_p Gamma(p)^2 is
+    4 pi times the integral of |h|^2 F^2 over one period, F being the
+    density folded onto it.  |h|^2 F^2 is even about pi, so the period
+    halves onto (0, pi)."""
+
+    def f(xi):
+        folded = _weight_folded(xi, H) + _weight_folded(2.0 * math.pi - xi, H)
+        return abs(cross_transfer(a, u, v, xi)) ** 2 * folded**2
+
+    val, _ = integrate.quad(f, 0.0, math.pi, limit=400, epsabs=0.0, epsrel=1e-12)
+    return 8.0 * math.pi * val
 
 
 class TestEConst:
@@ -158,8 +173,9 @@ class TestGammaFourier:
     @pytest.mark.parametrize("H", [0.2, 0.7, 0.95, 1.0, 1.2])
     @pytest.mark.parametrize("uv", [(1, 1), (2, 1), (3, 2)])
     def test_analytic_decay_bound(self, H, uv):
-        # the bound C_const certifies its cutoff with:
-        # |Gamma(p)| <= B (|p| - L)^(2H - 2K) for |p| > L = 2 max(u, v)
+        # Gamma's power-law decay beyond the taps' reach, with the constant
+        # of its binomial tail: |Gamma(p)| <= B (|p| - L)^(2H - 2K) for
+        # |p| > L = 2 max(u, v)
         u, v = uv
         L = 2 * max(u, v)
         m2 = 3.0  # sum_j |a_j| j^2 / 2! for (1, -2, 1)
@@ -203,10 +219,30 @@ class TestCConst:
         with pytest.raises(OrderTooLow):
             theory.C_const(A1, 2, 1, 0.8)  # needs K > H + 1/4
 
-    def test_tail_budget_exhaustion(self):
-        # at H = 1.6 the certified cutoff runs to about 3e11 terms
-        with pytest.raises(TailNotConverged):
-            theory.C_const(A2, 2, 1, 1.6)
+    @pytest.mark.parametrize(
+        "a, H",
+        [(A2, 1.31), (A2, 1.45), (A2, 1.6), (A3, 1.5), (A3, 2.2), (A1, 0.52)],
+        ids=["A2-1.31", "A2-1.45", "A2-1.6", "A3-1.5", "A3-2.2", "A1-0.52"],
+    )
+    @pytest.mark.parametrize("uv", [(1, 1), (2, 1), (3, 2)])
+    def test_parseval_oracle(self, a, H, uv):
+        # close to K - 1/4 the power-law tail carries much of C
+        with warnings.catch_warnings():
+            # roundoff stalls below the target tolerance are harmless here
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            oracle = _parseval_oracle(a, *uv, H)
+        assert theory.C_const(a, *uv, H) == pytest.approx(oracle, rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "a", [A2, A3, binomial_filter(4), DiscreteFilter((1, -2, 0, 2, -1))],
+        ids=["binomial2", "binomial3", "binomial4", "antisymmetric3"],
+    )
+    def test_finite_up_to_divergence(self, a):
+        # C diverges only as H reaches K - 1/4
+        for H in np.arange(1, 100 * a.order - 25) / 100:
+            for u, v in ((1, 1), (2, 1), (3, 2)):
+                c = theory.C_const(a, u, v, H)
+                assert math.isfinite(c) and c > 0.0, (H, u, v, c)
 
 
 class TestGammaConst:
@@ -235,6 +271,24 @@ class TestGammaConst:
     def test_nonnegative(self):
         for H in (0.2, 0.5, 0.9):
             assert theory.gamma_const(A2, 2, 1, H) >= 0.0
+
+    @pytest.mark.parametrize("dH", [1e-9, -1e-9, 1e-12, -1e-12])
+    def test_continuity_at_integer_h(self, dH):
+        # one formula on both sides of H = 1 and at it
+        at = theory.asymptotic_constants(A2, 2, 1, 1.0)
+        near = theory.asymptotic_constants(A2, 2, 1, 1.0 + dH)
+        for name in ("E_u", "E_v", "C_uu", "C_vv", "C_uv", "gamma"):
+            assert getattr(near, name) == pytest.approx(getattr(at, name), rel=1e-7)
+
+    @pytest.mark.parametrize("H", [0.0, -0.5, math.nan])
+    def test_h_not_positive(self, H):
+        with pytest.raises(ValueError, match="must be positive"):
+            theory.asymptotic_constants(A2, 2, 1, H)
+
+    def test_overflow_reported(self):
+        # E grows like 1/H and C like 1/H^2
+        with pytest.raises(ValueError, match="H=1e-300 .*not finite"):
+            theory.asymptotic_constants(A2, 2, 1, 1e-300)
 
     def test_continuity_in_h(self):
         for H in (0.3, 0.5, 0.7, 0.9):
