@@ -16,11 +16,17 @@ replicates.
   every 2-d report, and the acceptance grid's fixed-seed reference check
   does not survive a redraw (see ROADMAP item 2).
 
-A task is a contiguous block of replicates of one cell, about eight per
-worker and cell; a 1-d block holds whole pairs.  A 2-d task keeps only the
-two axis projections of each field and estimates every level of the whole
-block in one call, bit for bit as one field at a time; a block that raises
-is redone one replicate at a time, so only the replicates at fault fail.
+Both modes run one path.  ``run_eval_2d`` and ``run_eval_1d`` only build
+their cells, the function that estimates a block of replicates of one
+cell, and the rows of a cell's estimates; the driver ``_run`` does the
+rest.  A task is a contiguous block of replicates of one cell, about eight
+per worker and cell; a 1-d block holds whole pairs.  A 2-d task keeps only
+the two axis projections of each field and estimates every level of the
+whole block in one call, bit for bit as one field at a time; a 1-d task
+synthesizes each pair of paths once.  Every task follows one failure
+policy: a block that raises is redone one replicate at a time, so only the
+replicates at fault fail (both replicates of a 1-d pair when its synthesis
+fails).  A cell with more than 1% of its replicates failed stops the run.
 A run opens one process pool and queues every cell's tasks on it at once;
 results are collected in cell and replicate order, so parallelism cannot
 change output.  Each worker caches the amplitude table of the latest
@@ -35,7 +41,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
 
@@ -49,7 +55,7 @@ from .estimator import (
 )
 from .filters import DiscreteFilter, parse_filter
 from .spectral import AnisotropicIndex, SpectralModel, parse_index
-from .synthesis import afb_sra, derived_stream, fbm_path
+from .synthesis import afb_sra, check_grid, derived_stream, fbm_path
 from . import theory
 
 __all__ = [
@@ -71,7 +77,8 @@ class ExperimentConfig:
     """Everything one evaluation run needs, parseable from key=value text.
 
     1-d mode reads neither ``grid_size`` nor ``nu_levels``; 2-d mode reads
-    neither ``hursts`` nor ``path_lengths``.
+    neither ``hursts`` nor ``path_lengths``.  ``workers`` of None or <= 0
+    means one worker per CPU.
     """
 
     mode: str = "2d"
@@ -93,18 +100,28 @@ class ExperimentConfig:
             raise ValueError(f"mode must be '1d' or '2d', got {self.mode!r}")
         if self.reps < 2:
             raise ValueError("need at least two replicates")
+        if self.workers is not None and self.workers <= 0:
+            self.workers = None
         if self.mode == "2d":
             if (self.dilation_u, self.dilation_v) != (2, 1):
                 raise ValueError(
                     "2-d mode estimates with the dilations u = 2, v = 1; got "
                     f"u = {self.dilation_u}, v = {self.dilation_v}"
                 )
+            check_grid(self.grid_size)
+            if not self.nu_levels:
+                raise ValueError("2-d mode needs at least one level nu")
             for nu in self.nu_levels:
                 check_level(self.grid_size, nu, self.filter, self.dilation_u)
         else:
+            if not self.path_lengths:
+                raise ValueError("1-d mode needs at least one path length")
             dilation = max(self.dilation_u, self.dilation_v)
             for n in self.path_lengths:
                 check_span(n, self.filter, dilation, f"path length {n}")
+            for hurst in self.hursts:
+                if not 0.0 < hurst < 1.0:
+                    raise ValueError(f"H must lie in (0, 1), got {hurst}")
 
     @property
     def filter(self) -> DiscreteFilter:
@@ -145,34 +162,29 @@ class EvalReport:
     failure_log: list = dc_field(default_factory=list)
 
 
-def _blocks(n: int, workers: int) -> list[tuple[int, int]]:
-    """(first, count) of the contiguous blocks that split n units into
-    about eight tasks per worker."""
-    size = max(1, n // (workers * 8))
-    return [(first, min(size, n - first)) for first in range(0, n, size)]
+def _blocks(reps: int, workers: int, unit: int) -> list[tuple[int, int]]:
+    """(first, count) of the contiguous blocks of whole units of ``unit``
+    replicates that split reps replicates into about eight tasks per
+    worker; the last block may end mid-unit."""
+    size = unit * max(1, -(-reps // unit) // (workers * 8))
+    return [(first, min(size, reps - first)) for first in range(0, reps, size)]
 
 
-def _map_cells(fn, specs, blocks, workers):
-    """Yield the replicate outcomes of each cell, in cell order.
+def _map_cells(cell_tasks, workers):
+    """Yield the outcomes of each cell's tasks under ``_block``, in cell
+    order.
 
-    A task ``(spec, cell, first, count)`` is the block of replicates
-    first..first+count-1 of the cell that ``specs[cell]`` describes, and
-    ``fn`` maps it to one (status, payload) per replicate.  With more than
-    one worker, every cell's tasks are queued at once on one process pool,
-    so workers move on to the next cell while the last tasks of the
-    current one finish.  Closing the generator early cancels the tasks
-    that have not started.
+    With more than one worker, every cell's tasks are queued at once on
+    one process pool, so workers move on to the next cell while the last
+    tasks of the current one finish.  Closing the generator early cancels
+    the tasks that have not started.
     """
-    cell_tasks = [
-        [(spec, cell, first, count) for first, count in blocks]
-        for cell, spec in enumerate(specs)
-    ]
-    if workers <= 1 or len(specs) * len(blocks) < 4:
+    if workers <= 1 or sum(map(len, cell_tasks)) < 4:
         for tasks in cell_tasks:
-            yield [out for task in tasks for out in fn(task)]
+            yield [out for task in tasks for out in _block(task)]
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [[pool.submit(fn, task) for task in tasks] for tasks in cell_tasks]
+        futures = [[pool.submit(_block, task) for task in tasks] for tasks in cell_tasks]
         try:
             for cell in futures:
                 results = [out for future in cell for out in future.result()]
@@ -182,82 +194,102 @@ def _map_cells(fn, specs, blocks, workers):
             pool.shutdown(cancel_futures=True)
 
 
-def _block_2d(task):
-    """Replicates first..first+count-1 of one 2-d cell.
+def _block(task):
+    """One (status, payload) per replicate first..first+count-1 of a cell.
 
-    Keeps only the two axis projections of each field and estimates every
-    level for the whole block in one call.  If the block raises, it is
-    redone one replicate at a time, so only the replicates at fault fail.
-    The payload of a replicate is its (h_h, h_v) per level.
+    A task is ``(estimate, spec, cell, first, count)``, and
+    ``estimate(spec, cell, first, count)`` returns the payloads.  If it
+    raises, the block is redone one replicate at a time, so only the
+    replicates at fault fail.
     """
-    (kind, h_h, h_v, grid, nus, coeffs, seed), cell, first, count = task
+    estimate, spec, cell, first, count = task
     try:
-        model = SpectralModel(AnisotropicIndex(kind, h_h, h_v))
-        projections = np.empty((count, 2, grid + 1))
-        for i in range(count):
-            stream = derived_stream(seed, cell, first + i)
-            projections[i] = axis_projections(afb_sra(model, grid, stream)[0])
-        pairs = estimate_pair(projections, nus, DiscreteFilter(coeffs))
+        return [("ok", payload) for payload in estimate(spec, cell, first, count)]
     except AnisofieldError as exc:
         if count == 1:
             return [("err", f"cell {cell} rep {first}: {exc!r}")]
         return [
             out
             for rep in range(first, first + count)
-            for out in _block_2d(task[:-2] + (rep, 1))
+            for out in _block((estimate, spec, cell, rep, 1))
         ]
-    return [
-        ("ok", [(float(p.h_h[i]), float(p.h_v[i])) for p in pairs])
-        for i in range(count)
-    ]
 
 
-def _block_1d(task):
-    """Replicates first..first+count-1 of one 1-d cell, first even.
+def _estimate_2d(spec, cell, first, count):
+    """(h_h, h_v) per level of each replicate of a block of a 2-d cell.
 
-    Replicates 2j and 2j+1 share the transform of stream (cell, j); with
-    the block ending at 2j only, the imaginary path is not estimated.
+    Keeps only the two axis projections of each field and estimates every
+    level for the whole block in one call.
     """
-    (hurst, n_steps, coeffs, u, v, seed), cell, first, count = task
+    kind, h_h, h_v, grid, nus, coeffs, seed = spec
+    model = SpectralModel(AnisotropicIndex(kind, h_h, h_v))
+    projections = np.empty((count, 2, grid + 1))
+    for i in range(count):
+        stream = derived_stream(seed, cell, first + i)
+        projections[i] = axis_projections(afb_sra(model, grid, stream)[0])
+    pairs = estimate_pair(projections, nus, DiscreteFilter(coeffs))
+    return [[(float(p.h_h[i]), float(p.h_v[i])) for p in pairs] for i in range(count)]
+
+
+def _estimate_1d(spec, cell, first, count):
+    """The exponent estimate of each replicate of a block of a 1-d cell.
+
+    Replicates 2j and 2j+1 are the real and the imaginary path of the
+    transform of stream (cell, j); a path outside the block is not
+    estimated.
+    """
+    hurst, n_steps, coeffs, u, v, seed = spec
     filt = DiscreteFilter(coeffs)
     end = first + count
     out = []
     for pair in range(first // 2, (end + 1) // 2):
-        reps = range(2 * pair, min(2 * pair + 2, end))
-        try:
-            paths = fbm_path(hurst, n_steps, derived_stream(seed, cell, pair))
-        except AnisofieldError as exc:
-            out += [("err", f"cell {cell} rep {rep}: {exc!r}") for rep in reps]
-            continue
-        for rep, path in zip(reps, paths):
-            try:
-                out.append(("ok", estimate_H(path, filt, u, v)))
-            except AnisofieldError as exc:
-                out.append(("err", f"cell {cell} rep {rep}: {exc!r}"))
+        paths = fbm_path(hurst, n_steps, derived_stream(seed, cell, pair))
+        for rep in range(max(first, 2 * pair), min(2 * pair + 2, end)):
+            out.append(estimate_H(paths[rep % 2], filt, u, v))
     return out
 
 
-def _collect(results, reps, failure_log):
-    ok = []
-    first = len(failure_log)
-    for status, payload in results:
-        if status == "ok":
-            ok.append(payload)
-        else:
-            failure_log.append(payload)
-    failed = reps - len(ok)
-    if failed > _FAILURE_SHARE * reps:
-        raise TooManyFailures(
-            f"{failed}/{reps} replicates errored (> {_FAILURE_SHARE:.0%}); "
-            f"first: {failure_log[first]}"
-        )
-    return ok, failed
+def _run(config, specs, estimate, unit, rows_of) -> EvalReport:
+    """Estimate every replicate of every cell and build the report.
 
-
-def _workers(config: ExperimentConfig) -> int:
-    if config.workers is None:
-        return os.cpu_count() or 1
-    return max(1, config.workers)
+    ``specs[c]`` describes cell c to ``estimate``; a task holds whole
+    units of ``unit`` replicates.  ``rows_of(c, est)`` turns the array of
+    cell c's payloads into its rows.  A cell with more than
+    ``_FAILURE_SHARE`` of its replicates failed raises TooManyFailures.
+    """
+    t0 = time.perf_counter()
+    workers = config.workers or os.cpu_count() or 1
+    blocks = _blocks(config.reps, workers, unit)
+    cell_tasks = [
+        [(estimate, spec, cell, first, count) for first, count in blocks]
+        for cell, spec in enumerate(specs)
+    ]
+    rows = []
+    failure_log: list[str] = []
+    total_failed = 0
+    outcomes = _map_cells(cell_tasks, workers)
+    with contextlib.closing(outcomes):
+        for cell, results in enumerate(outcomes):
+            ok = [payload for status, payload in results if status == "ok"]
+            errors = [payload for status, payload in results if status != "ok"]
+            failed = config.reps - len(ok)
+            if failed > _FAILURE_SHARE * config.reps:
+                raise TooManyFailures(
+                    f"{failed}/{config.reps} replicates errored "
+                    f"(> {_FAILURE_SHARE:.0%}); first: {errors[0]}"
+                )
+            failure_log += errors
+            total_failed += failed
+            rows += rows_of(cell, np.array(ok))
+    return EvalReport(
+        mode=config.mode,
+        rows=rows,
+        reps=config.reps,
+        seed=config.seed,
+        failures=total_failed,
+        runtime=time.perf_counter() - t0,
+        failure_log=failure_log,
+    )
 
 
 def run_eval_2d(config: ExperimentConfig) -> EvalReport:
@@ -269,9 +301,7 @@ def run_eval_2d(config: ExperimentConfig) -> EvalReport:
     """
     if not config.indices:
         raise ValueError("2-d evaluation needs at least one index")
-    t0 = time.perf_counter()
     nus = tuple(sorted(config.nu_levels))
-    workers = _workers(config)
     specs = [
         (
             index.kind, index.h_h, index.h_v,
@@ -279,41 +309,30 @@ def run_eval_2d(config: ExperimentConfig) -> EvalReport:
         )
         for index in config.indices
     ]
-    rows: list[EvalRow2D] = []
-    failure_log: list[str] = []
-    total_failed = 0
-    outcomes = _map_cells(_block_2d, specs, _blocks(config.reps, workers), workers)
-    with contextlib.closing(outcomes):
-        for index, results in zip(config.indices, outcomes):
-            ok, failed = _collect(results, config.reps, failure_log)
-            total_failed += failed
-            for pos, nu in enumerate(nus):
-                hh = np.array([rep_out[pos][0] for rep_out in ok])
-                hv = np.array([rep_out[pos][1] for rep_out in ok])
-                bias_h = float(hh.mean() - index.h_h)
-                bias_v = float(hv.mean() - index.h_v)
-                rows.append(
-                    EvalRow2D(
-                        h_h=index.h_h,
-                        h_v=index.h_v,
-                        nu=nu,
-                        bias_h=bias_h,
-                        sigma_h=float(hh.std(ddof=1)),
-                        bias_v=bias_v,
-                        sigma_v=float(hv.std(ddof=1)),
-                        bias_diff=bias_h - bias_v,
-                        sigma_diff=float((hh - hv).std(ddof=1)),
-                    )
+
+    def rows_of(cell, est):
+        index = config.indices[cell]
+        rows = []
+        for pos, nu in enumerate(nus):
+            hh, hv = est[:, pos, 0], est[:, pos, 1]
+            bias_h = float(hh.mean() - index.h_h)
+            bias_v = float(hv.mean() - index.h_v)
+            rows.append(
+                EvalRow2D(
+                    h_h=index.h_h,
+                    h_v=index.h_v,
+                    nu=nu,
+                    bias_h=bias_h,
+                    sigma_h=float(hh.std(ddof=1)),
+                    bias_v=bias_v,
+                    sigma_v=float(hv.std(ddof=1)),
+                    bias_diff=bias_h - bias_v,
+                    sigma_diff=float((hh - hv).std(ddof=1)),
                 )
-    return EvalReport(
-        mode="2d",
-        rows=rows,
-        reps=config.reps,
-        seed=config.seed,
-        failures=total_failed,
-        runtime=time.perf_counter() - t0,
-        failure_log=failure_log,
-    )
+            )
+        return rows
+
+    return _run(config, specs, _estimate_2d, 1, rows_of)
 
 
 def run_eval_1d(config: ExperimentConfig) -> EvalReport:
@@ -324,10 +343,8 @@ def run_eval_1d(config: ExperimentConfig) -> EvalReport:
     """
     if not config.hursts:
         raise ValueError("1-d evaluation needs at least one Hurst value")
-    t0 = time.perf_counter()
     filt = config.filter
     u, v = config.dilation_u, config.dilation_v
-    workers = _workers(config)
     cells = [
         (hurst, n) for hurst in config.hursts for n in config.path_lengths
     ]
@@ -335,43 +352,32 @@ def run_eval_1d(config: ExperimentConfig) -> EvalReport:
         (hurst, n_steps, config.filter_coeffs, u, v, config.seed)
         for hurst, n_steps in cells
     ]
-    # Blocks of whole pairs of replicates: a transform yields two paths.
-    blocks = [
-        (2 * first, min(2 * count, config.reps - 2 * first))
-        for first, count in _blocks((config.reps + 1) // 2, workers)
-    ]
-    rows: list[EvalRow1D] = []
-    failure_log: list[str] = []
-    total_failed = 0
-    outcomes = _map_cells(_block_1d, specs, blocks, workers)
-    with contextlib.closing(outcomes):
-        for (hurst, n_steps), results in zip(cells, outcomes):
-            ok, failed = _collect(results, config.reps, failure_log)
-            total_failed += failed
-            est = np.array(ok)
-            try:
-                gamma = theory.gamma_const(filt, u, v, hurst)
-            except OrderTooLow:
-                gamma = math.nan
-            rows.append(
-                EvalRow1D(
-                    hurst=hurst,
-                    n_steps=n_steps,
-                    bias=float(est.mean() - hurst),
-                    sigma=float(est.std(ddof=1)),
-                    n_var=float(n_steps * est.var(ddof=1)),
-                    gamma=gamma,
-                )
+
+    def gamma(hurst):
+        try:
+            return theory.gamma_const(filt, u, v, hurst)
+        except OrderTooLow:
+            return math.nan
+
+    # Before any path is drawn: a Hurst value without finite constants
+    # fails here rather than after its cell has run.
+    gammas = [gamma(hurst) for hurst, _ in cells]
+
+    def rows_of(cell, est):
+        hurst, n_steps = cells[cell]
+        return [
+            EvalRow1D(
+                hurst=hurst,
+                n_steps=n_steps,
+                bias=float(est.mean() - hurst),
+                sigma=float(est.std(ddof=1)),
+                n_var=float(n_steps * est.var(ddof=1)),
+                gamma=gammas[cell],
             )
-    return EvalReport(
-        mode="1d",
-        rows=rows,
-        reps=config.reps,
-        seed=config.seed,
-        failures=total_failed,
-        runtime=time.perf_counter() - t0,
-        failure_log=failure_log,
-    )
+        ]
+
+    # Blocks of whole pairs of replicates: a transform yields two paths.
+    return _run(config, specs, _estimate_1d, 2, rows_of)
 
 
 _HEADERS = {
@@ -381,16 +387,6 @@ _HEADERS = {
     ],
     "1d": ["hurst", "n", "bias", "sigma", "n_var", "gamma"],
 }
-
-
-def _row_values(mode: str, row) -> list:
-    if mode == "2d":
-        return [
-            row.h_h, row.h_v, row.nu,
-            row.bias_h, row.sigma_h, row.bias_v, row.sigma_v,
-            row.bias_diff, row.sigma_diff,
-        ]
-    return [row.hurst, row.n_steps, row.bias, row.sigma, row.n_var, row.gamma]
 
 
 def emit_table(report: EvalReport, path) -> None:
@@ -405,7 +401,7 @@ def emit_table(report: EvalReport, path) -> None:
         writer.writerow(_HEADERS[report.mode])
         for row in report.rows:
             writer.writerow(
-                [v if isinstance(v, int) else repr(float(v)) for v in _row_values(report.mode, row)]
+                [v if isinstance(v, int) else repr(float(v)) for v in astuple(row)]
             )
 
 
@@ -432,58 +428,44 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     return _config_from_raw(raw)
 
 
-def _split_list(values: list[str]) -> list[str]:
-    out = []
-    for value in values:
-        out.extend(tok.strip() for tok in value.split(",") if tok.strip())
-    return out
+def _last(parse):
+    """Parser of a key whose last value wins."""
+    return lambda values: parse(values[-1])
 
 
-# Keys that only the other mode reads.
-_IGNORED_KEYS = {"1d": {"index", "grid", "nu"}, "2d": {"hurst", "length"}}
+def _each(parse):
+    """Parser of a list key: every comma-separated token of every value."""
+    return lambda values: tuple(
+        parse(tok) for value in values for tok in map(str.strip, value.split(",")) if tok
+    )
+
+
+# key: (ExperimentConfig field, parser of the key's values, the one mode
+# that reads the key or None for both)
+_KEYS = {
+    "mode": ("mode", _last(str.lower), None),
+    "index": ("indices", lambda values: tuple(map(parse_index, values)), "2d"),
+    "hurst": ("hursts", _each(float), "1d"),
+    "grid": ("grid_size", _last(int), "2d"),
+    "length": ("path_lengths", _each(int), "1d"),
+    "reps": ("reps", _last(int), None),
+    "nu": ("nu_levels", _each(int), "2d"),
+    "filter": ("filter_coeffs", _last(lambda s: tuple(parse_filter(s).coeffs)), None),
+    "u": ("dilation_u", _last(int), None),
+    "v": ("dilation_v", _last(int), None),
+    "seed": ("seed", _last(int), None),
+    "out": ("out", _last(str), None),
+    "workers": ("workers", _last(int), None),
+}
 
 
 def _config_from_raw(raw: dict[str, list[str]]) -> ExperimentConfig:
-    kwargs = {}
-    if "mode" in raw:
-        kwargs["mode"] = raw["mode"][-1].lower()
-    if "index" in raw:
-        kwargs["indices"] = tuple(parse_index(s) for s in raw["index"])
-    if "hurst" in raw:
-        kwargs["hursts"] = tuple(float(s) for s in _split_list(raw["hurst"]))
-    if "grid" in raw:
-        kwargs["grid_size"] = int(raw["grid"][-1])
-    if "length" in raw:
-        kwargs["path_lengths"] = tuple(
-            int(s) for s in _split_list(raw["length"])
-        )
-    if "reps" in raw:
-        kwargs["reps"] = int(raw["reps"][-1])
-    if "nu" in raw:
-        kwargs["nu_levels"] = tuple(int(s) for s in _split_list(raw["nu"]))
-    if "filter" in raw:
-        kwargs["filter_coeffs"] = tuple(
-            parse_filter(raw["filter"][-1]).coeffs
-        )
-    if "u" in raw:
-        kwargs["dilation_u"] = int(raw["u"][-1])
-    if "v" in raw:
-        kwargs["dilation_v"] = int(raw["v"][-1])
-    if "seed" in raw:
-        kwargs["seed"] = int(raw["seed"][-1])
-    if "out" in raw:
-        kwargs["out"] = raw["out"][-1]
-    if "workers" in raw:
-        value = int(raw["workers"][-1])
-        kwargs["workers"] = None if value <= 0 else value
-    known = set(
-        "mode index hurst grid length reps nu filter u v seed out workers".split()
-    )
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    mode = kwargs.get("mode", ExperimentConfig.mode)
-    ignored = set(raw) & _IGNORED_KEYS.get(mode, set())
+    kwargs = {_KEYS[key][0]: _KEYS[key][1](values) for key, values in raw.items()}
+    config = ExperimentConfig(**kwargs)
+    ignored = sorted(key for key in raw if _KEYS[key][2] not in (None, config.mode))
     if ignored:
-        raise ValueError(f"config keys {sorted(ignored)} do not apply in {mode} mode")
-    return ExperimentConfig(**kwargs)
+        raise ValueError(f"config keys {ignored} do not apply in {config.mode} mode")
+    return config

@@ -2,10 +2,10 @@
 windowed frequency-space projection of a density onto a single axis.
 
 The index h assigns a regularity in (0, 1) to every direction; it is even
-and 0-homogeneous by construction.  The associated density is
-``c * |xi|^(-2 h(xi) - d)``.  Projecting the density against a normalized
+and 0-homogeneous by construction.  The associated density on the plane is
+``|xi|^(-2 h(xi) - 2)``.  Projecting the density against a normalized
 window concentrates it on one axis, and for large offsets the projected
-density decays like ``|p|^(-2 h(axis) - d)``, which is what makes the
+density decays like ``|p|^(-2 h(axis) - 2)``, which is what makes the
 directional index recoverable from projections.
 """
 
@@ -60,14 +60,6 @@ class AnisotropicIndex:
     def axis_pair(cls, h_h: float, h_v: float) -> "AnisotropicIndex":
         return cls("axis_pair", h_h, h_v)
 
-    @property
-    def h_min(self) -> float:
-        return min(self.h_h, self.h_v)
-
-    @property
-    def h_max(self) -> float:
-        return max(self.h_h, self.h_v)
-
     def evaluate(self, xi) -> np.ndarray:
         """Index value for each frequency in ``xi`` (shape ``(..., d)``).
 
@@ -86,37 +78,27 @@ class AnisotropicIndex:
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Power-law density ``c * |xi|^(-2 h(xi) - d)`` away from the origin."""
+    """Power-law density ``|xi|^(-2 h(xi) - 2)`` on the plane away from the
+    origin.  It carries no amplitude: every estimate is a log-ratio of
+    variations, in which a constant factor cancels."""
 
     index: AnisotropicIndex
-    dim: int = 2
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.amplitude <= 0.0:
-            raise ValueError("amplitude must be positive")
-        if self.index.kind == "axis_pair" and self.dim != 2:
-            raise ValueError("axis_pair index requires dim == 2")
 
 
 def density(model: SpectralModel, xi):
     """Evaluate the spectral density at one frequency or an array of them.
 
-    ``xi`` has shape ``(d,)`` or ``(..., d)``.  Raises ZeroFrequency if any
+    ``xi`` has shape ``(2,)`` or ``(..., 2)``.  Raises ZeroFrequency if any
     point is the origin, where the density is singular.
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] != model.dim:
-        raise ValueError(
-            f"frequency dimension {xi.shape[-1]} != model dim {model.dim}"
-        )
+    if xi.shape[-1] != 2:
+        raise ValueError(f"frequency dimension {xi.shape[-1]} != 2")
     r2 = np.sum(xi * xi, axis=-1)
     if np.any(r2 == 0.0):
         raise ZeroFrequency("density is singular at the zero frequency")
     h = model.index.evaluate(xi)
-    out = model.amplitude * r2 ** (-(h + 0.5 * model.dim))
+    out = r2 ** (-(h + 1.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -205,10 +187,8 @@ def radon_density(model: SpectralModel, window_sq: Window1DMinus, p: float) -> f
     Computes ``integral f((gamma, p)) w(gamma) dgamma`` over the hyperplane
     coordinate gamma, with ``w`` the window profile normalized to unit
     integral.  For large |p| the result decays like
-    ``|p|^(-2 h(axis) - d)`` where the axis is the projection direction.
+    ``|p|^(-2 h(axis) - 2)`` where the axis is the projection direction.
     """
-    if model.dim != 2:
-        raise ValueError("projected density is implemented for dim == 2 only")
     if p == 0.0:
         raise ZeroFrequency("projected density is singular at p = 0")
     norm = window_sq.integral
@@ -219,7 +199,7 @@ def radon_density(model: SpectralModel, window_sq: Window1DMinus, p: float) -> f
             h = model.index.h_v
         else:
             h = model.index.h_h
-        return model.amplitude * r2 ** (-(h + 1.0)) * window_sq(gamma) / norm
+        return r2 ** (-(h + 1.0)) * window_sq(gamma) / norm
 
     # The axis-pair exponent switches at |gamma| = |p|; hand that point and
     # the window landmarks to the subdivision.

@@ -41,6 +41,7 @@ __all__ = [
     "fgn_exact",
     "fbm_path",
     "afb_sra",
+    "check_grid",
     "write_field",
     "read_field",
     "field_to_csv",
@@ -232,8 +233,10 @@ def _field_params(model: SpectralModel) -> tuple[float, float]:
     return (model.index.h_h, model.index.h_v)
 
 
-def _power_of_two(M: int) -> bool:
-    return M >= 2 and (M & (M - 1)) == 0
+def check_grid(M: int) -> None:
+    """Reject a grid size that field synthesis cannot use."""
+    if M < 4 or M & (M - 1):
+        raise ValueError("grid size must be a power of two >= 4")
 
 
 def _anchored(block: np.ndarray, model: SpectralModel, seed) -> GridField2D:
@@ -268,10 +271,7 @@ def afb_sra(model: SpectralModel, M: int, seed) -> tuple[GridField2D, GridField2
     overall amplitude carries an arbitrary calibration; every downstream
     estimator is invariant under global scaling.
     """
-    if model.dim != 2:
-        raise ValueError("field synthesis requires a 2-d model")
-    if not _power_of_two(M) or M < 4:
-        raise ValueError("grid size must be a power of two >= 4")
+    check_grid(M)
     # The table first: its temporaries and the noise then do not coexist.
     quadrant = _sra_amplitude(model, int(M))
     z = _draw_complex_noise(_rng(seed), (2 * M, 2 * M))

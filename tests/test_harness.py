@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -144,8 +146,9 @@ class TestRun2D:
         # replicate 2 of the block 1..4 gives a NaN field: the block is
         # redone one replicate at a time and only replicate 2 fails
         real_sra = harness.afb_sra
-        task = (("axis_pair", 0.7, 0.2, 32, (0, 1), (1.0, -2.0, 1.0), 5), 3, 1, 4)
-        expected = harness._block_2d(task)
+        spec = ("axis_pair", 0.7, 0.2, 32, (0, 1), (1.0, -2.0, 1.0), 5)
+        task = (harness._estimate_2d, spec, 3, 1, 4)
+        expected = harness._block(task)
 
         def nan_at_rep_2(model, M, seed):
             fields = real_sra(model, M, seed)
@@ -155,7 +158,7 @@ class TestRun2D:
             return fields
 
         monkeypatch.setattr(harness, "afb_sra", nan_at_rep_2)
-        out = harness._block_2d(task)
+        out = harness._block(task)
         assert [status for status, _ in out] == ["ok", "err", "ok", "ok"]
         assert out[1][1].startswith("cell 3 rep 2: NonFiniteVariation(")
         assert [out[i] for i in (0, 2, 3)] == [expected[i] for i in (0, 2, 3)]
@@ -169,7 +172,7 @@ class TestRun2D:
                 return futures[-1]
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
-        monkeypatch.setattr(harness, "_block_2d", _slow_failing_block)
+        monkeypatch.setattr(harness, "_block", _slow_failing_block)
         cfg = _cfg_2d(indices=(AnisotropicIndex.constant(0.5),) * 4, reps=32, workers=2)
         with pytest.raises(TooManyFailures, match="first: boom"):
             run_eval_2d(cfg)
@@ -248,7 +251,7 @@ class TestRun1D:
             count = task[-1]  # replicates in this task's block
             return [("err", "boom")] * count
 
-        monkeypatch.setattr(harness, "_block_1d", always_fail)
+        monkeypatch.setattr(harness, "_block", always_fail)
         with pytest.raises(TooManyFailures):
             run_eval_1d(_cfg_1d(reps=10))
 
@@ -287,7 +290,8 @@ class TestRun1D:
             raise EmbeddingNotPSD("boom")
 
         monkeypatch.setattr(harness, "fbm_path", broken)
-        out = harness._block_1d(((0.5, 64, (1.0, -2.0, 1.0), 2, 1, 5), 3, 8, 2))
+        spec = (0.5, 64, (1.0, -2.0, 1.0), 2, 1, 5)
+        out = harness._block((harness._estimate_1d, spec, 3, 8, 2))
         assert [status for status, _ in out] == ["err", "err"]
         assert out[0][1].startswith("cell 3 rep 8: ")
         assert out[1][1].startswith("cell 3 rep 9: ")
@@ -298,14 +302,14 @@ class TestRun1D:
                 raise ZeroVariation("boom")
             return 0.5
 
-        task = ((0.5, 64, (1.0, -2.0, 1.0), 2, 1, 5), 3, 8, 2)
+        task = (harness._estimate_1d, (0.5, 64, (1.0, -2.0, 1.0), 2, 1, 5), 3, 8, 2)
         imag_end = fbm_path(0.5, 64, derived_stream(5, 3, 4))[1].values[-1]
         monkeypatch.setattr(harness, "estimate_H", imag_fails)
-        out = harness._block_1d(task)
+        out = harness._block(task)
         assert out[0] == ("ok", 0.5)
         assert out[1][0] == "err" and out[1][1].startswith("cell 3 rep 9: ")
         # with one replicate left the imaginary path is not estimated
-        assert harness._block_1d(task[:-1] + (1,)) == [("ok", 0.5)]
+        assert harness._block(task[:-1] + (1,)) == [("ok", 0.5)]
 
     def test_failure_message_names_failing_cell(self, monkeypatch):
         # cell 0 tolerates one failure (1 of 100); cell 1 fails throughout
@@ -433,8 +437,89 @@ workers = 0
         with pytest.raises(ValueError):
             load_config(f)
 
+    def test_workers_zero_or_less_means_one_per_cpu(self):
+        for workers in (0, -2):
+            assert _cfg_2d(workers=workers).workers is None
+        assert _cfg_2d(workers=3).workers == 3
+
+    @pytest.mark.parametrize(
+        "text, fields, message",
+        [
+            ("grid = 24\n", {"grid_size": 24}, "power of two"),
+            ("grid = 2\n", {"grid_size": 2}, "power of two"),
+            ("nu =\n", {"nu_levels": ()}, "at least one level"),
+            ("mode = 1d\nhurst = 0.5\nlength =\n", {"mode": "1d", "path_lengths": ()},
+             "at least one path length"),
+            ("mode = 1d\nhurst = 1.5\n", {"mode": "1d", "hursts": (1.5,)}, r"H must lie in \(0, 1\)"),
+            ("mode = 1d\nhurst = 0\n", {"mode": "1d", "hursts": (0.0,)}, r"H must lie in \(0, 1\)"),
+        ],
+        ids=["grid_24", "grid_2", "empty_nu", "empty_length", "hurst_1.5", "hurst_0"],
+    )
+    def test_rejected_when_built(self, tmp_path, text, fields, message):
+        f = tmp_path / "cfg.txt"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_config(f)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**fields)
+
+    @pytest.mark.parametrize("hurst", [1.5, 1e-300])
+    def test_bad_hurst_fails_before_any_path(self, monkeypatch, hurst):
+        # 1.5 fails when the config is built; 1e-300 has no finite
+        # constants, so the run stops before it draws a path
+        calls = []
+        monkeypatch.setattr(harness, "fbm_path", lambda *args: calls.append(args))
+        with pytest.raises(ValueError):
+            run_eval_1d(_cfg_1d(hursts=(0.5, hurst), path_lengths=(64,)))
+        assert calls == []
+
     def test_1d_list_keys(self, tmp_path):
         f = tmp_path / "cfg.txt"
         f.write_text("mode = 1d\nhurst = 0.2,0.5\nhurst = 0.7\nlength = 1024\n")
         cfg = load_config(f)
         assert cfg.hursts == (0.2, 0.5, 0.7)
+
+
+_DATA = pathlib.Path(__file__).parent / "data"
+
+
+class TestGoldenReports:
+    """Reports of two small runs, as recorded in tests/data.  Compared at
+    1e-12 relative rather than byte for byte, since FFT roundoff may differ
+    between numpy builds."""
+
+    @staticmethod
+    def _assert_matches(report, name, tmp_path):
+        out = tmp_path / name
+        emit_table(report, out)
+        with open(out) as fh:
+            got = list(csv.reader(fh))
+        with open(_DATA / name) as fh:
+            want = list(csv.reader(fh))
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        for got_row, want_row in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(
+                np.array(got_row, dtype=float), np.array(want_row, dtype=float),
+                rtol=1e-12, atol=0.0,
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_2d(self, tmp_path, workers):
+        cfg = ExperimentConfig(
+            mode="2d",
+            indices=(AnisotropicIndex.axis_pair(0.7, 0.2), AnisotropicIndex.constant(0.5)),
+            grid_size=32,
+            reps=8,
+            nu_levels=(0, 1),
+            seed=11,
+            workers=workers,
+        )
+        self._assert_matches(run_eval_2d(cfg), "report_2d.csv", tmp_path)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_1d(self, tmp_path, workers):
+        cfg = ExperimentConfig(
+            mode="1d", hursts=(0.3, 0.7), path_lengths=(256,), reps=9, seed=11, workers=workers
+        )
+        self._assert_matches(run_eval_1d(cfg), "report_1d.csv", tmp_path)

@@ -16,7 +16,7 @@ from anisofield import (
 class TestIndex:
     def test_constant(self):
         idx = AnisotropicIndex.constant(0.5)
-        assert idx.h_min == idx.h_max == 0.5
+        assert idx.h_h == idx.h_v == 0.5
 
     def test_axis_pair_branches(self):
         idx = AnisotropicIndex.axis_pair(0.7, 0.2)
@@ -68,11 +68,6 @@ class TestDensity:
             lam ** (-(2 * h + 2)) * density(model, pts),
             rtol=1e-12,
         )
-
-    def test_amplitude(self):
-        base = SpectralModel(AnisotropicIndex.constant(0.4))
-        scaled = SpectralModel(AnisotropicIndex.constant(0.4), amplitude=3.0)
-        assert density(scaled, [0.3, 0.8]) == pytest.approx(3 * density(base, [0.3, 0.8]))
 
 
 class TestWindow:
