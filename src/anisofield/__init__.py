@@ -32,7 +32,6 @@ from .filters import (
 )
 from .spectral import (
     AnisotropicIndex,
-    SpectralModel,
     Window1DMinus,
     density,
     parse_index,
@@ -40,8 +39,6 @@ from .spectral import (
     radon_density,
 )
 from .synthesis import (
-    GridField2D,
-    SampledPath,
     afb_sra,
     derived_stream,
     fbm_path,
@@ -53,11 +50,7 @@ from .synthesis import (
     write_field,
     write_path_csv,
 )
-from .projection import (
-    DIRECTIONS,
-    project_axis,
-    projection_to_csv,
-)
+from .projection import DIRECTIONS, project_axis
 from .estimator import (
     PairEstimate,
     axis_projections,

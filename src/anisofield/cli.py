@@ -1,12 +1,14 @@
 """Command-line interface: simulate, project, estimate, theory, evaluate.
 
-Fields travel as AFB1 binary files (or CSV for debugging), 1-d paths as
-two-column CSV with metadata comments, and every analysis output is CSV.
+Fields travel as AFB1 binary files (or CSV for debugging), 1-d paths and
+projections as two-column CSV (paths with metadata comments), and every
+analysis output is CSV.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -14,8 +16,8 @@ from .errors import AnisofieldError
 from .estimator import estimate_projection, log_ratio_at_level
 from .filters import parse_filter
 from .harness import emit_table, load_config, run_eval_1d, run_eval_2d
-from .projection import DIRECTIONS, project_axis, projection_to_csv
-from .spectral import SpectralModel, parse_index, parse_window
+from .projection import DIRECTIONS, project_axis
+from .spectral import parse_index, parse_window
 from .synthesis import (
     afb_sra,
     fbm_path,
@@ -32,24 +34,22 @@ def _cmd_simulate(args) -> int:
     if (args.index is None) == (args.hurst is None):
         raise SystemExit("simulate: give exactly one of --index or --hurst")
     if args.index is not None:
-        model = SpectralModel(parse_index(args.index))
-        field = afb_sra(model, args.grid, args.seed)[0]
+        index = parse_index(args.index)
+        field = afb_sra(index, args.grid, args.seed)[0]
         if args.format == "csv":
             field_to_csv(field, args.out)
         else:
-            write_field(field, args.out)
+            write_field(field, args.out, (index.h_h, index.h_v), args.seed)
     else:
         path = fbm_path(args.hurst, args.length, args.seed)[0]
-        write_path_csv(path, args.out, seed=args.seed)
+        write_path_csv(path, args.out, args.hurst, args.seed)
     return 0
 
 
 def _cmd_project(args) -> int:
-    field = read_field(args.field)
+    field = read_field(args.field)[0]
     window = parse_window(args.window) if args.window else None
-    projection_to_csv(
-        project_axis(field, args.direction, window, args.m_sub), args.out
-    )
+    write_path_csv(project_axis(field, args.direction, window, args.m_sub), args.out)
     return 0
 
 
@@ -58,17 +58,13 @@ def _is_field_file(path: str) -> bool:
         return fh.read(4) == b"AFB1"
 
 
-def _write_estimates(rows, out) -> None:
-    header = ["seed", "h_true", "direction", "nu", "estimate", "V1", "V2", "out_of_range"]
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
+def _write_csv(out, header, rows) -> None:
+    """Write the header and the rows as CSV to the file out, or to stdout."""
+    target = open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout)
+    with target as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if out:
-            fh.close()
+        writer.writerows(rows)
 
 
 def _row(seed, h_true, label, nu, estimate, v1, v2) -> list:
@@ -90,39 +86,30 @@ def _cmd_estimate(args) -> int:
     filt = parse_filter(args.filter)
     rows = []
     if _is_field_file(args.input):
-        field = read_field(args.input)
-        truths = field.params_true or (None, None)
-        for direction, h_true in zip(DIRECTIONS, truths):
+        field, params, seed = read_field(args.input)
+        for direction, h_true in zip(DIRECTIONS, params or (None, None)):
             values = project_axis(field, direction)
             for nu in args.nu:
                 est = estimate_projection(values, nu, filt, args.u, args.v)
-                rows.append(_row(field.seed, h_true, direction, nu, *est))
+                rows.append(_row(seed, h_true, direction, nu, *est))
     else:
-        path, seed = read_path_csv(args.input)
+        path, hurst, seed = read_path_csv(args.input)
         for nu in args.nu:
-            est = log_ratio_at_level(path.values, nu, filt, args.u, args.v)
-            rows.append(_row(seed, path.hurst_true, "path", nu, *est))
-    _write_estimates(rows, args.out)
+            est = log_ratio_at_level(path, nu, filt, args.u, args.v)
+            rows.append(_row(seed, hurst, "path", nu, *est))
+    header = ["seed", "h_true", "direction", "nu", "estimate", "V1", "V2", "out_of_range"]
+    _write_csv(args.out, header, rows)
     return 0
 
 
 def _cmd_theory(args) -> int:
     filt = parse_filter(args.filter)
     bundle = theory.asymptotic_constants(filt, args.u, args.v, args.hurst)
-    fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["E_u", "E_v", "C_uu", "C_uv", "C_vv", "gamma"])
-        writer.writerow(
-            repr(x)
-            for x in (
-                bundle.E_u, bundle.E_v, bundle.C_uu,
-                bundle.C_uv, bundle.C_vv, bundle.gamma,
-            )
-        )
-    finally:
-        if args.out:
-            fh.close()
+    values = (
+        bundle.E_u, bundle.E_v, bundle.C_uu, bundle.C_uv, bundle.C_vv, bundle.gamma
+    )
+    header = ["E_u", "E_v", "C_uu", "C_uv", "C_vv", "gamma"]
+    _write_csv(args.out, header, [[repr(x) for x in values]])
     return 0
 
 

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .filters import DiscreteFilter, apply_filter, binomial_filter
 from .projection import DIRECTIONS, project_axis
-from .synthesis import GridField2D, SampledPath
 
 __all__ = [
     "PairEstimate",
@@ -125,14 +124,15 @@ def log_ratio_at_level(
     return _log(v_u / v_v) / (2.0 * math.log(u / v)), v_v, v_u
 
 
-def estimate_H(path: SampledPath, a: DiscreteFilter, u: int, v: int) -> float:
-    """Log-ratio estimate of the Hölder exponent of a 1-d sampled process.
+def estimate_H(path: np.ndarray, a: DiscreteFilter, u: int, v: int) -> float:
+    """Log-ratio estimate of the Hölder exponent of a 1-d sampled process
+    from its values X(k/N), k = 0..N.
 
     Returns log(V_u / V_v) / (2 log(u / v)); consistent when the filter
     order exceeds the true exponent.  Invariant under path scaling since
     the ratio cancels amplitude.
     """
-    return log_ratio_at_level(path.values, 0, a, u, v)[0]
+    return log_ratio_at_level(path, 0, a, u, v)[0]
 
 
 def check_level(M: int, nu: int, a: DiscreteFilter, u: int) -> None:
@@ -195,32 +195,29 @@ class PairEstimate(NamedTuple):
     difference: float | np.ndarray
 
 
-def axis_projections(field: GridField2D) -> np.ndarray:
+def axis_projections(field: np.ndarray) -> np.ndarray:
     """The horizontal and the vertical projection of a field, as the rows
     of a (2, M+1) array."""
     return np.stack([project_axis(field, d) for d in DIRECTIONS])
 
 
 def estimate_pair(
-    field: GridField2D | np.ndarray,
+    projections: np.ndarray,
     nus: tuple[int, ...] = (0,),
     a: DiscreteFilter | None = None,
 ) -> tuple[PairEstimate, ...]:
     """Both directional indices and their difference at each level in nus.
 
-    ``field`` is a field, which is projected once per axis, or a block of
-    such projection pairs: an array of shape (..., 2, M+1) whose last two
-    axes are what ``axis_projections`` returns.  Each level is estimated
-    on all projections at once with the dilations u = 2, v = 1; a block
-    gives arrays of its leading shape, equal bit for bit to the floats of
-    its fields one at a time.
+    ``projections`` has shape (..., 2, M+1): its last two axes are what
+    ``axis_projections`` returns for one field.  Each level is estimated
+    on all projections at once with the dilations u = 2, v = 1; a single
+    pair gives floats, and a block gives arrays of its leading shape,
+    equal bit for bit to the floats of its fields one at a time.
     """
     if a is None:
         a = binomial_filter(2)
-    if isinstance(field, GridField2D):
-        field = axis_projections(field)
     out = []
     for nu in nus:
-        h_h, h_v = np.moveaxis(estimate_projection(field, nu, a)[0], -1, 0)
+        h_h, h_v = np.moveaxis(estimate_projection(projections, nu, a)[0], -1, 0)
         out.append(PairEstimate(h_h, h_v, h_h - h_v))
     return tuple(out)

@@ -54,7 +54,7 @@ from .estimator import (
     estimate_pair,
 )
 from .filters import DiscreteFilter, parse_filter
-from .spectral import AnisotropicIndex, SpectralModel, parse_index
+from .spectral import AnisotropicIndex, parse_index
 from .synthesis import afb_sra, check_grid, derived_stream, fbm_path
 from . import theory
 
@@ -100,6 +100,10 @@ class ExperimentConfig:
             raise ValueError(f"mode must be '1d' or '2d', got {self.mode!r}")
         if self.reps < 2:
             raise ValueError("need at least two replicates")
+        if self.seed < 0:
+            raise ValueError(
+                f"seed {self.seed} is negative; a seed is an integer >= 0"
+            )
         if self.workers is not None and self.workers <= 0:
             self.workers = None
         if self.mode == "2d":
@@ -221,12 +225,11 @@ def _estimate_2d(spec, cell, first, count):
     Keeps only the two axis projections of each field and estimates every
     level for the whole block in one call.
     """
-    kind, h_h, h_v, grid, nus, coeffs, seed = spec
-    model = SpectralModel(AnisotropicIndex(kind, h_h, h_v))
+    index, grid, nus, coeffs, seed = spec
     projections = np.empty((count, 2, grid + 1))
     for i in range(count):
         stream = derived_stream(seed, cell, first + i)
-        projections[i] = axis_projections(afb_sra(model, grid, stream)[0])
+        projections[i] = axis_projections(afb_sra(index, grid, stream)[0])
     pairs = estimate_pair(projections, nus, DiscreteFilter(coeffs))
     return [[(float(p.h_h[i]), float(p.h_v[i])) for p in pairs] for i in range(count)]
 
@@ -303,10 +306,7 @@ def run_eval_2d(config: ExperimentConfig) -> EvalReport:
         raise ValueError("2-d evaluation needs at least one index")
     nus = tuple(sorted(config.nu_levels))
     specs = [
-        (
-            index.kind, index.h_h, index.h_v,
-            config.grid_size, nus, config.filter_coeffs, config.seed,
-        )
+        (index, config.grid_size, nus, config.filter_coeffs, config.seed)
         for index in config.indices
     ]
 

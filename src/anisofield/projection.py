@@ -12,15 +12,12 @@ not define.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .errors import WindowOutOfSupport
 from .spectral import Window1DMinus
-from .synthesis import GridField2D
 
-__all__ = ["DIRECTIONS", "project_axis", "projection_to_csv"]
+__all__ = ["DIRECTIONS", "project_axis"]
 
 DIRECTIONS = ("horizontal", "vertical")
 
@@ -43,12 +40,16 @@ def _accumulate_columns(grid, stride=1, weights=None) -> np.ndarray:
 
 
 def project_axis(
-    field: GridField2D,
+    field: np.ndarray,
     direction: str,
     window: Window1DMinus | None = None,
     m_sub: int | None = None,
 ) -> np.ndarray:
     """Projected values at k/M (k = 0..M) along one grid axis, read-only.
+
+    ``field`` holds the (M+1) x (M+1) samples of a field on the unit grid,
+    entry (k1, k2) at (k1/M, k2/M), as ``afb_sra`` and ``read_field``
+    return them.
 
     The grid lines at j/m_sub (j = 0..m_sub) orthogonal to the axis are
     weighted by the window, summed and normalized by m_sub, which must
@@ -61,7 +62,10 @@ def project_axis(
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    M = field.grid_size
+    field = np.asarray(field)
+    if field.ndim != 2 or field.shape[0] != field.shape[1]:
+        raise ValueError("field values must be a square matrix")
+    M = field.shape[0] - 1
     if m_sub is None:
         m_sub = M
     if not 1 <= m_sub <= M:
@@ -76,17 +80,7 @@ def project_axis(
                 f"window support {sup} exceeds the grid footprint [0, 1]"
             )
         weights = np.asarray(window(np.arange(m_sub + 1) / m_sub), dtype=float)
-    grid = field.values if direction == "horizontal" else field.values.T
+    grid = field if direction == "horizontal" else field.T
     values = _accumulate_columns(grid, M // m_sub, weights) / m_sub
     values.flags.writeable = False
     return values
-
-
-def projection_to_csv(values: np.ndarray, path) -> None:
-    """Two-column CSV export (position t = k/M, projected value)."""
-    M = values.size - 1
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "value"])
-        for k, val in enumerate(values):
-            writer.writerow([repr(k / M), repr(float(val))])

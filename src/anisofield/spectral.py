@@ -22,7 +22,6 @@ _SQRT_TWO_PI = float(np.sqrt(2.0 * np.pi))
 
 __all__ = [
     "AnisotropicIndex",
-    "SpectralModel",
     "Window1DMinus",
     "density",
     "radon_density",
@@ -33,60 +32,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnisotropicIndex:
-    """Directional regularity index, either constant or split by axis.
+    """Directional regularity index of a 2-d field, split by axis.
 
-    The axis-pair kind uses ``h_v`` where ``|xi_1| < |xi_2|`` and ``h_h``
-    otherwise (ties go to the horizontal branch).
+    The index is ``h_v`` where ``|xi_1| < |xi_2|`` and ``h_h`` otherwise
+    (ties go to the horizontal branch); equal values give a constant index.
     """
 
-    kind: str  # "constant" | "axis_pair"
     h_h: float
     h_v: float
 
     def __post_init__(self):
-        if self.kind not in ("constant", "axis_pair"):
-            raise ValueError(f"unknown index kind {self.kind!r}")
         for val in (self.h_h, self.h_v):
             if not 0.0 < val < 1.0:
                 raise ValueError(f"index value {val} outside (0, 1)")
-        if self.kind == "constant" and self.h_h != self.h_v:
-            raise ValueError("constant index must have equal values")
-
-    @classmethod
-    def constant(cls, h: float) -> "AnisotropicIndex":
-        return cls("constant", h, h)
-
-    @classmethod
-    def axis_pair(cls, h_h: float, h_v: float) -> "AnisotropicIndex":
-        return cls("axis_pair", h_h, h_v)
 
     def evaluate(self, xi) -> np.ndarray:
-        """Index value for each frequency in ``xi`` (shape ``(..., d)``).
+        """Index value for each frequency in ``xi`` (shape ``(..., 2)``).
 
         Depends on the direction only, with xi and -xi giving the same
         value, so evenness and 0-homogeneity hold exactly.
         """
         xi = np.asarray(xi, dtype=float)
-        if self.kind == "constant":
-            return np.full(xi.shape[:-1], self.h_h)
         if xi.shape[-1] != 2:
-            raise ValueError("axis_pair index is defined for d = 2 only")
+            raise ValueError("the index is defined for d = 2 only")
         return np.where(
             np.abs(xi[..., 0]) < np.abs(xi[..., 1]), self.h_v, self.h_h
         )
 
 
-@dataclass(frozen=True)
-class SpectralModel:
-    """Power-law density ``|xi|^(-2 h(xi) - 2)`` on the plane away from the
-    origin.  It carries no amplitude: every estimate is a log-ratio of
-    variations, in which a constant factor cancels."""
+def density(index: AnisotropicIndex, xi):
+    """Evaluate the power-law density ``|xi|^(-2 h(xi) - 2)`` of the index
+    at one frequency or an array of them.
 
-    index: AnisotropicIndex
-
-
-def density(model: SpectralModel, xi):
-    """Evaluate the spectral density at one frequency or an array of them.
+    The density carries no amplitude: every estimate is a log-ratio of
+    variations, in which a constant factor cancels.
 
     ``xi`` has shape ``(2,)`` or ``(..., 2)``.  Raises ZeroFrequency if any
     point is the origin, where the density is singular.
@@ -97,7 +76,7 @@ def density(model: SpectralModel, xi):
     r2 = np.sum(xi * xi, axis=-1)
     if np.any(r2 == 0.0):
         raise ZeroFrequency("density is singular at the zero frequency")
-    h = model.index.evaluate(xi)
+    h = index.evaluate(xi)
     out = r2 ** (-(h + 1.0))
     return float(out) if out.ndim == 0 else out
 
@@ -181,7 +160,7 @@ def _quad_stable(f, lo, hi, points=None):
     return last
 
 
-def radon_density(model: SpectralModel, window_sq: Window1DMinus, p: float) -> float:
+def radon_density(index: AnisotropicIndex, window_sq: Window1DMinus, p: float) -> float:
     """Project the density onto one axis against a normalized window.
 
     Computes ``integral f((gamma, p)) w(gamma) dgamma`` over the hyperplane
@@ -195,10 +174,7 @@ def radon_density(model: SpectralModel, window_sq: Window1DMinus, p: float) -> f
 
     def integrand(gamma: float) -> float:
         r2 = gamma * gamma + p * p
-        if abs(gamma) < abs(p):
-            h = model.index.h_v
-        else:
-            h = model.index.h_h
+        h = index.h_v if abs(gamma) < abs(p) else index.h_h
         return r2 ** (-(h + 1.0)) * window_sq(gamma) / norm
 
     # The axis-pair exponent switches at |gamma| = |p|; hand that point and
@@ -236,10 +212,9 @@ def parse_index(text: str) -> AnisotropicIndex:
         values = [float(tok) for tok in rest.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"bad index spec {text!r}") from exc
-    if kind == "constant" and len(values) == 1:
-        return AnisotropicIndex.constant(values[0])
-    if kind == "axes" and len(values) == 2:
-        return AnisotropicIndex.axis_pair(values[0], values[1])
+    if (kind, len(values)) in (("constant", 1), ("axes", 2)):
+        # constant:h is the index (h, h)
+        return AnisotropicIndex(values[0], values[-1])
     raise ValueError(f"bad index spec {text!r}")
 
 

@@ -24,18 +24,15 @@ imaginary path for odd i.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import fft as sp_fft
 
 from .errors import EmbeddingNotPSD, MalformedFieldFile, PathTooShort
-from .spectral import SpectralModel, density
+from .spectral import AnisotropicIndex, density
 
 __all__ = [
-    "SampledPath",
-    "GridField2D",
     "derived_stream",
     "fgn_autocovariance",
     "fgn_exact",
@@ -57,39 +54,6 @@ _MAX_DOUBLINGS = 2
 _NO_SEED = 0xFFFFFFFFFFFFFFFF  # header sentinel for "seed unknown"
 
 
-@dataclass(frozen=True)
-class SampledPath:
-    """Process values at k/N for k = 0..N, plus optional ground truth."""
-
-    values: np.ndarray
-    hurst_true: float | None = None
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.size - 1
-
-    @property
-    def step(self) -> float:
-        return 1.0 / self.n_steps
-
-
-@dataclass(frozen=True)
-class GridField2D:
-    """(M+1) x (M+1) samples of a field on the unit grid {(k1/M, k2/M)}."""
-
-    values: np.ndarray
-    params_true: tuple[float, float] | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError("field values must be a square matrix")
-
-    @property
-    def grid_size(self) -> int:
-        return self.values.shape[0] - 1
-
-
 def derived_stream(base_seed: int, *key: int) -> np.random.SeedSequence:
     """Child stream for one replicate; stable under growing batch sizes."""
     return np.random.SeedSequence(base_seed, spawn_key=tuple(key))
@@ -98,6 +62,8 @@ def derived_stream(base_seed: int, *key: int) -> np.random.SeedSequence:
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, int) and seed < 0:
+        raise ValueError(f"seed {seed} is negative; a seed is an integer >= 0")
     return np.random.default_rng(seed)
 
 
@@ -169,20 +135,20 @@ def fgn_exact(H: float, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(spectrum.real), np.ascontiguousarray(spectrum.imag)
 
 
-def _fbm_from_fgn(fgn: np.ndarray, H: float) -> SampledPath:
+def _fbm_from_fgn(fgn: np.ndarray, H: float) -> np.ndarray:
     N = fgn.size
     values = np.empty(N + 1)
     values[0] = 0.0
     np.cumsum(fgn, out=values[1:])
     values[1:] *= float(N) ** (-H)
     values.flags.writeable = False
-    return SampledPath(values=values, hurst_true=float(H))
+    return values
 
 
-def fbm_path(H: float, N: int, seed) -> tuple[SampledPath, SampledPath]:
+def fbm_path(H: float, N: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Two independent fractional Brownian motions sampled at k/N,
     k = 0..N, with X(0) = 0: the paths of the real and of the imaginary
-    fGn sample of :func:`fgn_exact`.
+    fGn sample of :func:`fgn_exact`, as read-only arrays of N + 1 values.
 
     Cumulative sums of exact fGn scaled by N^{-H}, so Var X(k/N) = (k/N)^2H
     holds in law exactly.
@@ -192,7 +158,7 @@ def fbm_path(H: float, N: int, seed) -> tuple[SampledPath, SampledPath]:
 
 
 @lru_cache(maxsize=1)
-def _sra_amplitude(model: SpectralModel, M: int) -> np.ndarray:
+def _sra_amplitude(index: AnisotropicIndex, M: int) -> np.ndarray:
     """Square root of the density on the frequency quadrant pi * {0..M}^2,
     zero at the origin.
 
@@ -205,7 +171,7 @@ def _sra_amplitude(model: SpectralModel, M: int) -> np.ndarray:
     xi = np.pi * np.arange(M + 1, dtype=float)
     pts = np.stack(np.broadcast_arrays(xi[:, None], xi[None, :]), axis=-1)
     quadrant = np.zeros((M + 1, M + 1))
-    quadrant.flat[1:] = density(model, pts.reshape(-1, 2)[1:])
+    quadrant.flat[1:] = density(index, pts.reshape(-1, 2)[1:])
     np.sqrt(quadrant, out=quadrant)
     quadrant.flags.writeable = False
     return quadrant
@@ -229,28 +195,20 @@ def _shape_noise(z: np.ndarray, quadrant: np.ndarray) -> None:
     z[tail, tail] *= quadrant[mirrored, mirrored]
 
 
-def _field_params(model: SpectralModel) -> tuple[float, float]:
-    return (model.index.h_h, model.index.h_v)
-
-
 def check_grid(M: int) -> None:
     """Reject a grid size that field synthesis cannot use."""
     if M < 4 or M & (M - 1):
         raise ValueError("grid size must be a power of two >= 4")
 
 
-def _anchored(block: np.ndarray, model: SpectralModel, seed) -> GridField2D:
+def _anchored(block: np.ndarray) -> np.ndarray:
     values = block - block[0, 0]
     values[0, 0] = 0.0
     values.flags.writeable = False
-    return GridField2D(
-        values=values,
-        params_true=_field_params(model),
-        seed=seed if isinstance(seed, int) else None,
-    )
+    return values
 
 
-def afb_sra(model: SpectralModel, M: int, seed) -> tuple[GridField2D, GridField2D]:
+def afb_sra(index: AnisotropicIndex, M: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Two independent approximate anisotropic fractional Brownian fields.
 
     Shapes (2M)^2 complex white-noise draws by the density square root on
@@ -260,7 +218,8 @@ def afb_sra(model: SpectralModel, M: int, seed) -> tuple[GridField2D, GridField2
     1, keeps M+1 columns, then runs along axis 0 and keeps M+1 rows.
 
     Returns ``(real_field, imag_field)``: the real and the imaginary part
-    of the sum, each anchored so that its origin value is exactly zero.
+    of the sum as read-only (M+1) x (M+1) arrays, entry (k1, k2) at
+    (k1/M, k2/M), each anchored so that its origin value is exactly zero.
     For circular complex noise the two parts are Gaussian with the same
     covariance, sum_n g(n)^2 cos(theta_n(k - k')), and their
     cross-covariance is sum_n g(n)^2 sin(theta_n(k - k')).  That sum
@@ -273,13 +232,13 @@ def afb_sra(model: SpectralModel, M: int, seed) -> tuple[GridField2D, GridField2
     """
     check_grid(M)
     # The table first: its temporaries and the noise then do not coexist.
-    quadrant = _sra_amplitude(model, int(M))
+    quadrant = _sra_amplitude(index, int(M))
     z = _draw_complex_noise(_rng(seed), (2 * M, 2 * M))
     _shape_noise(z, quadrant)
     y = sp_fft.fft(z, axis=1, overwrite_x=True)[:, : M + 1]
     y = sp_fft.fft(y, axis=0, overwrite_x=True)[: M + 1]
     y *= np.pi
-    return _anchored(y.real, model, seed), _anchored(y.imag, model, seed)
+    return _anchored(y.real), _anchored(y.imag)
 
 
 # --- field file format ------------------------------------------------------
@@ -290,28 +249,29 @@ def afb_sra(model: SpectralModel, M: int, seed) -> tuple[GridField2D, GridField2
 _HEADER = struct.Struct("<4sIddQ")
 
 
-def write_field(field: GridField2D, path) -> None:
-    """Serialize a field to the AFB1 binary format.
+def write_field(values: np.ndarray, path, params=None, seed=None) -> None:
+    """Serialize a square field to the AFB1 binary format, with its true
+    ``(h_h, h_v)`` and seed when known.
 
     The header holds a seed in 0..2^64-2; 2^64-1 marks an unknown seed.
     """
-    if field.seed is not None and not 0 <= field.seed < _NO_SEED:
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValueError("field values must be a square matrix")
+    if seed is not None and not 0 <= seed < _NO_SEED:
         raise ValueError(
-            f"seed {field.seed} is outside 0..2^64-2, the range a field file holds"
+            f"seed {seed} is outside 0..2^64-2, the range a field file holds"
         )
-    if field.params_true is not None:
-        h_h, h_v = field.params_true
-    else:
-        h_h = h_v = float("nan")
-    seed = field.seed if field.seed is not None else _NO_SEED
-    header = _HEADER.pack(b"AFB1", field.grid_size, h_h, h_v, seed)
+    h_h, h_v = params if params is not None else (float("nan"),) * 2
+    seed = seed if seed is not None else _NO_SEED
+    header = _HEADER.pack(b"AFB1", values.shape[0] - 1, h_h, h_v, seed)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
-def read_field(path) -> GridField2D:
-    """Read a field written by :func:`write_field`.
+def read_field(path) -> tuple[np.ndarray, tuple[float, float] | None, int | None]:
+    """Read a field written by :func:`write_field`; returns the read-only
+    values, the true ``(h_h, h_v)`` and the seed, each None if unknown.
 
     Raises MalformedFieldFile unless the file is exactly one AFB1 header
     followed by the (M+1)^2 values its grid size M calls for.
@@ -335,41 +295,38 @@ def read_field(path) -> GridField2D:
     values = values.reshape(M + 1, M + 1).copy()
     values.flags.writeable = False
     params = None if np.isnan(h_h) or np.isnan(h_v) else (h_h, h_v)
-    return GridField2D(
-        values=values,
-        params_true=params,
-        seed=None if seed == _NO_SEED else int(seed),
-    )
+    return values, params, None if seed == _NO_SEED else int(seed)
 
 
-def field_to_csv(field: GridField2D, path) -> None:
+def field_to_csv(values: np.ndarray, path) -> None:
     """Plain CSV dump of the field values, for debugging."""
-    np.savetxt(path, field.values, delimiter=",", fmt="%.17g")
+    np.savetxt(path, values, delimiter=",", fmt="%.17g")
 
 
-def write_path_csv(path_obj: SampledPath, path, seed: int | None = None) -> None:
-    """Two-column CSV (t, value) with ground truth carried in comments.
+def write_path_csv(values: np.ndarray, path, hurst=None, seed=None) -> None:
+    """Two-column CSV (t, value) of a series at t = k/N, k = 0..N, with the
+    true Hurst index and the seed, when known, in comments.
 
-    The positions t = k/N need N >= 1, so the path must hold two or more
-    values.
+    The positions need N >= 1, so the series must hold two or more values.
     """
-    n = path_obj.n_steps
+    n = values.size - 1
     if n < 1:
         raise PathTooShort(
-            f"a path CSV needs at least two values, got {path_obj.values.size}"
+            f"a path CSV needs at least two values, got {values.size}"
         )
     with open(path, "w", newline="") as fh:
-        if path_obj.hurst_true is not None:
-            fh.write(f"# hurst = {path_obj.hurst_true!r}\n")
+        if hurst is not None:
+            fh.write(f"# hurst = {float(hurst)!r}\n")
         if seed is not None:
             fh.write(f"# seed = {seed}\n")
         fh.write("t,value\n")
-        for k, val in enumerate(path_obj.values):
+        for k, val in enumerate(values):
             fh.write(f"{k / n!r},{float(val)!r}\n")
 
 
-def read_path_csv(path) -> tuple[SampledPath, int | None]:
-    """Read a path written by :func:`write_path_csv`; returns (path, seed)."""
+def read_path_csv(path) -> tuple[np.ndarray, float | None, int | None]:
+    """Read a path written by :func:`write_path_csv`; returns the read-only
+    values, the true Hurst index and the seed, each None if unknown."""
     hurst = None
     seed = None
     values = []
@@ -391,4 +348,4 @@ def read_path_csv(path) -> tuple[SampledPath, int | None]:
             values.append(float(line.split(",")[-1]))
     arr = np.asarray(values)
     arr.flags.writeable = False
-    return SampledPath(values=arr, hurst_true=hurst), seed
+    return arr, hurst, seed

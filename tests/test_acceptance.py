@@ -14,11 +14,10 @@ from anisofield import (
     AnisotropicIndex,
     DiscreteFilter,
     ExperimentConfig,
-    GridField2D,
-    SpectralModel,
     Window1DMinus,
     afb_sra,
     apply_filter,
+    axis_projections,
     binomial_filter,
     derived_stream,
     emit_table,
@@ -94,8 +93,7 @@ def grid_report():
     config = ExperimentConfig(
         mode="2d",
         indices=tuple(
-            AnisotropicIndex("constant" if hh == hv else "axis_pair", hh, hv)
-            for hh, hv in REFERENCE_2D
+            AnisotropicIndex(hh, hv) for hh, hv in REFERENCE_2D
         ),
         grid_size=512,
         reps=1000,
@@ -186,13 +184,13 @@ def test_criterion_3_anisotropy_detection(grid_report):
 def test_criterion_4_synthesis_oracle():
     """FFT synthesis equals the literal double sum at M=8 over 20 seeds,
     for both fields of each transform."""
-    model = SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2))
+    model = AnisotropicIndex(0.7, 0.2)
     worst = 0.0
     for seed in range(20):
         fast = afb_sra(model, 8, seed)
         slow = afb_sra_direct(model, 8, seed)
         for field, values in zip(fast, slow):
-            worst = max(worst, float(np.abs(field.values - values).max()))
+            worst = max(worst, float(np.abs(field - values).max()))
     ok = worst <= 1e-9
     line = _report(4, "synthesis FFT oracle", ok, f"max abs diff {worst:.2e}")
     assert ok, line
@@ -211,10 +209,10 @@ def test_criterion_6_projected_density_asymptotics():
     """log-log slope of the projected density equals -(2 h(axis) + 2)."""
     window = Window1DMinus.indicator_unit()
     cases = [
-        (SpectralModel(AnisotropicIndex.constant(0.2)), -2.4),
-        (SpectralModel(AnisotropicIndex.constant(0.5)), -3.0),
-        (SpectralModel(AnisotropicIndex.constant(0.7)), -3.4),
-        (SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2)), -2.4),
+        (AnisotropicIndex(0.2, 0.2), -2.4),
+        (AnisotropicIndex(0.5, 0.5), -3.0),
+        (AnisotropicIndex(0.7, 0.7), -3.4),
+        (AnisotropicIndex(0.7, 0.2), -2.4),
     ]
     failures = []
     worst = 0.0
@@ -224,7 +222,7 @@ def test_criterion_6_projected_density_asymptotics():
         slope = float(np.polyfit(np.log(ps), np.log(vals), 1)[0])
         worst = max(worst, abs(slope - target))
         if abs(slope - target) > 0.05:
-            failures.append(f"{model.index}: slope {slope:.3f} vs {target}")
+            failures.append(f"{model}: slope {slope:.3f} vs {target}")
     line = _report(
         6, "projected density asymptotics", not failures, f"worst dev {worst:.4f}"
     )
@@ -247,21 +245,21 @@ def test_criterion_7_property_suite(tmp_path):
                 problems.append(f"annihilation {coeffs} deg {degree}")
 
     # estimator scale and shift invariance
-    field = afb_sra(SpectralModel(AnisotropicIndex.constant(0.5)), 64, SEED)[0]
-    base = estimate_pair(field)[0].h_h
-    scaled = GridField2D(values=2.0 * field.values)
-    if estimate_pair(scaled)[0].h_h != base:
+    field = afb_sra(AnisotropicIndex(0.5, 0.5), 64, SEED)[0]
+    base = estimate_pair(axis_projections(field))[0].h_h
+    scaled = 2.0 * field
+    if estimate_pair(axis_projections(scaled))[0].h_h != base:
         problems.append("scale invariance")
     tt = np.arange(65) / 64.0
-    shifted = GridField2D(values=field.values + 7.0 + 3.0 * tt[:, None])
-    if abs(estimate_pair(shifted)[0].h_h - base) > 1e-10:
+    shifted = field + 7.0 + 3.0 * tt[:, None]
+    if abs(estimate_pair(axis_projections(shifted))[0].h_h - base) > 1e-10:
         problems.append("shift invariance")
 
     # projection linearity
     rng = np.random.default_rng(1)
-    x = GridField2D(values=rng.normal(size=(65, 65)))
-    y = GridField2D(values=rng.normal(size=(65, 65)))
-    combo = GridField2D(values=1.5 * x.values + 0.5 * y.values)
+    x = rng.normal(size=(65, 65))
+    y = rng.normal(size=(65, 65))
+    combo = 1.5 * x + 0.5 * y
     lhs = project_axis(combo, "vertical")
     rhs = 1.5 * project_axis(x, "vertical") + 0.5 * project_axis(y, "vertical")
     if np.abs(lhs - rhs).max() > 1e-12 * max(1.0, np.abs(rhs).max()):

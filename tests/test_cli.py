@@ -8,8 +8,6 @@ import pytest
 
 from anisofield import (
     AnisotropicIndex,
-    SampledPath,
-    SpectralModel,
     Window1DMinus,
     afb_sra,
     binomial_filter,
@@ -74,9 +72,9 @@ class TestSimulate:
             "--seed", "3", "--out", str(out),
         ])
         assert rc == 0
-        field = read_field(out)
-        direct = afb_sra(SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2)), 16, 3)[0]
-        assert np.array_equal(field.values, direct.values)
+        field = read_field(out)[0]
+        direct = afb_sra(AnisotropicIndex(0.7, 0.2), 16, 3)[0]
+        assert np.array_equal(field, direct)
 
     def test_path_roundtrip(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -85,9 +83,9 @@ class TestSimulate:
             "--seed", "11", "--out", str(out),
         ])
         assert rc == 0
-        path, seed = read_path_csv(out)
+        path, _, seed = read_path_csv(out)
         assert seed == 11
-        np.testing.assert_array_equal(path.values, fbm_path(0.6, 128, 11)[0].values)
+        np.testing.assert_array_equal(path, fbm_path(0.6, 128, 11)[0])
 
     def test_h_alias(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -109,7 +107,7 @@ class TestProject:
         assert rc == 0
         rows = _read_csv(out)
         vals = np.array([float(r[1]) for r in rows[1:]])
-        expected = project_axis(read_field(field_file), "vertical")
+        expected = project_axis(read_field(field_file)[0], "vertical")
         np.testing.assert_array_equal(vals, expected)
 
     def test_windowed_matches_library(self, tmp_path):
@@ -124,9 +122,22 @@ class TestProject:
         assert len(rows) == 1 + 65
         vals = np.array([float(r[1]) for r in rows[1:]])
         window = Window1DMinus.gaussian(0.2, center=0.5)
-        expected = project_axis(read_field(field_file), "horizontal", window, 16)
+        field = read_field(field_file)[0]
+        expected = project_axis(field, "horizontal", window, 16)
         np.testing.assert_array_equal(vals, expected)
-        assert not np.array_equal(vals, project_axis(read_field(field_file), "horizontal"))
+        assert not np.array_equal(vals, project_axis(field, "horizontal"))
+
+    def test_reads_back_as_a_path(self, tmp_path):
+        field_file = tmp_path / "f.afb"
+        main(["simulate", "--index", "axes:0.7,0.2", "-M", "16", "--seed", "5",
+              "--out", str(field_file)])
+        out = tmp_path / "proj.csv"
+        assert main(["project", "--field", str(field_file),
+                     "--direction", "horizontal", "--out", str(out)]) == 0
+        values, hurst, seed = read_path_csv(out)
+        expected = project_axis(read_field(field_file)[0], "horizontal")
+        assert values.tobytes() == expected.tobytes()
+        assert hurst is None and seed is None
 
 
 class TestEstimate:
@@ -150,7 +161,7 @@ class TestEstimate:
             "seed", "h_true", "direction", "nu", "estimate", "V1", "V2", "out_of_range",
         ]
         assert len(rows) == 1 + 4  # two directions x two levels
-        field = read_field(field_file)
+        field = read_field(field_file)[0]
         by_key = {(r[2], int(r[3])): r for r in rows[1:]}
         for direction in ("horizontal", "vertical"):
             for nu in (0, 1):
@@ -173,7 +184,7 @@ class TestEstimate:
                        "--u", u, "--out", str(outs[u])])
             assert rc == 0
         assert outs["2"].read_bytes() != outs["3"].read_bytes()
-        field = read_field(field_file)
+        field = read_field(field_file)[0]
         a = binomial_filter(2)
         rows = _read_csv(outs["3"])[1:]
         for row in rows:
@@ -229,16 +240,53 @@ class TestEstimate:
         assert 0.2 < est < 0.8  # sanity at N=512
         # each row is the library's estimate on the strided path, with
         # V1 the variation at dilation v = 1 and V2 at u = 2, as for fields
-        path, _ = read_path_csv(path_file)
+        path = read_path_csv(path_file)[0]
         a = binomial_filter(2)
         for nu, row in zip((0, 1), rows[1:]):
-            sub = SampledPath(values=path.values[:: 1 << nu])
+            sub = path[:: 1 << nu]
             assert row[3:7] == [
                 str(nu),
                 repr(estimate_H(sub, a, 2, 1)),
-                repr(quad_variation(sub.values, a, 1)),
-                repr(quad_variation(sub.values, a, 2)),
+                repr(quad_variation(sub, a, 1)),
+                repr(quad_variation(sub, a, 2)),
             ]
+
+    def test_projection_csv_matches_field_row(self, tmp_path):
+        # a projection CSV is estimated as a path: the same variations as
+        # the field's row for that direction, without the 1/2 offset
+        field_file = tmp_path / "f.afb"
+        proj_file = tmp_path / "proj.csv"
+        main(["simulate", "--index", "axes:0.7,0.2", "-M", "64", "--seed", "8",
+              "--out", str(field_file)])
+        main(["project", "--field", str(field_file), "--direction", "vertical",
+              "--out", str(proj_file)])
+        rows = {}
+        for name in ("field", "proj"):
+            src = field_file if name == "field" else proj_file
+            out = tmp_path / f"est_{name}.csv"
+            assert main(["estimate", "--input", str(src), "--nu", "0", "1",
+                         "--out", str(out)]) == 0
+            rows[name] = {
+                int(r[3]): r for r in _read_csv(out)[1:] if r[2] != "horizontal"
+            }
+        for nu in (0, 1):
+            field_row, proj_row = rows["field"][nu], rows["proj"][nu]
+            assert proj_row[2] == "path"
+            assert proj_row[5:7] == field_row[5:7]
+            estimate = float(field_row[4]) + 0.5
+            assert float(proj_row[4]) == pytest.approx(estimate, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model", [["--index", "constant:0.5", "-M", "8"], ["--hurst", "0.5", "-N", "64"]],
+    ids=["index", "hurst"],
+)
+def test_simulate_rejects_negative_seed(tmp_path, capsys, model):
+    out = tmp_path / "x"
+    assert main(["simulate", *model, "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "anisofield: seed -1 is negative; a seed is an integer >= 0\n"
+    assert not out.exists()
 
 
 class TestTheoryCommand:

@@ -13,11 +13,10 @@ from anisofield import (
     EmbeddingNotPSD,
     EvalReport,
     ExperimentConfig,
-    GridField2D,
-    SpectralModel,
     TooManyFailures,
     ZeroVariation,
     afb_sra,
+    axis_projections,
     binomial_filter,
     derived_stream,
     emit_table,
@@ -41,7 +40,7 @@ def _slow_failing_block(task):
 def _cfg_2d(**kw):
     base = dict(
         mode="2d",
-        indices=(AnisotropicIndex.axis_pair(0.7, 0.2),),
+        indices=(AnisotropicIndex(0.7, 0.2),),
         grid_size=32,
         reps=4,
         nu_levels=(0, 1),
@@ -79,8 +78,8 @@ class TestRun2D:
     def test_row_order_params_then_nu(self):
         cfg = _cfg_2d(
             indices=(
-                AnisotropicIndex.constant(0.7),
-                AnisotropicIndex.constant(0.2),
+                AnisotropicIndex(0.7, 0.7),
+                AnisotropicIndex(0.2, 0.2),
             ),
             nu_levels=(1, 0),
         )
@@ -134,7 +133,7 @@ class TestRun2D:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Counting)
         cfg = _cfg_2d(
-            indices=(AnisotropicIndex.constant(0.5), AnisotropicIndex.axis_pair(0.7, 0.2)),
+            indices=(AnisotropicIndex(0.5, 0.5), AnisotropicIndex(0.7, 0.2)),
             reps=6,
             workers=2,
         )
@@ -146,15 +145,14 @@ class TestRun2D:
         # replicate 2 of the block 1..4 gives a NaN field: the block is
         # redone one replicate at a time and only replicate 2 fails
         real_sra = harness.afb_sra
-        spec = ("axis_pair", 0.7, 0.2, 32, (0, 1), (1.0, -2.0, 1.0), 5)
+        spec = (AnisotropicIndex(0.7, 0.2), 32, (0, 1), (1.0, -2.0, 1.0), 5)
         task = (harness._estimate_2d, spec, 3, 1, 4)
         expected = harness._block(task)
 
         def nan_at_rep_2(model, M, seed):
             fields = real_sra(model, M, seed)
             if seed.spawn_key == (3, 2):
-                nan = GridField2D(values=np.full_like(fields[0].values, np.nan))
-                return (nan, fields[1])
+                return (np.full_like(fields[0], np.nan), fields[1])
             return fields
 
         monkeypatch.setattr(harness, "afb_sra", nan_at_rep_2)
@@ -173,7 +171,7 @@ class TestRun2D:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(harness, "_block", _slow_failing_block)
-        cfg = _cfg_2d(indices=(AnisotropicIndex.constant(0.5),) * 4, reps=32, workers=2)
+        cfg = _cfg_2d(indices=(AnisotropicIndex(0.5, 0.5),) * 4, reps=32, workers=2)
         with pytest.raises(TooManyFailures, match="first: boom"):
             run_eval_2d(cfg)
         assert len(futures) == 4 * 16
@@ -189,11 +187,9 @@ class TestRun2D:
         a = binomial_filter(3)
         cfg = _cfg_2d(filter_coeffs=tuple(a.coeffs))
         report = run_eval_2d(cfg)
-        model = SpectralModel(cfg.indices[0])
-        per_rep = [
-            estimate_pair(afb_sra(model, 32, derived_stream(5, 0, rep))[0], (0, 1), a)
-            for rep in range(cfg.reps)
-        ]
+        streams = [derived_stream(5, 0, rep) for rep in range(cfg.reps)]
+        fields = [afb_sra(cfg.indices[0], 32, stream)[0] for stream in streams]
+        per_rep = [estimate_pair(axis_projections(f), (0, 1), a) for f in fields]
         assert len(report.rows) == 2
         for pos, row in enumerate(report.rows):
             hh = np.array([pairs[pos].h_h for pairs in per_rep])
@@ -298,12 +294,12 @@ class TestRun1D:
 
     def test_estimate_failure_fails_one_replicate(self, monkeypatch):
         def imag_fails(path, a, u, v):
-            if path.values[-1] == imag_end:
+            if path[-1] == imag_end:
                 raise ZeroVariation("boom")
             return 0.5
 
         task = (harness._estimate_1d, (0.5, 64, (1.0, -2.0, 1.0), 2, 1, 5), 3, 8, 2)
-        imag_end = fbm_path(0.5, 64, derived_stream(5, 3, 4))[1].values[-1]
+        imag_end = fbm_path(0.5, 64, derived_stream(5, 3, 4))[1][-1]
         monkeypatch.setattr(harness, "estimate_H", imag_fails)
         out = harness._block(task)
         assert out[0] == ("ok", 0.5)
@@ -314,13 +310,20 @@ class TestRun1D:
     def test_failure_message_names_failing_cell(self, monkeypatch):
         # cell 0 tolerates one failure (1 of 100); cell 1 fails throughout
         calls = []
+        hurst_of_pair = []
+        real_fbm = harness.fbm_path
+
+        def recording(H, N, seed):
+            hurst_of_pair[:] = [H]
+            return real_fbm(H, N, seed)
 
         def flaky(path, a, u, v):
-            calls.append(path.hurst_true)
-            if len(calls) == 1 or path.hurst_true == 0.7:
+            calls.append(hurst_of_pair[0])
+            if len(calls) == 1 or hurst_of_pair[0] == 0.7:
                 raise ZeroVariation("boom")
             return 0.5
 
+        monkeypatch.setattr(harness, "fbm_path", recording)
         monkeypatch.setattr(harness, "estimate_H", flaky)
         with pytest.raises(TooManyFailures, match=r"first: cell 1 rep 0"):
             run_eval_1d(_cfg_1d(hursts=(0.5, 0.7), path_lengths=(16,), reps=100))
@@ -415,8 +418,8 @@ workers = 0
         cfg = load_config(f)
         assert cfg.mode == "2d"
         assert cfg.indices == (
-            AnisotropicIndex.axis_pair(0.7, 0.2),
-            AnisotropicIndex.constant(0.5),
+            AnisotropicIndex(0.7, 0.2),
+            AnisotropicIndex(0.5, 0.5),
         )
         assert cfg.grid_size == 64
         assert cfg.reps == 10
@@ -452,8 +455,12 @@ workers = 0
              "at least one path length"),
             ("mode = 1d\nhurst = 1.5\n", {"mode": "1d", "hursts": (1.5,)}, r"H must lie in \(0, 1\)"),
             ("mode = 1d\nhurst = 0\n", {"mode": "1d", "hursts": (0.0,)}, r"H must lie in \(0, 1\)"),
+            ("seed = -1\n", {"seed": -1}, "seed -1 is negative"),
         ],
-        ids=["grid_24", "grid_2", "empty_nu", "empty_length", "hurst_1.5", "hurst_0"],
+        ids=[
+            "grid_24", "grid_2", "empty_nu", "empty_length", "hurst_1.5", "hurst_0",
+            "seed_negative",
+        ],
     )
     def test_rejected_when_built(self, tmp_path, text, fields, message):
         f = tmp_path / "cfg.txt"
@@ -471,6 +478,13 @@ workers = 0
         monkeypatch.setattr(harness, "fbm_path", lambda *args: calls.append(args))
         with pytest.raises(ValueError):
             run_eval_1d(_cfg_1d(hursts=(0.5, hurst), path_lengths=(64,)))
+        assert calls == []
+
+    def test_negative_seed_fails_before_any_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "fbm_path", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="seed -1 is negative"):
+            run_eval_1d(_cfg_1d(seed=-1))
         assert calls == []
 
     def test_1d_list_keys(self, tmp_path):
@@ -508,7 +522,7 @@ class TestGoldenReports:
     def test_2d(self, tmp_path, workers):
         cfg = ExperimentConfig(
             mode="2d",
-            indices=(AnisotropicIndex.axis_pair(0.7, 0.2), AnisotropicIndex.constant(0.5)),
+            indices=(AnisotropicIndex(0.7, 0.2), AnisotropicIndex(0.5, 0.5)),
             grid_size=32,
             reps=8,
             nu_levels=(0, 1),

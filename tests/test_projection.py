@@ -5,22 +5,20 @@ import pytest
 
 from anisofield import (
     AnisotropicIndex,
-    GridField2D,
-    SpectralModel,
     Window1DMinus,
     WindowOutOfSupport,
     afb_sra,
     derived_stream,
     project_axis,
-    projection_to_csv,
     quad_variation,
+    write_path_csv,
     binomial_filter,
 )
 
 
 def _grid_from(fn, M):
     k = np.arange(M + 1) / M
-    return GridField2D(values=np.asarray(fn(k[:, None], k[None, :]), dtype=float))
+    return np.asarray(fn(k[:, None], k[None, :]), dtype=float)
 
 
 class TestProjectAxis:
@@ -44,9 +42,9 @@ class TestProjectAxis:
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
-        x = GridField2D(values=rng.normal(size=(17, 17)))
-        y = GridField2D(values=rng.normal(size=(17, 17)))
-        combo = GridField2D(values=2.5 * x.values - 1.25 * y.values)
+        x = rng.normal(size=(17, 17))
+        y = rng.normal(size=(17, 17))
+        combo = 2.5 * x - 1.25 * y
         lhs = project_axis(combo, "vertical")
         rhs = (
             2.5 * project_axis(x, "vertical")
@@ -56,8 +54,8 @@ class TestProjectAxis:
 
     def test_transpose_swaps_directions(self):
         rng = np.random.default_rng(1)
-        field = GridField2D(values=rng.normal(size=(33, 33)))
-        flipped = GridField2D(values=field.values.T.copy())
+        field = rng.normal(size=(33, 33))
+        flipped = field.T.copy()
         np.testing.assert_array_equal(
             project_axis(field, "horizontal"),
             project_axis(flipped, "vertical"),
@@ -69,11 +67,11 @@ class TestProjectAxis:
         M = 64
         rng = np.random.default_rng(4)
         scales = 10.0 ** rng.integers(-8, 8, (M + 1, M + 1))
-        field = GridField2D(values=rng.normal(size=(M + 1, M + 1)) * scales)
+        field = rng.normal(size=(M + 1, M + 1)) * scales
         window = Window1DMinus.gaussian(0.3, center=0.4)
         stride = M // m_sub
         for direction, grid in (
-            ("horizontal", field.values), ("vertical", field.values.T)
+            ("horizontal", field), ("vertical", field.T)
         ):
             plain = np.zeros(M + 1)
             weighted = np.zeros(M + 1)
@@ -89,12 +87,17 @@ class TestProjectAxis:
             assert np.array_equal(got, weighted / m_sub)
 
     def test_direction_validated(self):
-        field = GridField2D(values=np.zeros((9, 9)))
+        field = np.zeros((9, 9))
         with pytest.raises(ValueError):
             project_axis(field, "diagonal")
 
+    @pytest.mark.parametrize("shape", [(9, 8), (9,), (2, 9, 9)], ids=["9x8", "1d", "3d"])
+    def test_field_must_be_square(self, shape):
+        with pytest.raises(ValueError, match="field values must be a square matrix"):
+            project_axis(np.zeros(shape), "horizontal")
+
     def test_result_length(self):
-        field = GridField2D(values=np.zeros((9, 9)))
+        field = np.zeros((9, 9))
         values = project_axis(field, "vertical")
         assert values.shape == (9,)
         assert not values.flags.writeable
@@ -103,7 +106,7 @@ class TestProjectAxis:
 class TestProjectWindow:
     def test_indicator_equals_axis(self):
         rng = np.random.default_rng(2)
-        field = GridField2D(values=rng.normal(size=(17, 17)))
+        field = rng.normal(size=(17, 17))
         for direction in ("horizontal", "vertical"):
             a = project_axis(field, direction)
             b = project_axis(
@@ -113,14 +116,14 @@ class TestProjectWindow:
 
     def test_empty_support_gives_zero(self):
         # indicator narrower than one grid cell catches no sample points
-        field = GridField2D(values=np.ones((17, 17)))
+        field = np.ones((17, 17))
         w = Window1DMinus.indicator(0.001, 0.009)
         out = project_axis(field, "horizontal", w)
         np.testing.assert_array_equal(out, np.zeros(17))
 
     def test_gaussian_weighted_sum_on_constant(self):
         M, c = 16, 2.5
-        field = GridField2D(values=np.full((M + 1, M + 1), c))
+        field = np.full((M + 1, M + 1), c)
         w = Window1DMinus.gaussian(0.2, center=0.5)
         out = project_axis(field, "horizontal", w)
         expected = c * w(np.arange(M + 1) / M).sum() / M
@@ -129,21 +132,21 @@ class TestProjectWindow:
     def test_subsampled_hyperplane(self):
         M, m_sub = 16, 4
         rng = np.random.default_rng(3)
-        field = GridField2D(values=rng.normal(size=(M + 1, M + 1)))
+        field = rng.normal(size=(M + 1, M + 1))
         out = project_axis(
             field, "horizontal", Window1DMinus.indicator_unit(), m_sub
         )
         cols = np.arange(m_sub + 1) * (M // m_sub)
-        expected = field.values[:, cols].sum(axis=1) / m_sub
+        expected = field[:, cols].sum(axis=1) / m_sub
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
     def test_support_must_fit_grid(self):
-        field = GridField2D(values=np.zeros((9, 9)))
+        field = np.zeros((9, 9))
         with pytest.raises(WindowOutOfSupport):
             project_axis(field, "horizontal", Window1DMinus.indicator(-0.5, 1.0))
 
     def test_m_sub_validation(self):
-        field = GridField2D(values=np.zeros((17, 17)))
+        field = np.zeros((17, 17))
         w = Window1DMinus.indicator_unit()
         with pytest.raises(ValueError):
             project_axis(field, "horizontal", w, 5)  # does not divide 16
@@ -153,10 +156,10 @@ class TestProjectWindow:
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
-        field = GridField2D(values=np.arange(81, dtype=float).reshape(9, 9))
+        field = np.arange(81, dtype=float).reshape(9, 9)
         result = project_axis(field, "horizontal")
         f = tmp_path / "proj.csv"
-        projection_to_csv(result, f)
+        write_path_csv(result, f)
         with open(f) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "value"]
@@ -170,7 +173,7 @@ class TestVarianceScaling:
         # Second-difference variations of the projected field scale like
         # step^(2H) with H = h(axis) + 1/2; the log-log slope over strides
         # 1, 2, 4, 8 must sit near 2H.
-        model = SpectralModel(AnisotropicIndex.constant(0.5))
+        model = AnisotropicIndex(0.5, 0.5)
         M, reps = 512, 200
         a = binomial_filter(2)
         strides = [1, 2, 4, 8]

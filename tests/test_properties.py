@@ -10,10 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from anisofield import (
     DiscreteFilter,
-    GridField2D,
     MalformedFieldFile,
     PathTooShort,
-    SampledPath,
     binomial_filter,
     derived_stream,
     estimate_H,
@@ -73,12 +71,12 @@ def test_read_field_parses_or_rejects(workdir, blob):
     f = workdir / "fuzz.afb"
     f.write_bytes(blob)
     try:
-        field = read_field(f)
+        values = read_field(f)[0]
     except MalformedFieldFile:
         return
-    M = field.grid_size
+    M = values.shape[0] - 1
     assert len(blob) == synthesis._HEADER.size + 8 * (M + 1) ** 2
-    assert field.values.tobytes() == blob[synthesis._HEADER.size:]
+    assert values.tobytes() == blob[synthesis._HEADER.size:]
 
 
 _finite = st.floats(allow_nan=False)
@@ -95,14 +93,14 @@ _finite = st.floats(allow_nan=False)
 )
 def test_field_file_round_trip_is_exact(workdir, values, params, seed):
     f = workdir / "field.afb"
-    write_field(GridField2D(values=values, params_true=params, seed=seed), f)
-    back = read_field(f)
-    assert back.values.tobytes() == values.tobytes()
+    write_field(values, f, params, seed)
+    back, back_params, back_seed = read_field(f)
+    assert back.tobytes() == values.tobytes()
     if params is None:
-        assert back.params_true is None
+        assert back_params is None
     else:
-        assert np.array(back.params_true).tobytes() == np.array(params).tobytes()
-    assert back.seed == seed
+        assert np.array(back_params).tobytes() == np.array(params).tobytes()
+    assert back_seed == seed
 
 
 @_settings
@@ -114,9 +112,8 @@ def test_field_file_rejects_seed_out_of_range(workdir, seed):
     # 2**64 - 1 would read back as an unknown seed; beyond it u64 overflows
     f = workdir / "bad_seed.afb"
     f.unlink(missing_ok=True)
-    field = GridField2D(values=np.zeros((2, 2)), params_true=None, seed=seed)
     with pytest.raises(ValueError, match=r"0\.\.2\^64-2"):
-        write_field(field, f)
+        write_field(np.zeros((2, 2)), f, None, seed)
     assert not f.exists()
 
 
@@ -127,17 +124,17 @@ def test_field_file_rejects_seed_out_of_range(workdir, seed):
     seed=st.one_of(st.none(), st.integers()),
 )
 def test_path_csv_round_trip_is_exact(workdir, values, hurst, seed):
-    path = SampledPath(values=np.array(values), hurst_true=hurst)
+    path = np.array(values)
     f = workdir / "path.csv"
     if len(values) < 2:
         # positions k/N need N >= 1
         with pytest.raises(PathTooShort):
-            write_path_csv(path, f, seed=seed)
+            write_path_csv(path, f, hurst, seed)
         return
-    write_path_csv(path, f, seed=seed)
-    back, back_seed = read_path_csv(f)
-    assert back.values.tobytes() == path.values.tobytes()
-    assert back.hurst_true == hurst
+    write_path_csv(path, f, hurst, seed)
+    back, back_hurst, back_seed = read_path_csv(f)
+    assert back.tobytes() == path.tobytes()
+    assert back_hurst == hurst
     assert back_seed == seed
 
 
@@ -174,7 +171,7 @@ _paths = st.builds(
 @_settings
 @given(path=_paths, scale=st.floats(1e-3, 1e3))
 def test_estimate_H_scale_invariant(path, scale):
-    scaled = SampledPath(values=scale * path.values)
+    scaled = scale * path
     assert estimate_H(scaled, A2, 2, 1) == pytest.approx(
         estimate_H(path, A2, 2, 1), abs=1e-9
     )
@@ -184,8 +181,8 @@ def test_estimate_H_scale_invariant(path, scale):
 @given(path=_paths, shift=st.floats(-100.0, 100.0), slope=st.floats(-100.0, 100.0))
 def test_estimate_H_shift_and_trend_invariant(path, shift, slope):
     # an order-2 filter annihilates constants and affine trends
-    t = np.arange(path.values.size) * path.step
-    moved = SampledPath(values=path.values + shift + slope * t)
+    t = np.arange(path.size) / (path.size - 1)
+    moved = path + shift + slope * t
     assert estimate_H(moved, A2, 2, 1) == pytest.approx(
         estimate_H(path, A2, 2, 1), abs=1e-9
     )

@@ -3,7 +3,6 @@ import pytest
 
 from anisofield import (
     AnisotropicIndex,
-    SpectralModel,
     Window1DMinus,
     ZeroFrequency,
     density,
@@ -15,11 +14,11 @@ from anisofield import (
 
 class TestIndex:
     def test_constant(self):
-        idx = AnisotropicIndex.constant(0.5)
+        idx = AnisotropicIndex(0.5, 0.5)
         assert idx.h_h == idx.h_v == 0.5
 
     def test_axis_pair_branches(self):
-        idx = AnisotropicIndex.axis_pair(0.7, 0.2)
+        idx = AnisotropicIndex(0.7, 0.2)
         assert idx.evaluate([0.0, 2.0]) == 0.2
         assert idx.evaluate([2.0, 0.0]) == 0.7
         # ties go to the horizontal value
@@ -27,42 +26,50 @@ class TestIndex:
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            AnisotropicIndex.constant(1.0)
+            AnisotropicIndex(1.0, 1.0)
         with pytest.raises(ValueError):
-            AnisotropicIndex.axis_pair(0.5, 0.0)
+            AnisotropicIndex(0.5, 0.0)
+
+    def test_constant_is_an_equal_axis_pair(self):
+        # one law, so one index: the amplitude cache keys on it
+        assert parse_index("constant:0.5") == parse_index("axes:0.5,0.5")
+        pts = np.random.default_rng(3).normal(size=(40, 2))
+        np.testing.assert_array_equal(
+            AnisotropicIndex(0.3, 0.3).evaluate(pts), np.full(40, 0.3)
+        )
 
     def test_parse(self):
-        assert parse_index("constant:0.5") == AnisotropicIndex.constant(0.5)
-        assert parse_index("axes:0.7,0.2") == AnisotropicIndex.axis_pair(0.7, 0.2)
+        assert parse_index("constant:0.5") == AnisotropicIndex(0.5, 0.5)
+        assert parse_index("axes:0.7,0.2") == AnisotropicIndex(0.7, 0.2)
         with pytest.raises(ValueError):
             parse_index("axes:0.7")
 
 
 class TestDensity:
     def test_unit_circle_constant(self):
-        model = SpectralModel(AnisotropicIndex.constant(0.5))
+        model = AnisotropicIndex(0.5, 0.5)
         assert density(model, [1.0, 0.0]) == pytest.approx(1.0)
 
     def test_axis_pair_values(self):
-        model = SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2))
+        model = AnisotropicIndex(0.7, 0.2)
         assert density(model, [0.0, 2.0]) == pytest.approx(2.0 ** (-2.4))
         assert density(model, [2.0, 0.0]) == pytest.approx(2.0 ** (-3.4))
 
     def test_zero_frequency(self):
-        model = SpectralModel(AnisotropicIndex.constant(0.5))
+        model = AnisotropicIndex(0.5, 0.5)
         with pytest.raises(ZeroFrequency):
             density(model, [0.0, 0.0])
 
     def test_even(self):
-        model = SpectralModel(AnisotropicIndex.axis_pair(0.3, 0.8))
+        model = AnisotropicIndex(0.3, 0.8)
         pts = np.random.default_rng(1).normal(size=(50, 2))
         np.testing.assert_array_equal(density(model, pts), density(model, -pts))
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
     def test_homogeneity(self, lam):
-        model = SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2))
+        model = AnisotropicIndex(0.7, 0.2)
         pts = np.random.default_rng(2).normal(size=(50, 2))
-        h = model.index.evaluate(pts)
+        h = model.evaluate(pts)
         np.testing.assert_allclose(
             density(model, lam * pts),
             lam ** (-(2 * h + 2)) * density(model, pts),
@@ -100,12 +107,12 @@ def _fit_slope(model, window, exponents):
 
 class TestRadonDensity:
     def test_zero_offset_rejected(self):
-        model = SpectralModel(AnisotropicIndex.constant(0.5))
+        model = AnisotropicIndex(0.5, 0.5)
         with pytest.raises(ZeroFrequency):
             radon_density(model, Window1DMinus.indicator_unit(), 0.0)
 
     def test_even_and_positive(self):
-        model = SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2))
+        model = AnisotropicIndex(0.7, 0.2)
         w = Window1DMinus.gaussian(0.5)
         for p in (0.5, 2.0, 17.0):
             plus = radon_density(model, w, p)
@@ -115,30 +122,30 @@ class TestRadonDensity:
 
     @pytest.mark.parametrize("h", [0.2, 0.5, 0.7])
     def test_constant_slope(self, h):
-        model = SpectralModel(AnisotropicIndex.constant(h))
+        model = AnisotropicIndex(h, h)
         slope = _fit_slope(model, Window1DMinus.indicator_unit(), np.arange(6, 13))
         assert slope == pytest.approx(-(2 * h + 2), abs=0.05)
 
     def test_axis_pair_slope_picks_vertical(self):
-        model = SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2))
+        model = AnisotropicIndex(0.7, 0.2)
         slope = _fit_slope(model, Window1DMinus.indicator_unit(), np.arange(6, 13))
         assert slope == pytest.approx(-2.4, abs=0.05)
 
     def test_gaussian_window_same_asymptotics(self):
-        model = SpectralModel(AnisotropicIndex.constant(0.5))
+        model = AnisotropicIndex(0.5, 0.5)
         slope = _fit_slope(model, Window1DMinus.gaussian(1.0), np.arange(6, 13))
         assert slope == pytest.approx(-3.0, abs=0.05)
 
     def test_point_mass_limit(self):
         # A shrinking window concentrates on the axis value of the density.
-        model = SpectralModel(AnisotropicIndex.constant(0.5))
+        model = AnisotropicIndex(0.5, 0.5)
         w = Window1DMinus.gaussian(1e-3)
         for p in (1.0, 2.0):
             assert radon_density(model, w, p) == pytest.approx(abs(p) ** -3, rel=1e-3)
 
     def test_window_normalized_internally(self):
         # A wide indicator integrates to 2 and must be rescaled to mass 1.
-        model = SpectralModel(AnisotropicIndex.constant(0.5))
+        model = AnisotropicIndex(0.5, 0.5)
         wide = Window1DMinus.indicator(-1.0, 1.0)
         val = radon_density(model, wide, 256.0)
         assert val == pytest.approx(256.0 ** -3, rel=1e-3)
@@ -149,6 +156,6 @@ class TestRadonDensity:
 
         # an unreachable tolerance must surface as a failure, not a value
         monkeypatch.setattr(spectral_mod, "_QUAD_RTOL", 0.0)
-        model = SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2))
+        model = AnisotropicIndex(0.7, 0.2)
         with pytest.raises(QuadratureFailure):
             radon_density(model, Window1DMinus.gaussian(0.3), 0.25)

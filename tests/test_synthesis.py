@@ -5,9 +5,7 @@ import pytest
 
 from anisofield import (
     AnisotropicIndex,
-    GridField2D,
     MalformedFieldFile,
-    SpectralModel,
     afb_sra,
     derived_stream,
     fbm_path,
@@ -113,11 +111,11 @@ class TestFgn:
 class TestFbm:
     def test_starts_at_zero(self):
         for path in fbm_path(0.7, 128, 5):
-            assert path.values[0] == 0.0
+            assert path[0] == 0.0
 
     def test_unit_time_variance(self):
         vals = np.array(
-            [fbm_path(0.5, 64, derived_stream(2, i))[0].values[-1] for i in range(10_000)]
+            [fbm_path(0.5, 64, derived_stream(2, i))[0][-1] for i in range(10_000)]
         )
         assert float(vals.var()) == pytest.approx(1.0, abs=0.05)
 
@@ -126,40 +124,34 @@ class TestFbm:
         H, N, reps = 0.7, 256, 400
         per_path = np.empty(reps)
         for i in range(reps):
-            v = fbm_path(H, N, derived_stream(3, i))[0].values
+            v = fbm_path(H, N, derived_stream(3, i))[0]
             per_path[i] = np.mean(np.diff(v) ** 2)
         target = float(N) ** (-2 * H)
         se = per_path.std(ddof=1) / np.sqrt(reps)
         assert abs(per_path.mean() - target) <= 3.0 * se
 
-    def test_metadata(self):
-        p = fbm_path(0.3, 64, 1)[0]
-        assert p.hurst_true == 0.3
-        assert p.n_steps == 64
-        assert p.step == pytest.approx(1 / 64)
-
 
 @pytest.fixture(scope="module")
 def aniso_model():
-    return SpectralModel(AnisotropicIndex.axis_pair(0.7, 0.2))
+    return AnisotropicIndex(0.7, 0.2)
 
 
 class TestSra:
     def test_origin_anchored(self, aniso_model):
         for field in afb_sra(aniso_model, 16, 11):
-            assert field.values[0, 0] == 0.0
+            assert field[0, 0] == 0.0
 
     def test_real_and_finite(self, aniso_model):
         field = afb_sra(aniso_model, 16, 11)[0]
-        assert field.values.dtype == np.float64
-        assert np.all(np.isfinite(field.values))
-        assert field.values.shape == (17, 17)
+        assert field.dtype == np.float64
+        assert np.all(np.isfinite(field))
+        assert field.shape == (17, 17)
 
     def test_determinism(self, aniso_model):
         a = afb_sra(aniso_model, 16, 3)
         b = afb_sra(aniso_model, 16, 3)
         for x, y in zip(a, b):
-            assert np.array_equal(x.values, y.values)
+            assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("M", [4, 8])
     def test_fft_matches_direct_sum(self, aniso_model, M):
@@ -167,18 +159,17 @@ class TestSra:
             fast = afb_sra(aniso_model, M, seed)
             slow = afb_sra_direct(aniso_model, M, seed)
             for field, values in zip(fast, slow):
-                assert np.abs(field.values - values).max() <= 1e-9
+                assert np.abs(field - values).max() <= 1e-9
 
     @pytest.mark.parametrize("M", [4, 8, 64])
     @pytest.mark.parametrize(
-        "index", [AnisotropicIndex.constant(0.3), AnisotropicIndex.axis_pair(0.7, 0.2)]
+        "index", [AnisotropicIndex(0.3, 0.3), AnisotropicIndex(0.7, 0.2)]
     )
     def test_mirrored_amplitude_table(self, index, M):
         # shaping by the mirrored quadrant multiplies every noise term by
         # its full-grid amplitude, bit for bit
-        model = SpectralModel(index)
-        full = full_grid_amplitude(model, M)
-        quadrant = synthesis._sra_amplitude(model, M)
+        full = full_grid_amplitude(index, M)
+        quadrant = synthesis._sra_amplitude(index, M)
         assert quadrant.shape == (M + 1, M + 1)
         assert np.array_equal(quadrant, full[: M + 1, : M + 1])
         z = synthesis._draw_complex_noise(np.random.default_rng(M), (2 * M, 2 * M))
@@ -196,7 +187,7 @@ class TestSra:
         cross, incr = [], []
         for i in range(reps):
             fields = afb_sra(aniso_model, M, derived_stream(6, i))
-            re, im = (f.values for f in fields)
+            re, im = fields
             cross.append(np.outer(re[rows, cols], im[rows, cols]).ravel())
             incr.append([
                 np.mean(np.diff(re, axis=0) ** 2) - np.mean(np.diff(im, axis=0) ** 2),
@@ -218,7 +209,7 @@ class TestSra:
             synthesis, "_draw_complex_noise", lambda rng, shape: next(noise).copy()
         )
         maps = np.array([
-            [f.values.ravel() for f in afb_sra(aniso_model, M, 0)] for _ in basis
+            [f.ravel() for f in afb_sra(aniso_model, M, 0)] for _ in basis
         ])
         re, im = maps[:, 0], maps[:, 1]
         scale = np.abs(re.T @ re).max()
@@ -231,19 +222,14 @@ class TestSra:
         with pytest.raises(ValueError):
             afb_sra(aniso_model, 2, 0)
 
-    def test_params_recorded(self, aniso_model):
-        field = afb_sra(aniso_model, 8, 21)[0]
-        assert field.params_true == (0.7, 0.2)
-        assert field.seed == 21
-
     def test_gaussianity(self):
         # Standardize by the pooled moments (per-field standardization
         # biases the kurtosis badly under spatial correlation), then use
         # per-field moment means as i.i.d. replicates for the error bar.
-        model = SpectralModel(AnisotropicIndex.constant(0.5))
+        model = AnisotropicIndex(0.5, 0.5)
         reps = 200
         fields = [
-            afb_sra(model, 32, derived_stream(4, i))[0].values.ravel()
+            afb_sra(model, 32, derived_stream(4, i))[0].ravel()
             for i in range(reps)
         ]
         pooled = np.concatenate(fields)
@@ -259,18 +245,18 @@ class TestFieldIO:
     def test_binary_roundtrip(self, aniso_model, tmp_path):
         field = afb_sra(aniso_model, 16, 9)[0]
         f = tmp_path / "field.afb"
-        write_field(field, f)
-        back = read_field(f)
-        assert np.array_equal(back.values, field.values)
-        assert back.params_true == field.params_true
-        assert back.seed == field.seed
+        write_field(field, f, (0.7, 0.2), 9)
+        back, params, seed = read_field(f)
+        assert np.array_equal(back, field)
+        assert params == (0.7, 0.2)
+        assert seed == 9
 
     def test_missing_metadata(self, tmp_path):
         values = np.zeros((9, 9))
         f = tmp_path / "anon.afb"
-        write_field(GridField2D(values=values), f)
-        back = read_field(f)
-        assert back.params_true is None and back.seed is None
+        write_field(values, f)
+        _, params, seed = read_field(f)
+        assert params is None and seed is None
 
     def test_magic_checked(self, tmp_path):
         f = tmp_path / "junk.afb"
@@ -299,16 +285,16 @@ class TestFieldIO:
         f = tmp_path / "field.csv"
         field_to_csv(field, f)
         data = np.loadtxt(f, delimiter=",")
-        np.testing.assert_allclose(data, field.values, rtol=1e-15)
+        np.testing.assert_allclose(data, field, rtol=1e-15)
 
     def test_path_roundtrip(self, tmp_path):
         path = fbm_path(0.4, 128, 77)[0]
         f = tmp_path / "path.csv"
-        write_path_csv(path, f, seed=77)
-        back, seed = read_path_csv(f)
+        write_path_csv(path, f, 0.4, 77)
+        back, hurst, seed = read_path_csv(f)
         assert seed == 77
-        assert back.hurst_true == 0.4
-        np.testing.assert_array_equal(back.values, path.values)
+        assert hurst == 0.4
+        np.testing.assert_array_equal(back, path)
 
 
 class TestStreams:

@@ -318,8 +318,8 @@ class TestExpectedVariation:
         v1 = np.empty(reps)
         for i in range(reps):
             path = fbm_path(H, N, derived_stream(21, i))[0]
-            v2[i] = quad_variation(path.values, A2, 2)
-            v1[i] = quad_variation(path.values, A2, 1)
+            v2[i] = quad_variation(path, A2, 2)
+            v1[i] = quad_variation(path, A2, 1)
         ratio = v2.mean() / v1.mean()
         assert ratio == pytest.approx(2**1.4, rel=0.02)
 
@@ -332,7 +332,7 @@ class TestExpectedVariation:
         vals = np.empty(reps)
         for i in range(reps):
             path = fbm_path(H, N, derived_stream(22, i))[0]
-            vals[i] = quad_variation(path.values, A2, 2)
+            vals[i] = quad_variation(path, A2, 2)
         limit = c * theory.E_const(A2, 2, H)
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(N ** (2 * H) * vals.mean() - limit) <= 4.0 * N ** (2 * H) * se
