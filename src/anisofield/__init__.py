@@ -10,6 +10,7 @@ from .errors import (
     EqualDilations,
     GridTooCoarse,
     MalformedFieldFile,
+    MalformedPathFile,
     NegativeVariance,
     NonFiniteVariation,
     OrderTooLow,

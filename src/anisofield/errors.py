@@ -37,6 +37,11 @@ class MalformedFieldFile(AnisofieldError, ValueError):
     """A field file is not AFB1, or its size disagrees with its header."""
 
 
+class MalformedPathFile(AnisofieldError, ValueError):
+    """A path CSV has a row that is not two numbers, or a metadata comment
+    whose value does not parse."""
+
+
 # --- projections ----------------------------------------------------------
 
 class WindowOutOfSupport(AnisofieldError):

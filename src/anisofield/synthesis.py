@@ -7,7 +7,10 @@ Gaussian sample in O(n log n).  The 2D route discretizes the spectral
 representation of the field: complex white noise is shaped by the square
 root of the density on a (2M) x (2M) frequency grid and pushed through one
 inverse-style FFT; the real and the imaginary part, each re-anchored at the
-origin, are two independent fields on the (M+1) x (M+1) unit grid.
+origin, are two independent fields on the (M+1) x (M+1) unit grid.  The
+evaluation harness reads the real field only through its two axis
+projections, which the same noise gives without the field: two weighted
+reductions and two 1-d FFTs of length 2M.
 
 The 1D route yields a pair as well: the real and the imaginary part of its
 transform are two independent exact fGn samples.
@@ -29,7 +32,12 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import EmbeddingNotPSD, MalformedFieldFile, PathTooShort
+from .errors import (
+    EmbeddingNotPSD,
+    MalformedFieldFile,
+    MalformedPathFile,
+    PathTooShort,
+)
 from .spectral import AnisotropicIndex, density
 
 __all__ = [
@@ -52,6 +60,10 @@ _CLAMP_REL = 1e-8
 _MAX_DOUBLINGS = 2
 
 _NO_SEED = 0xFFFFFFFFFFFFFFFF  # header sentinel for "seed unknown"
+
+# Complex noise values drawn at a time on the projected 2-d route (0.5 MB):
+# whole rows, all 2M of them up to M = 64.
+_NOISE_BLOCK = 2**15
 
 
 def derived_stream(base_seed: int, *key: int) -> np.random.SeedSequence:
@@ -177,22 +189,22 @@ def _sra_amplitude(index: AnisotropicIndex, M: int) -> np.ndarray:
     return quadrant
 
 
-def _shape_noise(z: np.ndarray, quadrant: np.ndarray) -> None:
-    """Multiply the (2M) x (2M) noise z in place by the amplitude of each
-    frequency, in FFT storage order.
+def _shape_noise(z: np.ndarray, quadrant: np.ndarray, first: int = 0) -> None:
+    """Multiply rows first, first+1, ... of the (2M) x (2M) noise, held in
+    z, in place by the amplitude of each frequency, in FFT storage order.
 
-    Rows and columns 0..M of z hold the frequencies 0..M and take the
+    Rows and columns 0..M hold the frequencies 0..M and take the
     quadrant's rows and columns as they are; rows and columns M+1..2M-1
     hold -M+1..-1 and take the quadrant's M-1..1 mirrored.  The products
     are those of a multiply by the full (2M) x (2M) table.
     """
     M = quadrant.shape[0] - 1
-    head, tail = slice(0, M + 1), slice(M + 1, None)
-    mirrored = slice(M - 1, 0, -1)
-    z[head, head] *= quadrant
-    z[head, tail] *= quadrant[:, mirrored]
-    z[tail, head] *= quadrant[mirrored]
-    z[tail, tail] *= quadrant[mirrored, mirrored]
+    split = min(max(M + 1 - first, 0), len(z))  # rows of z that are in 0..M
+    head = quadrant[first : first + split]
+    tail = quadrant[2 * M - first - split : 2 * M - first - len(z) : -1]
+    for rows, amplitude in ((z[:split], head), (z[split:], tail)):
+        rows[:, : M + 1] *= amplitude
+        rows[:, M + 1 :] *= amplitude[:, M - 1 : 0 : -1]
 
 
 def check_grid(M: int) -> None:
@@ -208,8 +220,60 @@ def _anchored(block: np.ndarray) -> np.ndarray:
     return values
 
 
-def afb_sra(index: AnisotropicIndex, M: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent approximate anisotropic fractional Brownian fields.
+@lru_cache(maxsize=1)
+def _line_sum_weights(M: int) -> np.ndarray:
+    """w(n) = sum_{k=0..M} exp(-i pi n k / M) for n = 0..2M-1, read-only.
+
+    The transform of the indicator of 0..M on 2M points, in closed form:
+    M + 1 at n = 0, 1 at every other even n and -i cot(pi n / 2M) at odd n.
+    """
+    w = np.ones(2 * M, dtype=complex)
+    w[0] = M + 1
+    odd = np.arange(1, 2 * M, 2)
+    w[odd] = -1j / np.tan(np.pi * odd / (2 * M))
+    w.flags.writeable = False
+    return w
+
+
+def _projections_of_spectrum(
+    rng: np.random.Generator, quadrant: np.ndarray
+) -> np.ndarray:
+    """The horizontal and the vertical projection of the real field of
+    :func:`afb_sra`, as a read-only (2, M+1) array, from its noise stream.
+
+    Summing the spectral sum over k_2 = 0..M replaces the k_2 transform by
+    the weights w, so the horizontal line sums are pi * FFT(z w) for the
+    shaped noise z; the vertical ones are pi * FFT(w z).  Anchoring
+    subtracts the origin value F_00 = pi Re sum(z) from each of the M + 1
+    points of a line, and the projection divides by M.
+
+    The noise is drawn, shaped and reduced in blocks of rows of about
+    _NOISE_BLOCK values: the rows are the same numbers as one draw of all
+    2M rows, and no (2M) x (2M) array is held.  The reductions run through einsum, not a
+    matrix product: a threaded BLAS would compete with the other workers
+    of a run for the CPUs.
+    """
+    M = quadrant.shape[0] - 1
+    w = _line_sum_weights(M)
+    block = min(max(_NOISE_BLOCK // (2 * M), 1), 2 * M)
+    rows = np.empty(2 * M, dtype=complex)
+    cols = np.zeros(2 * M, dtype=complex)
+    total = 0.0
+    for first in range(0, 2 * M, block):
+        z = _draw_complex_noise(rng, (block, 2 * M))
+        _shape_noise(z, quadrant, first)
+        rows[first : first + block] = np.einsum("ij,j->i", z, w)
+        cols += np.einsum("i,ij->j", w[first : first + block], z)
+        total += z.real.sum()
+    sums = sp_fft.fft(np.stack([rows, cols]), axis=1, overwrite_x=True)
+    values = (np.pi / M) * sums[:, : M + 1].real - (M + 1) / M * (np.pi * total)
+    values.flags.writeable = False
+    return values
+
+
+def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
+    """Two independent approximate anisotropic fractional Brownian fields,
+    or the two axis projections of the first.
 
     Shapes (2M)^2 complex white-noise draws by the density square root on
     the frequency grid pi * {-M+1..M}^2 and evaluates the discretized
@@ -229,10 +293,18 @@ def afb_sra(index: AnisotropicIndex, M: int, seed) -> tuple[np.ndarray, np.ndarr
     n_2 = M).  So the two fields are independent with the same law.  The
     overall amplitude carries an arbitrary calibration; every downstream
     estimator is invariant under global scaling.
+
+    With ``projected=True`` the same noise gives the read-only (2, M+1)
+    array that ``axis_projections`` makes of the real field, computed by
+    two weighted reductions of the shaped noise and two 2M-point FFTs,
+    with no field built.  It agrees with that pipeline to rounding (about
+    1e-15 of the largest value), not bit for bit.
     """
     check_grid(M)
     # The table first: its temporaries and the noise then do not coexist.
     quadrant = _sra_amplitude(index, int(M))
+    if projected:
+        return _projections_of_spectrum(_rng(seed), quadrant)
     z = _draw_complex_noise(_rng(seed), (2 * M, 2 * M))
     _shape_noise(z, quadrant)
     y = sp_fft.fft(z, axis=1, overwrite_x=True)[:, : M + 1]
@@ -326,26 +398,48 @@ def write_path_csv(values: np.ndarray, path, hurst=None, seed=None) -> None:
 
 def read_path_csv(path) -> tuple[np.ndarray, float | None, int | None]:
     """Read a path written by :func:`write_path_csv`; returns the read-only
-    values, the true Hurst index and the seed, each None if unknown."""
+    values, the true Hurst index and the seed, each None if unknown.
+
+    Raises MalformedPathFile, naming the file and the line, at a row that
+    is not two numbers t,value or at a ``# hurst`` or ``# seed`` comment
+    whose value does not parse.
+    """
     hurst = None
     seed = None
     values = []
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{line_no}"
             if line.startswith("#"):
                 key, _, val = line.lstrip("#").partition("=")
                 key = key.strip().lower()
-                if key == "hurst":
-                    hurst = float(val)
-                elif key == "seed":
-                    seed = int(val)
+                try:
+                    if key == "hurst":
+                        hurst = float(val)
+                    elif key == "seed":
+                        seed = int(val)
+                except ValueError:
+                    raise MalformedPathFile(
+                        f"{where}: {key} comment {line!r} does not parse"
+                    ) from None
                 continue
-            if line.lower().startswith("t,"):
+            cells = [cell.strip() for cell in line.split(",")]
+            if len(cells) != 2:
+                raise MalformedPathFile(
+                    f"{where}: expected two columns t,value, found {len(cells)}"
+                )
+            if [cell.lower() for cell in cells] == ["t", "value"]:
                 continue
-            values.append(float(line.split(",")[-1]))
+            try:
+                _, value = map(float, cells)
+            except ValueError:
+                raise MalformedPathFile(
+                    f"{where}: row {line!r} is not two numbers t,value"
+                ) from None
+            values.append(value)
     arr = np.asarray(values)
     arr.flags.writeable = False
     return arr, hurst, seed

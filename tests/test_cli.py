@@ -209,6 +209,26 @@ class TestEstimate:
         assert calls == ["horizontal", "vertical"]
         assert len(_read_csv(tmp_path / "est.csv")) == 1 + 8
 
+    def test_field_csv_is_not_a_path(self, tmp_path, capsys):
+        field_csv = tmp_path / "f.csv"
+        main(["simulate", "--index", "constant:0.5", "-M", "16", "--format", "csv",
+              "--out", str(field_csv)])
+        rc = main(["estimate", "--input", str(field_csv)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"anisofield: {field_csv}:1: expected two columns t,value, found 17"
+        )
+
+    def test_non_numeric_path_value(self, tmp_path, capsys):
+        path_csv = tmp_path / "p.csv"
+        path_csv.write_text("t,value\n0.0,0.0\n0.5,abc\n1.0,2.0\n")
+        rc = main(["estimate", "--input", str(path_csv)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"anisofield: {path_csv}:3: row '0.5,abc' is not two numbers")
+
     @pytest.mark.parametrize("damage", ["truncated", "extended", "wrong_m"])
     def test_malformed_field_file(self, tmp_path, capsys, damage):
         field_file = tmp_path / "f.afb"

@@ -16,7 +16,6 @@ from anisofield import (
     TooManyFailures,
     ZeroVariation,
     afb_sra,
-    axis_projections,
     binomial_filter,
     derived_stream,
     emit_table,
@@ -142,18 +141,18 @@ class TestRun2D:
         assert report.rows == run_eval_2d(dataclasses.replace(cfg, workers=1)).rows
 
     def test_block_failure_fails_one_replicate(self, monkeypatch):
-        # replicate 2 of the block 1..4 gives a NaN field: the block is
-        # redone one replicate at a time and only replicate 2 fails
+        # replicate 2 of the block 1..4 gives NaN projections: the block
+        # is redone one replicate at a time and only replicate 2 fails
         real_sra = harness.afb_sra
         spec = (AnisotropicIndex(0.7, 0.2), 32, (0, 1), (1.0, -2.0, 1.0), 5)
         task = (harness._estimate_2d, spec, 3, 1, 4)
         expected = harness._block(task)
 
-        def nan_at_rep_2(model, M, seed):
-            fields = real_sra(model, M, seed)
+        def nan_at_rep_2(model, M, seed, **kw):
+            out = real_sra(model, M, seed, **kw)
             if seed.spawn_key == (3, 2):
-                return (np.full_like(fields[0], np.nan), fields[1])
-            return fields
+                return np.full_like(out, np.nan)
+            return out
 
         monkeypatch.setattr(harness, "afb_sra", nan_at_rep_2)
         out = harness._block(task)
@@ -188,8 +187,10 @@ class TestRun2D:
         cfg = _cfg_2d(filter_coeffs=tuple(a.coeffs))
         report = run_eval_2d(cfg)
         streams = [derived_stream(5, 0, rep) for rep in range(cfg.reps)]
-        fields = [afb_sra(cfg.indices[0], 32, stream)[0] for stream in streams]
-        per_rep = [estimate_pair(axis_projections(f), (0, 1), a) for f in fields]
+        per_rep = [
+            estimate_pair(afb_sra(cfg.indices[0], 32, stream, projected=True), (0, 1), a)
+            for stream in streams
+        ]
         assert len(report.rows) == 2
         for pos, row in enumerate(report.rows):
             hh = np.array([pairs[pos].h_h for pairs in per_rep])

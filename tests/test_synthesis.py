@@ -6,12 +6,15 @@ import pytest
 from anisofield import (
     AnisotropicIndex,
     MalformedFieldFile,
+    MalformedPathFile,
     afb_sra,
+    axis_projections,
     derived_stream,
     fbm_path,
     fgn_autocovariance,
     fgn_exact,
     field_to_csv,
+    parse_index,
     read_field,
     read_path_csv,
     write_field,
@@ -174,8 +177,12 @@ class TestSra:
         assert np.array_equal(quadrant, full[: M + 1, : M + 1])
         z = synthesis._draw_complex_noise(np.random.default_rng(M), (2 * M, 2 * M))
         expected = z * full
-        synthesis._shape_noise(z, quadrant)
-        assert z.tobytes() == expected.tobytes()
+        # blocks of 3 rows straddle row M, where the mirroring starts
+        for block in (3, 2 * M):
+            shaped = z.copy()
+            for first in range(0, 2 * M, block):
+                synthesis._shape_noise(shaped[first : first + block], quadrant, first)
+            assert shaped.tobytes() == expected.tobytes()
 
     def test_pair_law(self, aniso_model):
         # The real and imaginary parts of one transform are independent
@@ -241,6 +248,43 @@ class TestSra:
             assert abs(stat.mean() - target) <= 5.0 * se
 
 
+class TestProjectedSra:
+    """``afb_sra(..., projected=True)`` against the field it skips."""
+
+    @pytest.mark.parametrize("M", [4, 8, 64, 512])
+    @pytest.mark.parametrize("index", ["constant:0.5", "axes:0.7,0.2"])
+    def test_matches_projections_of_the_field(self, index, M):
+        model = parse_index(index)
+        for rep in range(3):
+            fast = afb_sra(model, M, derived_stream(9, M, rep), projected=True)
+            slow = axis_projections(afb_sra(model, M, derived_stream(9, M, rep))[0])
+            assert fast.shape == (2, M + 1) and fast.dtype == np.float64
+            assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+
+    def test_matches_direct_sum(self, aniso_model):
+        for seed in range(5):
+            fast = afb_sra(aniso_model, 8, seed, projected=True)
+            slow = axis_projections(afb_sra_direct(aniso_model, 8, seed)[0])
+            assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+
+    @pytest.mark.parametrize("M", [4, 8, 512])
+    def test_line_sum_weights_are_the_box_transform(self, M):
+        box = (np.arange(2 * M) <= M).astype(float)
+        weights = synthesis._line_sum_weights(M)
+        assert np.abs(weights - np.fft.fft(box)).max() <= 1e-12 * (M + 1)
+
+    def test_read_only(self, aniso_model):
+        values = afb_sra(aniso_model, 8, 1, projected=True)
+        assert not values.flags.writeable
+
+    @pytest.mark.parametrize("M", [2, 12])
+    def test_grid_validation(self, aniso_model, M):
+        with pytest.raises(ValueError) as expected:
+            synthesis.check_grid(M)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            afb_sra(aniso_model, M, 0, projected=True)
+
+
 class TestFieldIO:
     def test_binary_roundtrip(self, aniso_model, tmp_path):
         field = afb_sra(aniso_model, 16, 9)[0]
@@ -295,6 +339,25 @@ class TestFieldIO:
         assert seed == 77
         assert hurst == 0.4
         np.testing.assert_array_equal(back, path)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("t,value\n0.0,0.0\n0.5,1.0,2.0\n", 3, "found 3"),
+            ("0.0\n", 1, "found 1"),
+            ("t,value\n0.0,0.0\n0.5,abc\n", 3, "not two numbers"),
+            ("nan?,0.0\n", 1, "not two numbers"),
+            ("# hurst = high\nt,value\n0.0,0.0\n", 1, "hurst comment"),
+            ("# seed = 1.5\nt,value\n0.0,0.0\n", 1, "seed comment"),
+        ],
+    )
+    def test_path_csv_rejects_malformed_lines(self, tmp_path, text, line, message):
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        with pytest.raises(MalformedPathFile, match=re.escape(f"{f}:{line}: ")) as info:
+            read_path_csv(f)
+        assert message in str(info.value)
+        assert isinstance(info.value, ValueError)
 
 
 class TestStreams:
