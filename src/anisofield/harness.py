@@ -117,7 +117,13 @@ class ExperimentConfig:
         else:
             if not self.path_lengths:
                 raise ValueError("1-d mode needs at least one path length")
-            dilation = max(self.dilation_u, self.dilation_v)
+            u, v = self.dilation_u, self.dilation_v
+            if min(u, v) < 1 or u == v:
+                raise ValueError(
+                    "1-d mode needs two different dilations, each >= 1; got "
+                    f"u = {u}, v = {v}"
+                )
+            dilation = max(u, v)
             for n in self.path_lengths:
                 check_span(n, self.filter, dilation, f"path length {n}")
             for hurst in self.hursts:
@@ -460,7 +466,13 @@ def _config_from_raw(raw: dict[str, list[str]]) -> ExperimentConfig:
     unknown = set(raw) - set(_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {_KEYS[key][0]: _KEYS[key][1](values) for key, values in raw.items()}
+    kwargs = {}
+    for key, values in raw.items():
+        name, parse, _ = _KEYS[key]
+        try:
+            kwargs[name] = parse(values)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
     config = ExperimentConfig(**kwargs)
     ignored = sorted(key for key in raw if _KEYS[key][2] not in (None, config.mode))
     if ignored:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureFailure, ZeroFrequency
 
@@ -149,6 +148,8 @@ _QUAD_RTOL = 1e-6
 
 def _quad_stable(f, lo, hi, points=None):
     """scipy quad with escalating subdivision budgets; returns (val, err)."""
+    from scipy import integrate  # here: no pipeline or CLI path runs quadrature
+
     last = None
     for limit in _QUAD_LIMITS:
         val, err = integrate.quad(

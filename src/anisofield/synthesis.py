@@ -143,7 +143,8 @@ def fgn_exact(H: float, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need n >= 2 samples")
     amp = _embedding_sqrt(float(H), int(n))
     z = _draw_complex_noise(_rng(seed), amp.shape)
-    spectrum = np.fft.fft(amp * z)[:n]
+    z *= amp  # in place: no temporary of the embedding's size
+    spectrum = np.fft.fft(z)[:n]
     return np.ascontiguousarray(spectrum.real), np.ascontiguousarray(spectrum.imag)
 
 

@@ -457,10 +457,16 @@ workers = 0
             ("mode = 1d\nhurst = 1.5\n", {"mode": "1d", "hursts": (1.5,)}, r"H must lie in \(0, 1\)"),
             ("mode = 1d\nhurst = 0\n", {"mode": "1d", "hursts": (0.0,)}, r"H must lie in \(0, 1\)"),
             ("seed = -1\n", {"seed": -1}, "seed -1 is negative"),
+            ("mode = 1d\nu = 0\n", {"mode": "1d", "dilation_u": 0}, "u = 0, v = 1"),
+            ("mode = 1d\nv = 0\n", {"mode": "1d", "dilation_v": 0}, "u = 2, v = 0"),
+            ("mode = 1d\nu = -1\nv = 2\n", {"mode": "1d", "dilation_u": -1, "dilation_v": 2},
+             "u = -1, v = 2"),
+            ("mode = 1d\nv = 2\n", {"mode": "1d", "dilation_v": 2}, "u = 2, v = 2"),
+            ("mode = 1d\nu = 1\n", {"mode": "1d", "dilation_u": 1}, "u = 1, v = 1"),
         ],
         ids=[
             "grid_24", "grid_2", "empty_nu", "empty_length", "hurst_1.5", "hurst_0",
-            "seed_negative",
+            "seed_negative", "u_0", "v_0", "u_negative", "u_eq_v_2", "u_eq_v_1",
         ],
     )
     def test_rejected_when_built(self, tmp_path, text, fields, message):
@@ -470,6 +476,25 @@ workers = 0
             load_config(f)
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("reps = ten\n", "reps"),
+            ("grid = 6.4e1\n", "grid"),
+            ("nu = 0,one\n", "nu"),
+            ("index = axes:0.7\n", "index"),
+            ("filter = 1,-2,x\n", "filter"),
+            ("mode = 1d\nhurst = 0.5,half\n", "hurst"),
+            ("mode = 1d\nhurst = 0.5\nu = 2.5\n", "u"),
+        ],
+        ids=["reps", "grid", "nu", "index", "filter", "hurst", "u"],
+    )
+    def test_unparsed_value_names_its_key(self, tmp_path, text, key):
+        f = tmp_path / "cfg.txt"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            load_config(f)
 
     @pytest.mark.parametrize("hurst", [1.5, 1e-300])
     def test_bad_hurst_fails_before_any_path(self, monkeypatch, hurst):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -159,3 +162,29 @@ class TestRadonDensity:
         model = AnisotropicIndex(0.7, 0.2)
         with pytest.raises(QuadratureFailure):
             radon_density(model, Window1DMinus.gaussian(0.3), 0.25)
+
+
+def test_import_leaves_quadrature_unloaded():
+    # only radon_density integrates, so only its first call loads
+    # scipy.integrate and what that pulls in; the baseline is what
+    # scipy.special and scipy.fft load by themselves (older scipy.special
+    # brings scipy.linalg and scipy.sparse along)
+    code = """
+import sys
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+import scipy.special, scipy.fft
+base = {m for m in heavy if m in sys.modules}
+import anisofield
+print(",".join(m for m in heavy if m in sys.modules and m not in base))
+val = anisofield.radon_density(
+    anisofield.AnisotropicIndex(0.5, 0.5), anisofield.Window1DMinus.indicator_unit(), 256.0
+)
+print(val, "scipy.integrate" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, line = proc.stdout.splitlines()
+    assert loaded == ""
+    val, integrated = line.split()
+    assert float(val) == pytest.approx(256.0 ** -3, rel=1e-3)
+    assert integrated == "True"
