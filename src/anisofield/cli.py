@@ -30,18 +30,29 @@ from .synthesis import (
 from . import theory
 
 
+def _reject_unread(args, kind: str, *names: str) -> None:
+    """Exit on a simulate flag that the given kind of output does not read."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise SystemExit(f"simulate: --{name} does not apply with {kind}")
+
+
 def _cmd_simulate(args) -> int:
     if (args.index is None) == (args.hurst is None):
         raise SystemExit("simulate: give exactly one of --index or --hurst")
     if args.index is not None:
+        _reject_unread(args, "--index", "length")
+        grid = 512 if args.grid is None else args.grid
         index = parse_index(args.index)
-        field = afb_sra(index, args.grid, args.seed)[0]
+        field = afb_sra(index, grid, args.seed)[0]
         if args.format == "csv":
             field_to_csv(field, args.out)
         else:
             write_field(field, args.out, (index.h_h, index.h_v), args.seed)
     else:
-        path = fbm_path(args.hurst, args.length, args.seed)[0]
+        _reject_unread(args, "--hurst", "grid", "format")
+        length = 4096 if args.length is None else args.length
+        path = fbm_path(args.hurst, length, args.seed)[0]
         write_path_csv(path, args.out, args.hurst, args.seed)
     return 0
 
@@ -144,11 +155,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize a field or a path")
     p.add_argument("--index", help="2-d model, e.g. constant:0.5 or axes:0.7,0.2")
     p.add_argument("--hurst", "--H", type=float, dest="hurst", help="1-d Hurst index")
-    p.add_argument("--grid", "-M", type=int, default=512, help="field grid size")
-    p.add_argument("--length", "-N", type=int, default=4096, help="path step count")
+    p.add_argument("--grid", "-M", type=int, help="field grid size (default 512)")
+    p.add_argument("--length", "-N", type=int, help="path step count (default 4096)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("binary", "csv"), default="binary")
+    p.add_argument(
+        "--format", choices=("binary", "csv"), help="field file (default binary)"
+    )
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("project", help="axis projection of a field file")

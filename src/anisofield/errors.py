@@ -28,7 +28,7 @@ class QuadratureFailure(AnisofieldError):
 # --- random generation ----------------------------------------------------
 
 class EmbeddingNotPSD(AnisofieldError):
-    """Circulant embedding kept negative eigenvalues after doubling."""
+    """The circulant embedding of a covariance has negative eigenvalues."""
 
 
 # --- field files ----------------------------------------------------------

@@ -255,6 +255,16 @@ def _estimate_1d(spec, cell, first, count):
     return out
 
 
+def _check_mode(config: ExperimentConfig, mode: str) -> None:
+    """A runner reads only the keys of its own mode, and its report's
+    header is that mode's: a config of the other mode is an error."""
+    if config.mode != mode:
+        raise ValueError(
+            f"run_eval_{mode} evaluates a {mode} config; this one is "
+            f"{config.mode} (run it with run_eval_{config.mode})"
+        )
+
+
 def _run(config, specs, estimate, unit, rows_of) -> EvalReport:
     """Estimate every replicate of every cell and build the report.
 
@@ -305,6 +315,7 @@ def run_eval_2d(config: ExperimentConfig) -> EvalReport:
     standard deviation per direction plus the same for the difference of
     the two directional estimates.
     """
+    _check_mode(config, "2d")
     if not config.indices:
         raise ValueError("2-d evaluation needs at least one index")
     nus = tuple(sorted(config.nu_levels))
@@ -344,6 +355,7 @@ def run_eval_1d(config: ExperimentConfig) -> EvalReport:
     Also reports N * Var of the estimates next to the theoretical limit
     variance (NaN when the filter order is too low for it to exist).
     """
+    _check_mode(config, "1d")
     if not config.hursts:
         raise ValueError("1-d evaluation needs at least one Hurst value")
     filt = config.filter

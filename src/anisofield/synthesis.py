@@ -8,9 +8,10 @@ representation of the field: complex white noise is shaped by the square
 root of the density on a (2M) x (2M) frequency grid and pushed through one
 inverse-style FFT; the real and the imaginary part, each re-anchored at the
 origin, are two independent fields on the (M+1) x (M+1) unit grid.  The
-evaluation harness reads the real field only through its two axis
-projections, which the same noise gives without the field: two weighted
-reductions and two 1-d FFTs of length 2M.
+real field's two axis projections come from the same noise without the
+field: two weighted reductions and two 1-d FFTs of length 2M.  Both
+outputs read one stream of row blocks of the shaped noise, so neither
+holds the whole (2M) x (2M) draw.
 
 The 1D route yields a pair as well: the real and the imaginary part of its
 transform are two independent exact fGn samples.
@@ -18,10 +19,7 @@ transform are two independent exact fGn samples.
 All generators are pure functions of (parameters, seed).  Seeds go through
 numpy's SeedSequence / PCG64 machinery and a Monte Carlo batch spawns one
 stream per transform, so output never depends on scheduling and is stable
-when the replicate count changes.  The evaluation harness takes a 2D
-replicate i from stream (c, i), using the real field, and a 1D replicate i
-from stream (c, floor(i/2)), using the real path for even i and the
-imaginary path for odd i.
+when the replicate count changes.
 """
 
 from __future__ import annotations
@@ -54,15 +52,14 @@ __all__ = [
     "read_path_csv",
 ]
 
-# Eigenvalues of the embedding below -_CLAMP_REL * max are treated as
-# float noise and clamped; anything more negative triggers a doubling.
+# Eigenvalues of the embedding down to -_CLAMP_REL * max are float noise
+# and clamped to zero; anything more negative raises EmbeddingNotPSD.
 _CLAMP_REL = 1e-8
-_MAX_DOUBLINGS = 2
 
 _NO_SEED = 0xFFFFFFFFFFFFFFFF  # header sentinel for "seed unknown"
 
-# Complex noise values drawn at a time on the projected 2-d route (0.5 MB):
-# whole rows, all 2M of them up to M = 64.
+# Complex noise values drawn and shaped at a time for either 2-d output
+# (0.5 MB): whole rows, all 2M of them up to M = 64.
 _NOISE_BLOCK = 2**15
 
 
@@ -100,26 +97,22 @@ def _embedding_sqrt(H: float, n: int) -> np.ndarray:
     """sqrt(eigenvalues / m) of the circulant embedding for n fGn values.
 
     The first row periodizes the autocovariance over m = 2(n-1) points.
-    fGn embeddings are nonnegative definite in theory; tiny negative
-    eigenvalues are clamped and real failures retried on a doubled grid.
+    This minimal embedding of fGn is nonnegative definite for every H in
+    (0, 1) (Dietrich & Newsam 1997; Craigmile 2003), so the eigenvalues
+    are computed once: negative ones down to -_CLAMP_REL of the largest
+    are rounding and clamped to zero, and anything below raises
+    EmbeddingNotPSD.
     """
-    size = n
-    for _ in range(_MAX_DOUBLINGS + 1):
-        r = fgn_autocovariance(H, np.arange(size))
-        row = np.concatenate([r, r[size - 2 : 0 : -1]])
-        lam = np.fft.fft(row).real
-        top = lam.max()
-        floor = lam.min()
-        if floor >= -_CLAMP_REL * top:
-            lam = np.maximum(lam, 0.0)
-            out = np.sqrt(lam / lam.size)
-            out.flags.writeable = False
-            return out
-        size = 2 * size - 1  # doubles the embedding size 2(size-1)
-    raise EmbeddingNotPSD(
-        f"negative embedding eigenvalues persist for H={H} after "
-        f"{_MAX_DOUBLINGS} doublings"
-    )
+    r = fgn_autocovariance(H, np.arange(n))
+    lam = np.fft.fft(np.concatenate([r, r[n - 2 : 0 : -1]])).real
+    if lam.min() < -_CLAMP_REL * lam.max():
+        raise EmbeddingNotPSD(
+            f"the circulant embedding of {n} fGn values at H={H} has "
+            f"eigenvalue {lam.min():.3g} against a largest of {lam.max():.3g}"
+        )
+    out = np.sqrt(np.maximum(lam, 0.0) / lam.size)
+    out.flags.writeable = False
+    return out
 
 
 def fgn_exact(H: float, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -208,6 +201,24 @@ def _shape_noise(z: np.ndarray, quadrant: np.ndarray, first: int = 0) -> None:
         rows[:, M + 1 :] *= amplitude[:, M - 1 : 0 : -1]
 
 
+def _shaped_noise(rng: np.random.Generator, quadrant: np.ndarray):
+    """Yield ``(first, z)``: the rows first, first+1, ... of the shaped
+    (2M) x (2M) noise, drawn and shaped in blocks of about _NOISE_BLOCK
+    values.
+
+    The rows are the same numbers as one draw of all 2M rows.  The block
+    is dropped before the next one is drawn, and a consumer drops its
+    reference at the end of its loop body, so at most one block is alive.
+    """
+    M = quadrant.shape[0] - 1
+    block = min(max(_NOISE_BLOCK // (2 * M), 1), 2 * M)
+    for first in range(0, 2 * M, block):
+        z = _draw_complex_noise(rng, (block, 2 * M))
+        _shape_noise(z, quadrant, first)
+        yield first, z
+        del z
+
+
 def check_grid(M: int) -> None:
     """Reject a grid size that field synthesis cannot use."""
     if M < 4 or M & (M - 1):
@@ -236,11 +247,10 @@ def _line_sum_weights(M: int) -> np.ndarray:
     return w
 
 
-def _projections_of_spectrum(
-    rng: np.random.Generator, quadrant: np.ndarray
-) -> np.ndarray:
+def _projections_of_spectrum(blocks, M: int) -> np.ndarray:
     """The horizontal and the vertical projection of the real field of
-    :func:`afb_sra`, as a read-only (2, M+1) array, from its noise stream.
+    :func:`afb_sra`, as a read-only (2, M+1) array, from the row blocks of
+    its shaped noise.
 
     Summing the spectral sum over k_2 = 0..M replaces the k_2 transform by
     the weights w, so the horizontal line sums are pi * FFT(z w) for the
@@ -248,24 +258,19 @@ def _projections_of_spectrum(
     subtracts the origin value F_00 = pi Re sum(z) from each of the M + 1
     points of a line, and the projection divides by M.
 
-    The noise is drawn, shaped and reduced in blocks of rows of about
-    _NOISE_BLOCK values: the rows are the same numbers as one draw of all
-    2M rows, and no (2M) x (2M) array is held.  The reductions run through einsum, not a
-    matrix product: a threaded BLAS would compete with the other workers
-    of a run for the CPUs.
+    Each block is reduced as it arrives.  The reductions run through
+    einsum, not a matrix product: a threaded BLAS would compete with the
+    other workers of a run for the CPUs.
     """
-    M = quadrant.shape[0] - 1
     w = _line_sum_weights(M)
-    block = min(max(_NOISE_BLOCK // (2 * M), 1), 2 * M)
     rows = np.empty(2 * M, dtype=complex)
     cols = np.zeros(2 * M, dtype=complex)
     total = 0.0
-    for first in range(0, 2 * M, block):
-        z = _draw_complex_noise(rng, (block, 2 * M))
-        _shape_noise(z, quadrant, first)
-        rows[first : first + block] = np.einsum("ij,j->i", z, w)
-        cols += np.einsum("i,ij->j", w[first : first + block], z)
+    for first, z in blocks:
+        rows[first : first + len(z)] = np.einsum("ij,j->i", z, w)
+        cols += np.einsum("i,ij->j", w[first : first + len(z)], z)
         total += z.real.sum()
+        del z
     sums = sp_fft.fft(np.stack([rows, cols]), axis=1, overwrite_x=True)
     values = (np.pi / M) * sums[:, : M + 1].real - (M + 1) / M * (np.pi * total)
     values.flags.writeable = False
@@ -279,8 +284,10 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     Shapes (2M)^2 complex white-noise draws by the density square root on
     the frequency grid pi * {-M+1..M}^2 and evaluates the discretized
     spectral sum by one 2M x 2M FFT, in O(M^2 log M).  Only the (M+1)^2
-    outputs on the unit grid are needed, so the transform runs along axis
-    1, keeps M+1 columns, then runs along axis 0 and keeps M+1 rows.
+    outputs on the unit grid are needed, so each row block of the shaped
+    noise is transformed along axis 1 and keeps M+1 columns; the axis-0
+    transform then runs once over the (2M) x (M+1) result and keeps M+1
+    rows.
 
     Returns ``(real_field, imag_field)``: the real and the imaginary part
     of the sum as read-only (M+1) x (M+1) arrays, entry (k1, k2) at
@@ -304,11 +311,13 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     check_grid(M)
     # The table first: its temporaries and the noise then do not coexist.
     quadrant = _sra_amplitude(index, int(M))
+    blocks = _shaped_noise(_rng(seed), quadrant)
     if projected:
-        return _projections_of_spectrum(_rng(seed), quadrant)
-    z = _draw_complex_noise(_rng(seed), (2 * M, 2 * M))
-    _shape_noise(z, quadrant)
-    y = sp_fft.fft(z, axis=1, overwrite_x=True)[:, : M + 1]
+        return _projections_of_spectrum(blocks, M)
+    y = np.empty((2 * M, M + 1), dtype=complex)
+    for first, z in blocks:
+        y[first : first + len(z)] = sp_fft.fft(z, axis=1, overwrite_x=True)[:, : M + 1]
+        del z
     y = sp_fft.fft(y, axis=0, overwrite_x=True)[: M + 1]
     y *= np.pi
     return _anchored(y.real), _anchored(y.imag)

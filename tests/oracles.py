@@ -28,6 +28,14 @@ def full_grid_amplitude(model, M):
     return np.sqrt(vals).reshape(2 * M, 2 * M)
 
 
+def shaped_noise_whole(model, M, seed):
+    """The (2M) x (2M) shaped noise behind ``afb_sra``, in FFT order: all
+    values drawn at once and multiplied by the full-grid amplitude."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2 * M, 2 * M, 2)).view(np.complex128)[..., 0]
+    return z * full_grid_amplitude(model, M)
+
+
 def afb_sra_direct(model, M, seed):
     """The discretized spectral sum behind ``afb_sra``, term by term.
 
@@ -35,9 +43,7 @@ def afb_sra_direct(model, M, seed):
     over n1, n2 in -M+1..M is evaluated literally at O(M^4) cost.  Returns
     the (real, imaginary) field values, each anchored at the origin.
     """
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((2 * M, 2 * M, 2)).view(np.complex128)[..., 0]
-    weighted = z * full_grid_amplitude(model, M)
+    weighted = shaped_noise_whole(model, M, seed)
     n = _fft_order_frequencies(M)
     k = np.arange(M + 1)
     phase = np.exp(-2j * np.pi * np.outer(n, k) / (2 * M))

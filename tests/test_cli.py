@@ -95,6 +95,32 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--out", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--hurst", "0.5", "-N", "16", "--format", "binary"], "--format"),
+            (["--hurst", "0.5", "-N", "16", "--grid", "8"], "--grid"),
+            (["--hurst", "0.5", "--format", "csv"], "--format"),
+            (["--index", "constant:0.5", "-M", "8", "-N", "99"], "--length"),
+        ],
+        ids=["hurst_format", "hurst_grid", "hurst_format_csv", "index_length"],
+    )
+    def test_flag_of_the_other_kind_rejected(self, tmp_path, argv, flag):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", *argv, "--out", str(out)])
+        kind = argv[0]
+        assert str(info.value) == f"simulate: {flag} does not apply with {kind}"
+        assert not out.exists()
+
+    def test_defaults_apply_to_their_kind(self, tmp_path):
+        # a binary field at grid 512, a path of 4096 steps
+        field_file, path_file = tmp_path / "f.afb", tmp_path / "p.csv"
+        assert main(["simulate", "--index", "constant:0.5", "--out", str(field_file)]) == 0
+        assert main(["simulate", "--hurst", "0.5", "--out", str(path_file)]) == 0
+        assert read_field(field_file)[0].shape == (513, 513)
+        assert read_path_csv(path_file)[0].size == 4097
+
 
 class TestProject:
     def test_matches_library(self, tmp_path):

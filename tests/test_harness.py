@@ -356,6 +356,20 @@ class TestEmitTable:
 
 
 class TestConfig:
+    @pytest.mark.parametrize(
+        "run, config",
+        [
+            (run_eval_2d, lambda: _cfg_1d(indices=(AnisotropicIndex(0.7, 0.2),))),
+            (run_eval_1d, lambda: _cfg_2d(hursts=(0.5,))),
+        ],
+        ids=["2d_runner_1d_config", "1d_runner_2d_config"],
+    )
+    def test_runner_rejects_config_of_the_other_mode(self, run, config):
+        # else the report's rows would go out under the other mode's header
+        with pytest.raises(ValueError) as info:
+            run(config())
+        assert "1d" in str(info.value) and "2d" in str(info.value)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(reps=1)

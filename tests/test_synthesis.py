@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from anisofield import (
     write_path_csv,
 )
 from anisofield import synthesis
-from oracles import afb_sra_direct, full_grid_amplitude
+from oracles import afb_sra_direct, full_grid_amplitude, shaped_noise_whole
 
 # fGn lag-1 autocovariance at H=0.7: (2^1.4 - 2)/2
 R1_H07 = 0.3195079107728942
@@ -110,6 +111,19 @@ class TestFgn:
         finally:
             synth_mod._embedding_sqrt.cache_clear()
 
+    @pytest.mark.parametrize("n", [2, 3, 33, 4097, 16384])
+    def test_minimal_embedding_nonnegative_for_every_H(self, n):
+        # the minimal embedding of fGn is nonnegative definite on (0, 1),
+        # so it is built once and never raises for a true fGn covariance
+        grid = np.concatenate([
+            [1e-6, 1e-4, 1e-3],
+            np.linspace(0.01, 0.99, 99),
+            1.0 - np.logspace(-3, -9, 7),
+        ])
+        for H in grid:
+            amp = synthesis._embedding_sqrt.__wrapped__(float(H), n)
+            assert amp.size == 2 * (n - 1) and np.all(np.isfinite(amp))
+
 
 class TestFbm:
     def test_starts_at_zero(self):
@@ -183,6 +197,33 @@ class TestSra:
             for first in range(0, 2 * M, block):
                 synthesis._shape_noise(shaped[first : first + block], quadrant, first)
             assert shaped.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("M", [128, 256])
+    def test_row_blocks_match_one_whole_draw(self, aniso_model, M):
+        # several noise blocks per field from M = 128 on: the field is the
+        # pruned 2M x 2M FFT of all (2M)^2 values drawn and shaped at once
+        for seed in range(2):
+            y = np.pi * np.fft.fft2(shaped_noise_whole(aniso_model, M, seed))
+            y = y[: M + 1, : M + 1]
+            for field, part in zip(afb_sra(aniso_model, M, seed), (y.real, y.imag)):
+                expected = part - part[0, 0]
+                scale = np.abs(expected).max()
+                assert np.abs(field - expected).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "M, projected, bound", [(256, False, 1.0), (512, False, 1.0), (512, True, 0.1)]
+    )
+    def test_peak_memory_below_one_whole_draw(self, aniso_model, M, projected, bound):
+        # peak traced allocation in units of one (2M)^2 complex array;
+        # the amplitude table is cached by a first call
+        afb_sra(aniso_model, M, 0, projected=projected)
+        tracemalloc.start()
+        try:
+            afb_sra(aniso_model, M, 1, projected=projected)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * (2 * M) ** 2) < bound
 
     def test_pair_law(self, aniso_model):
         # The real and imaginary parts of one transform are independent
