@@ -18,7 +18,6 @@ from .errors import (
     PathTooShort,
     QuadratureFailure,
     TooManyFailures,
-    WindowOutOfSupport,
     ZeroFrequency,
     ZeroVariation,
 )
@@ -53,7 +52,6 @@ from .synthesis import (
 )
 from .projection import DIRECTIONS, project_axis
 from .estimator import (
-    PairEstimate,
     axis_projections,
     check_level,
     estimate_H,

@@ -42,12 +42,6 @@ class MalformedPathFile(AnisofieldError, ValueError):
     whose value does not parse."""
 
 
-# --- projections ----------------------------------------------------------
-
-class WindowOutOfSupport(AnisofieldError):
-    """Projection window support exceeds the grid footprint."""
-
-
 # --- estimators -----------------------------------------------------------
 
 class PathTooShort(AnisofieldError):

@@ -11,7 +11,6 @@ estimate subtracts that offset.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .filters import DiscreteFilter, apply_filter, binomial_filter
 from .projection import DIRECTIONS, project_axis
 
 __all__ = [
-    "PairEstimate",
     "quad_variation",
     "estimate_H",
     "log_ratio_at_level",
@@ -186,15 +184,6 @@ def estimate_projection(
     return r - 0.5, t1, t2
 
 
-class PairEstimate(NamedTuple):
-    """Estimates for both axes and their difference: floats for one
-    field, arrays over the replicates for a block of projections."""
-
-    h_h: float | np.ndarray
-    h_v: float | np.ndarray
-    difference: float | np.ndarray
-
-
 def axis_projections(field: np.ndarray) -> np.ndarray:
     """The horizontal and the vertical projection of a field, as the rows
     of a (2, M+1) array."""
@@ -205,19 +194,16 @@ def estimate_pair(
     projections: np.ndarray,
     nus: tuple[int, ...] = (0,),
     a: DiscreteFilter | None = None,
-) -> tuple[PairEstimate, ...]:
-    """Both directional indices and their difference at each level in nus.
+) -> np.ndarray:
+    """Both directional indices at each level in nus.
 
     ``projections`` has shape (..., 2, M+1): its last two axes are what
-    ``axis_projections`` returns for one field.  Each level is estimated
-    on all projections at once with the dilations u = 2, v = 1; a single
-    pair gives floats, and a block gives arrays of its leading shape,
-    equal bit for bit to the floats of its fields one at a time.
+    ``axis_projections`` returns for one field.  Returns an array of shape
+    (..., len(nus), 2) whose entry [..., i, 0] is h_h and [..., i, 1] is
+    h_v at level nus[i].  Each level is estimated on all projections at
+    once with the dilations u = 2, v = 1, and a block gives, bit for bit,
+    the estimates of its fields one at a time.
     """
     if a is None:
         a = binomial_filter(2)
-    out = []
-    for nu in nus:
-        h_h, h_v = np.moveaxis(estimate_projection(projections, nu, a)[0], -1, 0)
-        out.append(PairEstimate(h_h, h_v, h_h - h_v))
-    return tuple(out)
+    return np.stack([estimate_projection(projections, nu, a)[0] for nu in nus], axis=-2)

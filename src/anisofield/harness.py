@@ -95,6 +95,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("1d", "2d"):
             raise ValueError(f"mode must be '1d' or '2d', got {self.mode!r}")
+        for key, name in (("index", "indices"), ("hurst", "hursts"),
+                          ("length", "path_lengths"), ("nu", "nu_levels")):
+            values = getattr(self, name)
+            repeated = [x for i, x in enumerate(values) if x in values[:i]]
+            if repeated:
+                raise ValueError(f"config key {key} ({name}) lists {repeated[0]} twice")
         if self.reps < 2:
             raise ValueError("need at least two replicates")
         if self.seed < 0:
@@ -233,8 +239,7 @@ def _estimate_2d(spec, cell, first, count):
     for i in range(count):
         stream = derived_stream(seed, cell, first + i)
         projections[i] = afb_sra(index, grid, stream, projected=True)
-    pairs = estimate_pair(projections, nus, DiscreteFilter(coeffs))
-    return [[(float(p.h_h[i]), float(p.h_v[i])) for p in pairs] for i in range(count)]
+    return estimate_pair(projections, nus, DiscreteFilter(coeffs)).tolist()
 
 
 def _estimate_1d(spec, cell, first, count):

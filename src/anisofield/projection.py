@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import WindowOutOfSupport
 from .spectral import Window1DMinus
 
 __all__ = ["DIRECTIONS", "project_axis"]
@@ -56,9 +55,8 @@ def project_axis(
     divide the grid size M (default m_sub = M).  Without a window the
     lines are summed unweighted, so a constant field c projects to
     c * (m_sub + 1) / m_sub; the unit indicator window gives the same sum
-    bit for bit.  Windows with compact support must fit inside the grid
-    footprint [0, 1]; the Gaussian profile is evaluated on [0, 1] only,
-    i.e. truncated.
+    bit for bit.  The Gaussian profile is evaluated on [0, 1] only, i.e.
+    truncated.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
@@ -74,11 +72,6 @@ def project_axis(
         raise ValueError("m_sub must divide the grid size")
     weights = None
     if window is not None:
-        sup = window.support
-        if sup is not None and (sup[0] < 0.0 or sup[1] > 1.0):
-            raise WindowOutOfSupport(
-                f"window support {sup} exceeds the grid footprint [0, 1]"
-            )
         weights = np.asarray(window(np.arange(m_sub + 1) / m_sub), dtype=float)
     grid = field if direction == "horizontal" else field.T
     values = _accumulate_columns(grid, M // m_sub, weights) / m_sub

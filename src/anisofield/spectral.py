@@ -11,6 +11,7 @@ directional index recoverable from projections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,24 +85,25 @@ def density(index: AnisotropicIndex, xi):
 class Window1DMinus:
     """Scalar window on the projection hyperplane coordinate.
 
-    Two profiles: an indicator (default support [0, 1]) and a Gaussian
-    bump ``exp(-(x - center)^2 / (2 sigma^2))``, which is rapidly
+    Two profiles: the indicator of the grid footprint [0, 1] and a
+    Gaussian bump ``exp(-(x - center)^2 / (2 sigma^2))``, which is rapidly
     decreasing and has no compact support.
     """
 
     profile: str  # "indicator" | "gaussian"
     sigma: float = 0.0
     center: float = 0.0
-    lo: float = 0.0
-    hi: float = 1.0
 
     def __post_init__(self):
         if self.profile == "indicator":
-            if not self.hi > self.lo:
-                raise ValueError("indicator window needs hi > lo")
+            if (self.sigma, self.center) != (0.0, 0.0):
+                raise ValueError("the indicator window takes no sigma or center")
         elif self.profile == "gaussian":
-            if self.sigma <= 0.0:
-                raise ValueError("gaussian window needs sigma > 0")
+            if not (0.0 < self.sigma < math.inf and math.isfinite(self.center)):
+                raise ValueError(
+                    "gaussian window needs a finite sigma > 0 and a finite center, "
+                    f"got sigma {self.sigma}, center {self.center}"
+                )
         else:
             raise ValueError(f"unknown window profile {self.profile!r}")
 
@@ -110,31 +112,20 @@ class Window1DMinus:
         return cls("indicator")
 
     @classmethod
-    def indicator(cls, lo: float, hi: float) -> "Window1DMinus":
-        return cls("indicator", lo=lo, hi=hi)
-
-    @classmethod
     def gaussian(cls, sigma: float, center: float = 0.0) -> "Window1DMinus":
         return cls("gaussian", sigma=sigma, center=center)
-
-    @property
-    def support(self):
-        """Compact support as (lo, hi), or None for the Gaussian profile."""
-        if self.profile == "indicator":
-            return (self.lo, self.hi)
-        return None
 
     @property
     def integral(self) -> float:
         """Integral over the real line, used for normalization."""
         if self.profile == "indicator":
-            return self.hi - self.lo
+            return 1.0
         return self.sigma * _SQRT_TWO_PI
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.profile == "indicator":
-            out = np.where((x >= self.lo) & (x <= self.hi), 1.0, 0.0)
+            out = np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
         else:
             z = (x - self.center) / self.sigma
             out = np.exp(-0.5 * z * z)
@@ -181,9 +172,8 @@ def radon_density(index: AnisotropicIndex, window_sq: Window1DMinus, p: float) -
     # The axis-pair exponent switches at |gamma| = |p|; hand that point and
     # the window landmarks to the subdivision.
     kinks = [-abs(p), abs(p)]
-    sup = window_sq.support
-    if sup is not None:
-        lo, hi = sup
+    if window_sq.profile == "indicator":
+        lo, hi = 0.0, 1.0
     else:
         # The Gaussian profile underflows to exact float zero well inside
         # 40 sigma, so nothing is lost by stopping there.
@@ -221,17 +211,17 @@ def parse_index(text: str) -> AnisotropicIndex:
 
 def parse_window(text: str) -> Window1DMinus:
     """Parse window syntax ``indicator`` or ``gaussian:SIGMA[,CENTER]``."""
-    kind, _, rest = text.partition(":")
+    kind, colon, rest = text.partition(":")
     kind = kind.strip().lower()
     if kind == "indicator":
+        if colon:
+            raise ValueError(f"bad window spec {text!r}: indicator takes no arguments")
         return Window1DMinus.indicator_unit()
     if kind == "gaussian":
         try:
             values = [float(tok) for tok in rest.split(",") if tok.strip()]
+            if len(values) in (1, 2):
+                return Window1DMinus.gaussian(*values)
         except ValueError as exc:
-            raise ValueError(f"bad window spec {text!r}") from exc
-        if len(values) == 1:
-            return Window1DMinus.gaussian(values[0])
-        if len(values) == 2:
-            return Window1DMinus.gaussian(values[0], center=values[1])
+            raise ValueError(f"bad window spec {text!r}: {exc}") from exc
     raise ValueError(f"bad window spec {text!r}")

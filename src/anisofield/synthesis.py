@@ -69,8 +69,6 @@ def derived_stream(base_seed: int, *key: int) -> np.random.SeedSequence:
 
 
 def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
     if isinstance(seed, int) and seed < 0:
         raise ValueError(f"seed {seed} is negative; a seed is an integer >= 0")
     return np.random.default_rng(seed)

@@ -149,10 +149,6 @@ class AsymptoticConstants:
     C_vv: float
     C_uv: float
     gamma: float
-    H: float
-    u: int
-    v: int
-    filter: DiscreteFilter
 
 
 def asymptotic_constants(
@@ -185,8 +181,4 @@ def asymptotic_constants(
         C_vv=c_vv,
         C_uv=c_uv,
         gamma=max(gamma, 0.0),
-        H=float(H),
-        u=int(u),
-        v=int(v),
-        filter=a,
     )

@@ -153,6 +153,19 @@ class TestProject:
         np.testing.assert_array_equal(vals, expected)
         assert not np.array_equal(vals, project_axis(field, "horizontal"))
 
+    @pytest.mark.parametrize("spec", ["gaussian:nan", "gaussian:0.2,inf", "indicator:0.2,0.8"])
+    def test_bad_window_rejected(self, tmp_path, capsys, spec):
+        field_file = tmp_path / "f.afb"
+        main(["simulate", "--index", "constant:0.5", "-M", "16", "--seed", "5",
+              "--out", str(field_file)])
+        out = tmp_path / "proj.csv"
+        rc = main(["project", "--field", str(field_file), "--direction", "horizontal",
+                   "--window", spec, "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"anisofield: bad window spec '{spec}'")
+        assert err.count("\n") == 1
+
     def test_reads_back_as_a_path(self, tmp_path):
         field_file = tmp_path / "f.afb"
         main(["simulate", "--index", "axes:0.7,0.2", "-M", "16", "--seed", "5",

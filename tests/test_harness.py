@@ -170,7 +170,8 @@ class TestRun2D:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(harness, "_block", _slow_failing_block)
-        cfg = _cfg_2d(indices=(AnisotropicIndex(0.5, 0.5),) * 4, reps=32, workers=2)
+        indices = tuple(AnisotropicIndex(h, h) for h in (0.2, 0.4, 0.5, 0.7))
+        cfg = _cfg_2d(indices=indices, reps=32, workers=2)
         with pytest.raises(TooManyFailures, match="first: boom"):
             run_eval_2d(cfg)
         assert len(futures) == 4 * 16
@@ -193,8 +194,8 @@ class TestRun2D:
         ]
         assert len(report.rows) == 2
         for pos, row in enumerate(report.rows):
-            hh = np.array([pairs[pos].h_h for pairs in per_rep])
-            hv = np.array([pairs[pos].h_v for pairs in per_rep])
+            hh = np.array([pairs[pos, 0] for pairs in per_rep])
+            hv = np.array([pairs[pos, 1] for pairs in per_rep])
             assert row.bias_h == float(hh.mean() - 0.7)
             assert row.bias_v == float(hv.mean() - 0.2)
         assert report.rows != run_eval_2d(_cfg_2d()).rows
@@ -477,10 +478,20 @@ workers = 0
              "u = -1, v = 2"),
             ("mode = 1d\nv = 2\n", {"mode": "1d", "dilation_v": 2}, "u = 2, v = 2"),
             ("mode = 1d\nu = 1\n", {"mode": "1d", "dilation_u": 1}, "u = 1, v = 1"),
+            ("nu = 0,1,1\n", {"nu_levels": (0, 1, 1)}, r"key nu \(nu_levels\) lists 1 twice"),
+            ("mode = 1d\nhurst = 0.5, 0.5\n", {"mode": "1d", "hursts": (0.5, 0.5)},
+             r"key hurst \(hursts\) lists 0.5 twice"),
+            ("mode = 1d\nhurst = 0.5\nlength = 256,512\nlength = 256\n",
+             {"mode": "1d", "hursts": (0.5,), "path_lengths": (256, 512, 256)},
+             r"key length \(path_lengths\) lists 256 twice"),
+            ("index = constant:0.5\nindex = axes:0.5,0.5\n",
+             {"indices": (AnisotropicIndex(0.5, 0.5),) * 2},
+             r"key index \(indices\) lists AnisotropicIndex\(h_h=0.5, h_v=0.5\) twice"),
         ],
         ids=[
             "grid_24", "grid_2", "empty_nu", "empty_length", "hurst_1.5", "hurst_0",
             "seed_negative", "u_0", "v_0", "u_negative", "u_eq_v_2", "u_eq_v_1",
+            "nu_repeated", "hurst_repeated", "length_repeated", "index_repeated",
         ],
     )
     def test_rejected_when_built(self, tmp_path, text, fields, message):
