@@ -34,13 +34,19 @@ _REL_TOL = 1e-9
 def infer_order(coeffs) -> int:
     """Return the smallest K >= 1 with a non-vanishing K-th moment.
 
-    Raises OrderZero when the coefficients do not sum to zero (order 0 is
-    not a valid variation filter) and AllMomentsVanish when every moment
-    up to r = l is below tolerance.
+    Raises ValueError at a NaN or infinite coefficient, OrderZero when the
+    coefficients do not sum to zero (order 0 is not a valid variation
+    filter) and AllMomentsVanish when every moment up to r = l is below
+    tolerance.
     """
     a = np.asarray(coeffs, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("coefficients must be a non-empty 1-d sequence")
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(
+            f"filter coefficient {bad[0]} is {a[bad[0]]}, not a finite number"
+        )
     l = a.size - 1
     scale = float(np.abs(a).max())
     if scale == 0.0:

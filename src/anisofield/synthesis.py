@@ -16,6 +16,10 @@ holds the whole (2M) x (2M) draw.
 The 1D route yields a pair as well: the real and the imaginary part of its
 transform are two independent exact fGn samples.
 
+Every transform is numpy's FFT (``numpy.fft``, 2.0 or newer), run in place
+through its ``out`` argument: the 1D noise is drawn, shaped and transformed
+in one array, and so is each 2D row block.
+
 All generators are pure functions of (parameters, seed).  Seeds go through
 numpy's SeedSequence / PCG64 machinery and a Monte Carlo batch spawns one
 stream per transform, so output never depends on scheduling and is stable
@@ -28,7 +32,6 @@ import struct
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import (
     EmbeddingNotPSD,
@@ -75,8 +78,15 @@ def _rng(seed) -> np.random.Generator:
 
 
 def _draw_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """I.i.d. complex normals of the given shape, unit variance per component."""
-    return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+    """I.i.d. complex normals of the given shape, unit variance per component,
+    in one contiguous array that a transform can overwrite.
+
+    The normals fill the real and imaginary parts in storage order, so the
+    values are those of ``rng.standard_normal((*shape, 2))`` read as complex.
+    """
+    z = np.empty(shape, dtype=np.complex128)
+    rng.standard_normal(out=z.view(np.float64))
+    return z
 
 
 def fgn_autocovariance(H: float, lags) -> np.ndarray:
@@ -113,6 +123,26 @@ def _embedding_sqrt(H: float, n: int) -> np.ndarray:
     return out
 
 
+def _fgn_transform(H: float, n: int, seed) -> np.ndarray:
+    """The first n values of the transform whose real and imaginary parts
+    are the two samples of :func:`fgn_exact`, as a view of the whole
+    transform.
+
+    The noise is drawn, shaped and transformed in one array, and callers
+    read the parts as views of it: a pair of paths allocates one array of
+    the embedding's size.
+    """
+    if not 0.0 < H < 1.0:
+        raise ValueError("H must lie in (0, 1)")
+    if n < 2:
+        raise ValueError("need n >= 2 samples")
+    amp = _embedding_sqrt(float(H), int(n))
+    z = _draw_complex_noise(_rng(seed), amp.shape)
+    z *= amp
+    np.fft.fft(z, out=z)
+    return z[:n]
+
+
 def fgn_exact(H: float, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Two independent exact samples of n stationary fractional Gaussian
     noise increments, ``(real, imag)``, from one transform.
@@ -128,15 +158,8 @@ def fgn_exact(H: float, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     cross-covariance vanishes.  Jointly Gaussian and uncorrelated, the two
     parts are independent.
     """
-    if not 0.0 < H < 1.0:
-        raise ValueError("H must lie in (0, 1)")
-    if n < 2:
-        raise ValueError("need n >= 2 samples")
-    amp = _embedding_sqrt(float(H), int(n))
-    z = _draw_complex_noise(_rng(seed), amp.shape)
-    z *= amp  # in place: no temporary of the embedding's size
-    spectrum = np.fft.fft(z)[:n]
-    return np.ascontiguousarray(spectrum.real), np.ascontiguousarray(spectrum.imag)
+    y = _fgn_transform(H, n, seed)
+    return np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag)
 
 
 def _fbm_from_fgn(fgn: np.ndarray, H: float) -> np.ndarray:
@@ -157,8 +180,8 @@ def fbm_path(H: float, N: int, seed) -> tuple[np.ndarray, np.ndarray]:
     Cumulative sums of exact fGn scaled by N^{-H}, so Var X(k/N) = (k/N)^2H
     holds in law exactly.
     """
-    real, imag = fgn_exact(H, N, seed)
-    return _fbm_from_fgn(real, H), _fbm_from_fgn(imag, H)
+    y = _fgn_transform(H, N, seed)
+    return _fbm_from_fgn(y.real, H), _fbm_from_fgn(y.imag, H)
 
 
 @lru_cache(maxsize=1)
@@ -269,7 +292,8 @@ def _projections_of_spectrum(blocks, M: int) -> np.ndarray:
         cols += np.einsum("i,ij->j", w[first : first + len(z)], z)
         total += z.real.sum()
         del z
-    sums = sp_fft.fft(np.stack([rows, cols]), axis=1, overwrite_x=True)
+    sums = np.stack([rows, cols])
+    np.fft.fft(sums, axis=1, out=sums)
     values = (np.pi / M) * sums[:, : M + 1].real - (M + 1) / M * (np.pi * total)
     values.flags.writeable = False
     return values
@@ -285,7 +309,9 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     outputs on the unit grid are needed, so each row block of the shaped
     noise is transformed along axis 1 and keeps M+1 columns; the axis-0
     transform then runs once over the (2M) x (M+1) result and keeps M+1
-    rows.
+    rows.  Both transforms run in place, and the (2M) x (M+1) buffer is
+    allocated once the first block is shaped, so at M <= 64, where one
+    block holds every row, it does not sit beside the shaping temporaries.
 
     Returns ``(real_field, imag_field)``: the real and the imaginary part
     of the sum as read-only (M+1) x (M+1) arrays, entry (k1, k2) at
@@ -312,11 +338,15 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     blocks = _shaped_noise(_rng(seed), quadrant)
     if projected:
         return _projections_of_spectrum(blocks, M)
-    y = np.empty((2 * M, M + 1), dtype=complex)
+    y = None
     for first, z in blocks:
-        y[first : first + len(z)] = sp_fft.fft(z, axis=1, overwrite_x=True)[:, : M + 1]
+        if y is None:  # after the first block's shaping temporaries are gone
+            y = np.empty((2 * M, M + 1), dtype=complex)
+        np.fft.fft(z, axis=1, out=z)
+        y[first : first + len(z)] = z[:, : M + 1]
         del z
-    y = sp_fft.fft(y, axis=0, overwrite_x=True)[: M + 1]
+    np.fft.fft(y, axis=0, out=y)
+    y = y[: M + 1]
     y *= np.pi
     return _anchored(y.real), _anchored(y.imag)
 

@@ -360,6 +360,12 @@ class TestTheoryCommand:
         assert e_u == pytest.approx(2 * 4 * math.pi, rel=1e-8)
         assert gamma == pytest.approx(7 / (8 * math.log(2) ** 2), rel=1e-8)
 
+    def test_non_finite_filter_named(self, capsys):
+        # not reported as a degenerate filter
+        assert main(["theory", "--hurst", "0.5", "--filter", "1,nan,1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "anisofield: filter coefficient 1 is nan, not a finite number\n"
+
     @pytest.mark.parametrize("H", ["1.6", "0.999999999"])
     def test_hard_h(self, capsys, H):
         # near K - 1/4, and next to an integer H

@@ -49,6 +49,19 @@ class TestInferOrder:
         with pytest.raises(ValueError):
             infer_order(())
 
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ((1.0, float("nan"), 1.0), "coefficient 1 is nan"),
+            ((1.0, -2.0, float("inf")), "coefficient 2 is inf"),
+            ((-float("inf"), 2.0, -1.0), "coefficient 0 is -inf"),
+        ],
+    )
+    def test_non_finite_rejected(self, coeffs, message):
+        # named as non-finite, not reported as a degenerate filter
+        with pytest.raises(ValueError, match=f"^filter {message}, not a finite number$"):
+            DiscreteFilter(coeffs)
+
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_binomial_orders(self, order):
         assert binomial_filter(order).order == order

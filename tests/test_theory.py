@@ -219,6 +219,15 @@ class TestCConst:
         with pytest.raises(OrderTooLow):
             theory.C_const(A1, 2, 1, 0.8)  # needs K > H + 1/4
 
+    @pytest.mark.parametrize("q", [5.0, 9.0, 13.0, 17.0, 33.0])
+    def test_hurwitz_zeta_oracle(self, q):
+        # the tail's Euler-Maclaurin zeta against scipy's, at cutoffs
+        # P + 1 of 2- to 5-tap filters, down to the exponents next to 1
+        # that H just below K - 1/4 gives
+        s = np.concatenate([np.linspace(1.01, 3.5, 60), np.linspace(3.5, 100.0, 400)])
+        rel = theory._hurwitz_zeta(s, q) / zeta(s, q) - 1.0
+        assert np.abs(rel).max() <= 2e-15
+
     @pytest.mark.parametrize(
         "a, H",
         [(A2, 1.31), (A2, 1.45), (A2, 1.6), (A3, 1.5), (A3, 2.2), (A1, 0.52)],
