@@ -52,7 +52,6 @@ from .synthesis import (
 )
 from .projection import DIRECTIONS, project_axis
 from .estimator import (
-    axis_projections,
     check_level,
     estimate_H,
     estimate_pair,

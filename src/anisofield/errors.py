@@ -22,7 +22,7 @@ class ZeroFrequency(AnisofieldError):
 
 
 class QuadratureFailure(AnisofieldError):
-    """Adaptive quadrature stalled above the requested tolerance."""
+    """The 16- and 32-point rules disagree above the requested tolerance."""
 
 
 # --- random generation ----------------------------------------------------

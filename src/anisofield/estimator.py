@@ -22,7 +22,7 @@ from .errors import (
     ZeroVariation,
 )
 from .filters import DiscreteFilter, apply_filter, binomial_filter
-from .projection import DIRECTIONS, project_axis
+from .projection import project_axis  # perfbench/spans.py wraps this name by getattr
 
 __all__ = [
     "quad_variation",
@@ -31,7 +31,6 @@ __all__ = [
     "check_level",
     "check_span",
     "estimate_projection",
-    "axis_projections",
     "estimate_pair",
 ]
 
@@ -184,12 +183,6 @@ def estimate_projection(
     return r - 0.5, t1, t2
 
 
-def axis_projections(field: np.ndarray) -> np.ndarray:
-    """The horizontal and the vertical projection of a field, as the rows
-    of a (2, M+1) array."""
-    return np.stack([project_axis(field, d) for d in DIRECTIONS])
-
-
 def estimate_pair(
     projections: np.ndarray,
     nus: tuple[int, ...] = (0,),
@@ -197,8 +190,9 @@ def estimate_pair(
 ) -> np.ndarray:
     """Both directional indices at each level in nus.
 
-    ``projections`` has shape (..., 2, M+1): its last two axes are what
-    ``axis_projections`` returns for one field.  Returns an array of shape
+    ``projections`` has shape (..., 2, M+1): its last two axes hold the
+    horizontal and the vertical ``project_axis`` of one field, as rows in
+    the order of ``DIRECTIONS``.  Returns an array of shape
     (..., len(nus), 2) whose entry [..., i, 0] is h_h and [..., i, 1] is
     h_v at level nus[i].  Each level is estimated on all projections at
     once with the dilations u = 2, v = 1, and a block gives, bit for bit,

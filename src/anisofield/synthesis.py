@@ -327,10 +327,11 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     estimator is invariant under global scaling.
 
     With ``projected=True`` the same noise gives the read-only (2, M+1)
-    array that ``axis_projections`` makes of the real field, computed by
-    two weighted reductions of the shaped noise and two 2M-point FFTs,
-    with no field built.  It agrees with that pipeline to rounding (about
-    1e-15 of the largest value), not bit for bit.
+    array whose rows are the real field's horizontal and vertical
+    ``project_axis``, computed by two weighted reductions of the shaped
+    noise and two 2M-point FFTs, with no field built.  It agrees with
+    those projections to rounding (about 1e-15 of the largest value), not
+    bit for bit.
     """
     check_grid(M)
     # The table first: its temporaries and the noise then do not coexist.

@@ -1,9 +1,13 @@
 """Slow, literal reference evaluations that the fast library paths are
 checked against.  Not collected as tests (no ``test_`` prefix)."""
 
-import numpy as np
+import math
 
-from anisofield import density
+import numpy as np
+from scipy import integrate
+from scipy.special import beta, betainc
+
+from anisofield import DIRECTIONS, density, project_axis
 
 
 def _fft_order_frequencies(M):
@@ -49,3 +53,58 @@ def afb_sra_direct(model, M, seed):
     phase = np.exp(-2j * np.pi * np.outer(n, k) / (2 * M))
     y = np.pi * np.einsum("ab,ak,bl->kl", weighted, phase, phase)
     return tuple(part - part[0, 0] for part in (y.real, y.imag))
+
+
+def axis_projections(field):
+    """The horizontal and the vertical projection of a field, as the rows
+    of a (2, M+1) array: what ``afb_sra(..., projected=True)`` computes
+    without the field."""
+    return np.stack([project_axis(field, d) for d in DIRECTIONS])
+
+
+def _incomplete_beta(x, a, b):
+    """B(x; a, b), the unregularized incomplete beta function."""
+    return betainc(a, b, x) * beta(a, b)
+
+
+def radon_indicator_exact(index, p):
+    """``radon_density`` with the indicator window, in closed form.
+
+    Substituting gamma = |p| tan(phi) turns each branch of the integrand
+    into |p|^(-2h-1) cos^(2h)(phi), whose integral is an incomplete beta:
+    h_v below the switch at gamma = |p| (phi = pi/4), h_h from there to
+    gamma = 1 when |p| < 1.
+    """
+    p = abs(p)
+    h_h, h_v = index.h_h, index.h_v
+    total = p ** (-2 * h_v - 1) * 0.5 * _incomplete_beta(
+        min(0.5, 1 / (1 + p * p)), 0.5, h_v + 0.5
+    )
+    if p < 1:
+        total += p ** (-2 * h_h - 1) * 0.5 * (
+            _incomplete_beta(0.5, h_h + 0.5, 0.5)
+            - _incomplete_beta(p * p / (1 + p * p), h_h + 0.5, 0.5)
+        )
+    return total
+
+
+def radon_gaussian_quad(index, sigma, center, p):
+    """``radon_density`` with a Gaussian window, by adaptive quadrature:
+    scipy's ``quad`` on each piece between the window ends
+    (center +- 40 sigma), +-|p| 2^k and center + sigma {-8, ..., 8}."""
+    a = abs(p)
+    lo, hi = center - 40 * sigma, center + 40 * sigma
+    graded = a * 2.0 ** np.arange(math.ceil(math.log2(max(-lo, hi) / a)) + 2)
+    marks = center + sigma * np.arange(-8.0, 9.0)
+    cuts = np.unique(np.clip(np.concatenate([[lo, hi], -graded, graded, marks]), lo, hi))
+
+    def integrand(gamma):
+        h = index.h_v if abs(gamma) < a else index.h_h
+        z = (gamma - center) / sigma
+        return (gamma * gamma + a * a) ** -(h + 1) * math.exp(-0.5 * z * z)
+
+    total = sum(
+        integrate.quad(integrand, x0, x1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for x0, x1 in zip(cuts[:-1], cuts[1:])
+    )
+    return total / (sigma * math.sqrt(2 * math.pi))

@@ -17,7 +17,6 @@ from anisofield import (
     Window1DMinus,
     afb_sra,
     apply_filter,
-    axis_projections,
     binomial_filter,
     derived_stream,
     emit_table,
@@ -30,7 +29,7 @@ from anisofield import (
     run_eval_2d,
 )
 from anisofield import theory
-from oracles import afb_sra_direct
+from oracles import afb_sra_direct, axis_projections
 
 SEED = 20260810
 A2 = binomial_filter(2)

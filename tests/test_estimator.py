@@ -14,7 +14,6 @@ from anisofield import (
     PathTooShort,
     ZeroVariation,
     afb_sra,
-    axis_projections,
     binomial_filter,
     check_level,
     derived_stream,
@@ -27,6 +26,7 @@ from anisofield import (
     quad_variation,
 )
 from anisofield import theory
+from oracles import axis_projections
 
 A2 = binomial_filter(2)
 

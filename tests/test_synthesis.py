@@ -9,7 +9,6 @@ from anisofield import (
     MalformedFieldFile,
     MalformedPathFile,
     afb_sra,
-    axis_projections,
     derived_stream,
     fbm_path,
     fgn_autocovariance,
@@ -22,7 +21,7 @@ from anisofield import (
     write_path_csv,
 )
 from anisofield import synthesis
-from oracles import afb_sra_direct, full_grid_amplitude, shaped_noise_whole
+from oracles import afb_sra_direct, axis_projections, full_grid_amplitude, shaped_noise_whole
 
 # fGn lag-1 autocovariance at H=0.7: (2^1.4 - 2)/2
 R1_H07 = 0.3195079107728942
