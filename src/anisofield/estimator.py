@@ -121,13 +121,15 @@ def log_ratio_at_level(
     return _log(v_u / v_v) / (2.0 * math.log(u / v)), v_v, v_u
 
 
-def estimate_H(path: np.ndarray, a: DiscreteFilter, u: int, v: int) -> float:
+def estimate_H(path: np.ndarray, a: DiscreteFilter, u: int, v: int):
     """Log-ratio estimate of the Hölder exponent of a 1-d sampled process
     from its values X(k/N), k = 0..N.
 
     Returns log(V_u / V_v) / (2 log(u / v)); consistent when the filter
     order exceeds the true exponent.  Invariant under path scaling since
-    the ratio cancels amplitude.
+    the ratio cancels amplitude.  ``path`` may also be an array of paths
+    along its last axis, which gives an array of the leading shape, each
+    entry equal bit for bit to the float its path gives alone.
     """
     return log_ratio_at_level(path, 0, a, u, v)[0]
 

@@ -25,15 +25,19 @@ cell, and the rows of a cell's estimates; the driver ``_run`` does the
 rest.  A task is a contiguous block of replicates of one cell, about eight
 per worker and cell; a 1-d block holds whole pairs.  A 2-d task keeps only
 the two axis projections of each replicate and estimates every level of
-the whole block in one call, bit for bit as one replicate at a time; a 1-d
-task synthesizes each pair of paths once.  Every task follows one failure
-policy: a block that raises is redone one replicate at a time, so only the
-replicates at fault fail (both replicates of a 1-d pair when its synthesis
-fails).  A cell with more than 1% of its replicates failed stops the run.
-A run opens one process pool and queues every cell's tasks on it at once;
-results are collected in cell and replicate order, so parallelism cannot
-change output.  Each worker caches the amplitude table of the latest
-cell only (a 2 MB quadrant at M = 512).
+the whole block in one call, bit for bit as one replicate at a time.  A
+1-d task walks its pairs in chunks whose noise holds about ``_NOISE_BLOCK``
+complex values (4 pairs at N = 4096, 64 at N = 256): one ``fbm_path`` call
+synthesizes a chunk's pairs and one ``estimate_H`` call estimates its
+stacked paths, again bit for bit as one pair and one path at a time.
+Every task follows one failure policy: a block that raises is redone one
+replicate at a time, so only the replicates at fault fail (both
+replicates of a 1-d pair when its synthesis fails).  A cell with more
+than 1% of its replicates failed stops the run.  A run opens one process
+pool and queues every cell's tasks on it at once; results are collected
+in cell and replicate order, so parallelism cannot change output.  Each
+worker caches the amplitude table of the latest cell only (a 2 MB
+quadrant at M = 512).
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .errors import AnisofieldError, OrderTooLow, TooManyFailures
 from .estimator import check_level, check_span, estimate_H, estimate_pair
 from .filters import DiscreteFilter, parse_filter
 from .spectral import AnisotropicIndex, parse_index
-from .synthesis import afb_sra, check_grid, derived_stream, fbm_path
+from .synthesis import _NOISE_BLOCK, afb_sra, check_grid, derived_stream, fbm_path
 from . import theory
 
 __all__ = [
@@ -247,16 +251,20 @@ def _estimate_1d(spec, cell, first, count):
 
     Replicates 2j and 2j+1 are the real and the imaginary path of the
     transform of stream (cell, j); a path outside the block is not
-    estimated.
+    estimated.  The block's pairs are synthesized and estimated in chunks
+    of stacked paths, each chunk's noise about _NOISE_BLOCK values.
     """
     hurst, n_steps, coeffs, u, v, seed = spec
     filt = DiscreteFilter(coeffs)
     end = first + count
+    step = 2 * max(1, _NOISE_BLOCK // (2 * (n_steps - 1)))  # replicates per chunk
     out = []
-    for pair in range(first // 2, (end + 1) // 2):
-        paths = fbm_path(hurst, n_steps, derived_stream(seed, cell, pair))
-        for rep in range(max(first, 2 * pair), min(2 * pair + 2, end)):
-            out.append(estimate_H(paths[rep % 2], filt, u, v))
+    for lo in range(first - first % 2, end, step):
+        hi = min(lo + step, end)
+        pairs = range(lo // 2, (hi + 1) // 2)
+        streams = [derived_stream(seed, cell, pair) for pair in pairs]
+        paths = fbm_path(hurst, n_steps, streams).reshape(-1, n_steps + 1)
+        out += estimate_H(paths[max(first, lo) - lo : hi - lo], filt, u, v).tolist()
     return out
 
 
@@ -381,7 +389,7 @@ def run_eval_1d(config: ExperimentConfig) -> EvalReport:
 
     # Before any path is drawn: a Hurst value without finite constants
     # fails here rather than after its cell has run.
-    gammas = [gamma(hurst) for hurst, _ in cells]
+    gammas = {hurst: gamma(hurst) for hurst in config.hursts}
 
     def rows_of(cell, est):
         hurst, n_steps = cells[cell]
@@ -392,7 +400,7 @@ def run_eval_1d(config: ExperimentConfig) -> EvalReport:
                 bias=float(est.mean() - hurst),
                 sigma=float(est.std(ddof=1)),
                 n_var=float(n_steps * est.var(ddof=1)),
-                gamma=gammas[cell],
+                gamma=gammas[hurst],
             )
         ]
 

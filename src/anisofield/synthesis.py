@@ -14,11 +14,13 @@ outputs read one stream of row blocks of the shaped noise, so neither
 holds the whole (2M) x (2M) draw.
 
 The 1D route yields a pair as well: the real and the imaginary part of its
-transform are two independent exact fGn samples.
+transform are two independent exact fGn samples.  It also takes a batch of
+seeds: each seed's noise is one row of one array, and the rows are shaped,
+transformed and summed together, each bit for bit as its seed alone.
 
 Every transform is numpy's FFT (``numpy.fft``, 2.0 or newer), run in place
-through its ``out`` argument: the 1D noise is drawn, shaped and transformed
-in one array, and so is each 2D row block.
+through its ``out`` argument: a 1D batch's noise is drawn, shaped and
+transformed in one array, and so is each 2D row block.
 
 All generators are pure functions of (parameters, seed).  Seeds go through
 numpy's SeedSequence / PCG64 machinery and a Monte Carlo batch spawns one
@@ -28,6 +30,7 @@ when the replicate count changes.
 
 from __future__ import annotations
 
+import operator
 import struct
 from functools import lru_cache
 
@@ -123,24 +126,33 @@ def _embedding_sqrt(H: float, n: int) -> np.ndarray:
     return out
 
 
-def _fgn_transform(H: float, n: int, seed) -> np.ndarray:
-    """The first n values of the transform whose real and imaginary parts
-    are the two samples of :func:`fgn_exact`, as a view of the whole
-    transform.
+def _fgn_transforms(H: float, n: int, seeds: list) -> np.ndarray:
+    """The first n values of the transforms whose real and imaginary parts
+    are the two samples of :func:`fgn_exact`, one row per seed, as a view
+    of the whole (len(seeds), m) array.
 
-    The noise is drawn, shaped and transformed in one array, and callers
-    read the parts as views of it: a pair of paths allocates one array of
-    the embedding's size.
+    The noise of each seed is drawn into its own row, and the rows are
+    shaped by one multiply and transformed by one FFT along the rows, in
+    place: a row equals the transform of its seed alone bit for bit, and
+    a batch allocates one array of its embeddings' size.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n = {n!r} samples is not an integer") from None
     if not 0.0 < H < 1.0:
         raise ValueError("H must lie in (0, 1)")
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    amp = _embedding_sqrt(float(H), int(n))
-    z = _draw_complex_noise(_rng(seed), amp.shape)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    amp = _embedding_sqrt(float(H), n)
+    z = np.empty((len(seeds), amp.size), dtype=np.complex128)
+    for row, seed in zip(z, seeds):
+        _rng(seed).standard_normal(out=row.view(np.float64))
     z *= amp
-    np.fft.fft(z, out=z)
-    return z[:n]
+    np.fft.fft(z, axis=1, out=z)
+    return z[:, :n]
 
 
 def fgn_exact(H: float, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -158,30 +170,36 @@ def fgn_exact(H: float, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     cross-covariance vanishes.  Jointly Gaussian and uncorrelated, the two
     parts are independent.
     """
-    y = _fgn_transform(H, n, seed)
+    y = _fgn_transforms(H, n, [seed])[0]
     return np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag)
 
 
-def _fbm_from_fgn(fgn: np.ndarray, H: float) -> np.ndarray:
-    N = fgn.size
-    values = np.empty(N + 1)
-    values[0] = 0.0
-    np.cumsum(fgn, out=values[1:])
-    values[1:] *= float(N) ** (-H)
-    values.flags.writeable = False
-    return values
-
-
-def fbm_path(H: float, N: int, seed) -> tuple[np.ndarray, np.ndarray]:
+def fbm_path(H: float, N: int, seed):
     """Two independent fractional Brownian motions sampled at k/N,
     k = 0..N, with X(0) = 0: the paths of the real and of the imaginary
     fGn sample of :func:`fgn_exact`, as read-only arrays of N + 1 values.
 
     Cumulative sums of exact fGn scaled by N^{-H}, so Var X(k/N) = (k/N)^2H
     holds in law exactly.
+
+    ``seed`` may also be a list of SeedSequences (see
+    :func:`derived_stream`), a batch: then the result is one read-only
+    (len(seed), 2, N + 1) array whose entry j holds, bit for bit, the two
+    paths of ``fbm_path(H, N, seed[j])``.  The batch's transforms run as
+    one, which is the cheaper route to many pairs.
     """
-    y = _fgn_transform(H, N, seed)
-    return _fbm_from_fgn(y.real, H), _fbm_from_fgn(y.imag, H)
+    batch = isinstance(seed, list) and all(
+        isinstance(s, np.random.SeedSequence) for s in seed
+    )
+    y = _fgn_transforms(H, N, seed if batch else [seed])
+    values = np.empty((len(y), 2, y.shape[1] + 1))
+    values[:, :, 0] = 0.0
+    # one sequential sum per part, as for each path alone
+    np.cumsum(y.real, axis=1, out=values[:, 0, 1:])
+    np.cumsum(y.imag, axis=1, out=values[:, 1, 1:])
+    values[:, :, 1:] *= float(N) ** (-H)
+    values.flags.writeable = False
+    return values if batch else tuple(values[0])
 
 
 @lru_cache(maxsize=1)

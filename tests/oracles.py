@@ -7,7 +7,15 @@ import numpy as np
 from scipy import integrate
 from scipy.special import beta, betainc
 
-from anisofield import DIRECTIONS, density, project_axis
+from anisofield import (
+    DIRECTIONS,
+    DiscreteFilter,
+    density,
+    derived_stream,
+    estimate_H,
+    fbm_path,
+    project_axis,
+)
 
 
 def _fft_order_frequencies(M):
@@ -60,6 +68,21 @@ def axis_projections(field):
     of a (2, M+1) array: what ``afb_sra(..., projected=True)`` computes
     without the field."""
     return np.stack([project_axis(field, d) for d in DIRECTIONS])
+
+
+def estimate_1d_per_pair(spec, cell, first, count):
+    """What ``harness._estimate_1d`` returns for replicates first ..
+    first+count-1, one pair and one path at a time: each pair from its own
+    ``fbm_path`` call and each path of the block estimated on its own."""
+    hurst, n_steps, coeffs, u, v, seed = spec
+    filt = DiscreteFilter(coeffs)
+    end = first + count
+    out = []
+    for pair in range(first // 2, (end + 1) // 2):
+        paths = fbm_path(hurst, n_steps, derived_stream(seed, cell, pair))
+        for rep in range(max(first, 2 * pair), min(2 * pair + 2, end)):
+            out.append(estimate_H(paths[rep % 2], filt, u, v))
+    return out
 
 
 def _incomplete_beta(x, a, b):

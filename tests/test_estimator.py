@@ -81,6 +81,13 @@ class TestEstimateH:
         # other factors round per element; the log-ratio still cancels them
         assert estimate_H(3 * vals, A2, 2, 1) == pytest.approx(base, abs=1e-12)
 
+    def test_stack_matches_paths_one_at_a_time(self):
+        paths = fbm_path(0.3, 256, [derived_stream(13, i) for i in range(5)])
+        paths = paths.reshape(-1, 257)
+        got = estimate_H(paths, A2, 2, 1)
+        assert got.shape == (10,)
+        assert got.tolist() == [estimate_H(path, A2, 2, 1) for path in paths]
+
     def test_zero_variation_on_line(self):
         t = np.arange(65) / 64
         with pytest.raises(ZeroVariation):

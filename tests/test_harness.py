@@ -27,6 +27,7 @@ from anisofield import (
     run_eval_2d,
 )
 from anisofield import harness
+from oracles import estimate_1d_per_pair
 
 
 def _slow_failing_block(task):
@@ -276,12 +277,27 @@ class TestRun1D:
         assert seen == expected[:5]
 
     def test_byte_identical_report_across_workers(self, tmp_path):
-        blobs = []
-        for workers in (1, 2):
-            out = tmp_path / f"w{workers}.csv"
-            emit_table(run_eval_1d(_cfg_1d(reps=9, workers=workers)), out)
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1]
+        # At N = 4096 a chunk holds 4 pairs: with 81 replicates one worker
+        # runs blocks of 10 replicates, which cross a chunk, and two run
+        # blocks of 4.
+        for kw in (dict(reps=9), dict(reps=81, path_lengths=(4096,))):
+            blobs = []
+            for workers in (1, 2):
+                out = tmp_path / f"w{workers}.csv"
+                emit_table(run_eval_1d(_cfg_1d(workers=workers, **kw)), out)
+                blobs.append(out.read_bytes())
+            assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize(
+        ("first", "count"),
+        [(0, 1), (1, 1), (0, 8), (0, 9), (1, 8), (3, 10), (7, 2), (5, 13)],
+    )
+    def test_chunks_match_pair_loop(self, first, count):
+        # chunks of 4 pairs at N = 4096; blocks that start or end mid-pair
+        # and cross chunk boundaries
+        spec = (0.7, 4096, (1.0, -2.0, 1.0), 2, 1, 5)
+        got = harness._estimate_1d(spec, 3, first, count)
+        assert got == estimate_1d_per_pair(spec, 3, first, count)
 
     def test_synthesis_failure_fails_both_replicates(self, monkeypatch):
         def broken(H, N, seed):
@@ -295,10 +311,10 @@ class TestRun1D:
         assert out[1][1].startswith("cell 3 rep 9: ")
 
     def test_estimate_failure_fails_one_replicate(self, monkeypatch):
-        def imag_fails(path, a, u, v):
-            if path[-1] == imag_end:
+        def imag_fails(paths, a, u, v):
+            if np.any(paths[:, -1] == imag_end):
                 raise ZeroVariation("boom")
-            return 0.5
+            return np.full(len(paths), 0.5)
 
         task = (harness._estimate_1d, (0.5, 64, (1.0, -2.0, 1.0), 2, 1, 5), 3, 8, 2)
         imag_end = fbm_path(0.5, 64, derived_stream(5, 3, 4))[1][-1]
@@ -315,15 +331,15 @@ class TestRun1D:
         hurst_of_pair = []
         real_fbm = harness.fbm_path
 
-        def recording(H, N, seed):
+        def recording(H, N, seeds):
             hurst_of_pair[:] = [H]
-            return real_fbm(H, N, seed)
+            return real_fbm(H, N, seeds)
 
-        def flaky(path, a, u, v):
+        def flaky(paths, a, u, v):
             calls.append(hurst_of_pair[0])
             if len(calls) == 1 or hurst_of_pair[0] == 0.7:
                 raise ZeroVariation("boom")
-            return 0.5
+            return np.full(len(paths), 0.5)
 
         monkeypatch.setattr(harness, "fbm_path", recording)
         monkeypatch.setattr(harness, "estimate_H", flaky)

@@ -62,11 +62,14 @@ class TestFgn:
         # Both parts are linear in the noise; pushing each unit noise
         # component through gives their covariances exactly.
         m = synthesis._embedding_sqrt(H, n).size
-        units = np.eye(2 * m).reshape(-1, m, 2).view(np.complex128)[..., 0]
+        units = np.eye(2 * m)  # real and imaginary parts in storage order
         noise = iter(units)
-        monkeypatch.setattr(
-            synthesis, "_draw_complex_noise", lambda rng, shape: next(noise).copy()
-        )
+
+        class UnitNoise:
+            def standard_normal(self, out):
+                out[:] = next(noise)
+
+        monkeypatch.setattr(synthesis, "_rng", lambda seed: UnitNoise())
         maps = np.array([fgn_exact(H, n, 0) for _ in units])
         re, im = maps[:, 0], maps[:, 1]
         k = np.arange(n)
@@ -92,6 +95,22 @@ class TestFgn:
             fgn_exact(1.0, 100, 0)
         with pytest.raises(ValueError):
             fgn_exact(0.5, 1, 0)
+
+    @pytest.mark.parametrize(
+        ("synthesize", "n", "seed", "message"),
+        [
+            (fbm_path, 64.5, 1, "n = 64.5 samples is not an integer"),
+            (fgn_exact, 64.5, 1, "n = 64.5 samples is not an integer"),
+            (fbm_path, 64, [], "need at least one seed"),
+        ],
+        ids=["fbm-length", "fgn-length", "empty-batch"],
+    )
+    def test_rejected_before_any_work(self, monkeypatch, synthesize, n, seed, message):
+        built = []
+        monkeypatch.setattr(synthesis, "_embedding_sqrt", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synthesize(0.5, n, seed)
+        assert built == []
 
     def test_non_psd_covariance_rejected(self, monkeypatch):
         # a covariance the embedding cannot make nonnegative definite
@@ -128,6 +147,28 @@ class TestFbm:
     def test_starts_at_zero(self):
         for path in fbm_path(0.7, 128, 5):
             assert path[0] == 0.0
+
+    @pytest.mark.parametrize(
+        ("N", "k"),
+        [(2, 1), (2, 3), (3, 5), (255, 64), (255, 65), (4096, 3), (4096, 4), (4096, 5)],
+    )
+    def test_batch_rows_equal_single_pairs(self, N, k):
+        # bit for bit, with batches on both sides of the harness's chunk of
+        # _NOISE_BLOCK // (2(N - 1)) pairs: 64 at N = 255, 4 at N = 4096
+        streams = [derived_stream(4, N, j) for j in range(k)]
+        batch = fbm_path(0.7, N, streams)
+        assert batch.shape == (k, 2, N + 1) and not batch.flags.writeable
+        for j, stream in enumerate(streams):
+            real, imag = fbm_path(0.7, N, stream)
+            assert not real.flags.writeable and not imag.flags.writeable
+            assert batch[j, 0].tobytes() == real.tobytes()
+            assert batch[j, 1].tobytes() == imag.tobytes()
+
+    def test_list_of_ints_is_one_seed(self):
+        # numpy reads a list of ints as one seed's entropy, and so does
+        # fbm_path: only a list of SeedSequences is a batch
+        real, imag = fbm_path(0.5, 16, [1, 2])
+        assert real.tobytes() == fbm_path(0.5, 16, np.random.SeedSequence([1, 2]))[0].tobytes()
 
     def test_unit_time_variance(self):
         vals = np.array(
