@@ -125,12 +125,7 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    overrides = {
-        "seed": args.seed,
-        "reps": args.reps,
-        "out": args.out,
-        "workers": args.workers,
-    }
+    overrides = {key: getattr(args, key) for key in ("seed", "reps", "out", "workers")}
     config = load_config(args.config, overrides)
     report = (run_eval_2d if config.mode == "2d" else run_eval_1d)(config)
     out = config.out or "eval_report.csv"

@@ -200,6 +200,6 @@ def estimate_pair(
     once with the dilations u = 2, v = 1, and a block gives, bit for bit,
     the estimates of its fields one at a time.
     """
-    if a is None:
-        a = binomial_filter(2)
+    if len(nus) == 0:
+        raise ValueError("estimate_pair needs at least one level nu")
     return np.stack([estimate_projection(projections, nu, a)[0] for nu in nus], axis=-2)

@@ -36,8 +36,8 @@ replicates of a 1-d pair when its synthesis fails).  A cell with more
 than 1% of its replicates failed stops the run.  A run opens one process
 pool and queues every cell's tasks on it at once; results are collected
 in cell and replicate order, so parallelism cannot change output.  Each
-worker caches the amplitude table of the latest cell only (a 2 MB
-quadrant at M = 512).
+worker caches the amplitude table of the latest cell only (the 4 MB
+table in FFT column order at M = 512).
 """
 
 from __future__ import annotations
@@ -56,7 +56,9 @@ from .errors import AnisofieldError, OrderTooLow, TooManyFailures
 from .estimator import check_level, check_span, estimate_H, estimate_pair
 from .filters import DiscreteFilter, parse_filter
 from .spectral import AnisotropicIndex, parse_index
-from .synthesis import _NOISE_BLOCK, afb_sra, check_grid, derived_stream, fbm_path
+from .synthesis import (
+    _NOISE_BLOCK, _integer, afb_sra, check_grid, derived_stream, fbm_path,
+)
 from . import theory
 
 __all__ = [
@@ -105,6 +107,10 @@ class ExperimentConfig:
             repeated = [x for i, x in enumerate(values) if x in values[:i]]
             if repeated:
                 raise ValueError(f"config key {key} ({name}) lists {repeated[0]} twice")
+        for name in ("grid_size", "reps", "seed", "workers"):
+            value = getattr(self, name)
+            if value is not None or name != "workers":  # no workers: one per CPU
+                setattr(self, name, _integer(value, f"{name} = {value!r}"))
         if self.reps < 2:
             raise ValueError("need at least two replicates")
         if self.seed < 0:
@@ -373,9 +379,7 @@ def run_eval_1d(config: ExperimentConfig) -> EvalReport:
         raise ValueError("1-d evaluation needs at least one Hurst value")
     filt = config.filter
     u, v = config.dilation_u, config.dilation_v
-    cells = [
-        (hurst, n) for hurst in config.hursts for n in config.path_lengths
-    ]
+    cells = [(hurst, n) for hurst in config.hursts for n in config.path_lengths]
     specs = [
         (hurst, n_steps, config.filter_coeffs, u, v, config.seed)
         for hurst, n_steps in cells

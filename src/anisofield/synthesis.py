@@ -74,6 +74,15 @@ def derived_stream(base_seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(base_seed, spawn_key=tuple(key))
 
 
+def _integer(value, label: str) -> int:
+    """``value`` as an int; a ValueError that starts with ``label`` if it
+    is not an integer (a float, even an integral one, is not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{label} is not an integer") from None
+
+
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, int) and seed < 0:
         raise ValueError(f"seed {seed} is negative; a seed is an integer >= 0")
@@ -136,10 +145,7 @@ def _fgn_transforms(H: float, n: int, seeds: list) -> np.ndarray:
     place: a row equals the transform of its seed alone bit for bit, and
     a batch allocates one array of its embeddings' size.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n = {n!r} samples is not an integer") from None
+    n = _integer(n, f"n = {n!r} samples")
     if not 0.0 < H < 1.0:
         raise ValueError("H must lie in (0, 1)")
     if n < 2:
@@ -204,43 +210,44 @@ def fbm_path(H: float, N: int, seed):
 
 @lru_cache(maxsize=1)
 def _sra_amplitude(index: AnisotropicIndex, M: int) -> np.ndarray:
-    """Square root of the density on the frequency quadrant pi * {0..M}^2,
-    zero at the origin.
+    """Square root of the density at the frequencies pi * (n_1, n_2),
+    n_1 = 0..M and n_2 in FFT storage order, as a read-only (M+1) x (2M)
+    table, zero at the origin.
 
-    The density depends on |xi_1| and |xi_2| only, so the quadrant holds
-    every amplitude of the (2M) x (2M) frequency grid pi * {-M+1..M}^2:
-    frequency (n_1, n_2) takes entry (|n_1|, |n_2|) (see _shape_noise).
-    Only the latest table is kept: runs synthesize one cell at a time, and
-    at M = 512 a table takes 2 MB.
+    The density depends on |xi_1| and |xi_2| only.  So the density is
+    evaluated on the quadrant n_1, n_2 = 0..M, and column M + j (frequency
+    n_2 = -M + j, j = 1..M-1) is the quadrant's column M - j, appended once
+    when the table is built.  Frequency (n_1, n_2) then takes row |n_1| of
+    the table (see _shape_noise).  Only the latest table is kept: runs
+    synthesize one cell at a time, and at M = 512 a table takes 4 MB.
     """
     xi = np.pi * np.arange(M + 1, dtype=float)
     pts = np.stack(np.broadcast_arrays(xi[:, None], xi[None, :]), axis=-1)
     quadrant = np.zeros((M + 1, M + 1))
     quadrant.flat[1:] = density(index, pts.reshape(-1, 2)[1:])
     np.sqrt(quadrant, out=quadrant)
-    quadrant.flags.writeable = False
-    return quadrant
+    table = np.concatenate([quadrant, quadrant[:, M - 1 : 0 : -1]], axis=1)
+    table.flags.writeable = False
+    return table
 
 
-def _shape_noise(z: np.ndarray, quadrant: np.ndarray, first: int = 0) -> None:
+def _shape_noise(z: np.ndarray, table: np.ndarray, first: int = 0) -> None:
     """Multiply rows first, first+1, ... of the (2M) x (2M) noise, held in
     z, in place by the amplitude of each frequency, in FFT storage order.
 
-    Rows and columns 0..M hold the frequencies 0..M and take the
-    quadrant's rows and columns as they are; rows and columns M+1..2M-1
-    hold -M+1..-1 and take the quadrant's M-1..1 mirrored.  The products
-    are those of a multiply by the full (2M) x (2M) table.
+    Rows 0..M hold the frequencies 0..M and take the table's rows as they
+    are; rows M+1..2M-1 hold -M+1..-1 and take its rows M-1..1, reversed.
+    Each is one multiply of whole rows by the (M+1) x (2M) table of
+    _sra_amplitude, whose columns are already in FFT order, and the
+    products are those of a multiply by the full (2M) x (2M) table.
     """
-    M = quadrant.shape[0] - 1
+    M = len(table) - 1
     split = min(max(M + 1 - first, 0), len(z))  # rows of z that are in 0..M
-    head = quadrant[first : first + split]
-    tail = quadrant[2 * M - first - split : 2 * M - first - len(z) : -1]
-    for rows, amplitude in ((z[:split], head), (z[split:], tail)):
-        rows[:, : M + 1] *= amplitude
-        rows[:, M + 1 :] *= amplitude[:, M - 1 : 0 : -1]
+    z[:split] *= table[first : first + split]
+    z[split:] *= table[2 * M - first - split : 2 * M - first - len(z) : -1]
 
 
-def _shaped_noise(rng: np.random.Generator, quadrant: np.ndarray):
+def _shaped_noise(rng: np.random.Generator, table: np.ndarray):
     """Yield ``(first, z)``: the rows first, first+1, ... of the shaped
     (2M) x (2M) noise, drawn and shaped in blocks of about _NOISE_BLOCK
     values.
@@ -249,17 +256,18 @@ def _shaped_noise(rng: np.random.Generator, quadrant: np.ndarray):
     is dropped before the next one is drawn, and a consumer drops its
     reference at the end of its loop body, so at most one block is alive.
     """
-    M = quadrant.shape[0] - 1
+    M = len(table) - 1
     block = min(max(_NOISE_BLOCK // (2 * M), 1), 2 * M)
     for first in range(0, 2 * M, block):
         z = _draw_complex_noise(rng, (block, 2 * M))
-        _shape_noise(z, quadrant, first)
+        _shape_noise(z, table, first)
         yield first, z
         del z
 
 
 def check_grid(M: int) -> None:
     """Reject a grid size that field synthesis cannot use."""
+    M = _integer(M, f"grid size M = {M!r}")
     if M < 4 or M & (M - 1):
         raise ValueError("grid size must be a power of two >= 4")
 
@@ -327,9 +335,12 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     outputs on the unit grid are needed, so each row block of the shaped
     noise is transformed along axis 1 and keeps M+1 columns; the axis-0
     transform then runs once over the (2M) x (M+1) result and keeps M+1
-    rows.  Both transforms run in place, and the (2M) x (M+1) buffer is
-    allocated once the first block is shaped, so at M <= 64, where one
-    block holds every row, it does not sit beside the shaping temporaries.
+    rows.  Both transforms run in place.  Each block is shaped by two
+    multiplies of whole rows by the cached amplitude table, which holds
+    the column mirror already (see _sra_amplitude).  The (2M) x (M+1)
+    buffer is allocated once the first block is shaped, so at M <= 64,
+    where one block holds every row, it does not sit beside the shaping's
+    cast buffer.
 
     Returns ``(real_field, imag_field)``: the real and the imaginary part
     of the sum as read-only (M+1) x (M+1) arrays, entry (k1, k2) at
@@ -353,13 +364,13 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     """
     check_grid(M)
     # The table first: its temporaries and the noise then do not coexist.
-    quadrant = _sra_amplitude(index, int(M))
-    blocks = _shaped_noise(_rng(seed), quadrant)
+    table = _sra_amplitude(index, int(M))
+    blocks = _shaped_noise(_rng(seed), table)
     if projected:
         return _projections_of_spectrum(blocks, M)
     y = None
     for first, z in blocks:
-        if y is None:  # after the first block's shaping temporaries are gone
+        if y is None:  # after the first block's shaping cast buffer is gone
             y = np.empty((2 * M, M + 1), dtype=complex)
         np.fft.fft(z, axis=1, out=z)
         y[first : first + len(z)] = z[:, : M + 1]

@@ -270,6 +270,10 @@ class TestEstimatePair:
         with pytest.raises(GridTooCoarse):
             estimate_pair(axis_projections(sra_field), (0, 6))
 
+    def test_empty_level_list_rejected(self, sra_field):
+        with pytest.raises(ValueError, match="at least one level nu"):
+            estimate_pair(axis_projections(sra_field), ())
+
     @pytest.mark.parametrize("order", [2, 3])
     def test_block_matches_fields(self, order):
         # a block of projection pairs, with any leading shape, gives at

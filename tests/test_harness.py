@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import pathlib
+import re
 import time
 
 import numpy as np
@@ -386,6 +387,21 @@ class TestConfig:
         with pytest.raises(ValueError) as info:
             run(config())
         assert "1d" in str(info.value) and "2d" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("grid_size", 16.0), ("reps", 2.5), ("seed", 1.0), ("workers", 1.5)],
+    )
+    def test_non_integer_count_named(self, monkeypatch, field, value):
+        # rejected when the config is built, naming the field and the
+        # value, before any replicate runs
+        monkeypatch.setattr(harness, "_map_cells", lambda *args: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=f"^{field} = {re.escape(repr(value))} is not"):
+            run_eval_2d(_cfg_2d(**{field: value}))
+
+    def test_integer_like_counts_become_ints(self):
+        cfg = _cfg_2d(grid_size=np.int64(32), reps=np.int64(4), seed=np.uint64(5))
+        assert [type(x) for x in (cfg.grid_size, cfg.reps, cfg.seed)] == [int] * 3
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -231,19 +231,21 @@ class TestSra:
         "index", [AnisotropicIndex(0.3, 0.3), AnisotropicIndex(0.7, 0.2)]
     )
     def test_mirrored_amplitude_table(self, index, M):
-        # shaping by the mirrored quadrant multiplies every noise term by
-        # its full-grid amplitude, bit for bit
+        # the table holds the full grid's rows 0..M in FFT column order,
+        # and shaping by it multiplies every noise term by its full-grid
+        # amplitude, bit for bit
         full = full_grid_amplitude(index, M)
-        quadrant = synthesis._sra_amplitude(index, M)
-        assert quadrant.shape == (M + 1, M + 1)
-        assert np.array_equal(quadrant, full[: M + 1, : M + 1])
+        table = synthesis._sra_amplitude(index, M)
+        assert table.shape == (M + 1, 2 * M)
+        assert not table.flags.writeable
+        assert np.array_equal(table, full[: M + 1])
         z = synthesis._draw_complex_noise(np.random.default_rng(M), (2 * M, 2 * M))
         expected = z * full
         # blocks of 3 rows straddle row M, where the mirroring starts
         for block in (3, 2 * M):
             shaped = z.copy()
             for first in range(0, 2 * M, block):
-                synthesis._shape_noise(shaped[first : first + block], quadrant, first)
+                synthesis._shape_noise(shaped[first : first + block], table, first)
             assert shaped.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("M", [128, 256])
@@ -260,13 +262,21 @@ class TestSra:
 
     @pytest.mark.parametrize(
         "M, projected, bound",
-        [(64, False, 1.8), (256, False, 1.0), (512, False, 1.0), (512, True, 0.1)],
+        [
+            (64, False, 1.6),
+            (128, False, 1.2),
+            (256, False, 1.0),
+            (512, False, 1.0),
+            (64, True, 1.6),
+            (512, True, 0.1),
+        ],
     )
     def test_peak_memory_below_one_whole_draw(self, aniso_model, M, projected, bound):
         # peak traced allocation in units of one (2M)^2 complex array;
         # the amplitude table is cached by a first call.  At M = 64 one
         # block holds the whole draw, and the bound leaves room for its
-        # shaping temporaries but not for the output buffer beside them.
+        # shaping cast buffer but not for the output buffer beside it, nor
+        # for the temporaries of a per-block column mirror of the table.
         afb_sra(aniso_model, M, 0, projected=projected)
         tracemalloc.start()
         try:
@@ -321,6 +331,11 @@ class TestSra:
         with pytest.raises(ValueError):
             afb_sra(aniso_model, 2, 0)
 
+    def test_non_integer_grid_named(self, aniso_model):
+        # a float grid size, even an integral one, fails before any work
+        with pytest.raises(ValueError, match=r"^grid size M = 64\.0 is not an integer$"):
+            afb_sra(aniso_model, 64.0, 0)
+
     def test_gaussianity(self):
         # Standardize by the pooled moments (per-field standardization
         # biases the kurtosis badly under spatial correlation), then use
@@ -369,7 +384,7 @@ class TestProjectedSra:
         values = afb_sra(aniso_model, 8, 1, projected=True)
         assert not values.flags.writeable
 
-    @pytest.mark.parametrize("M", [2, 12])
+    @pytest.mark.parametrize("M", [2, 12, 64.0])
     def test_grid_validation(self, aniso_model, M):
         with pytest.raises(ValueError) as expected:
             synthesis.check_grid(M)
