@@ -43,7 +43,6 @@ from .synthesis import (
     derived_stream,
     fbm_path,
     fgn_autocovariance,
-    fgn_exact,
     field_to_csv,
     read_field,
     read_path_csv,

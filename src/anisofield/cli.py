@@ -8,8 +8,6 @@ analysis output is CSV.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import sys
 
 from .errors import AnisofieldError
@@ -19,6 +17,7 @@ from .harness import emit_table, load_config, run_eval_1d, run_eval_2d
 from .projection import DIRECTIONS, project_axis
 from .spectral import parse_index, parse_window
 from .synthesis import (
+    _write_csv,
     afb_sra,
     fbm_path,
     field_to_csv,
@@ -69,26 +68,8 @@ def _is_field_file(path: str) -> bool:
         return fh.read(4) == b"AFB1"
 
 
-def _write_csv(out, header, rows) -> None:
-    """Write the header and the rows as CSV to the file out, or to stdout."""
-    target = open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout)
-    with target as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _row(seed, h_true, label, nu, estimate, v1, v2) -> list:
-    return [
-        seed if seed is not None else "",
-        "" if h_true is None else repr(float(h_true)),
-        label,
-        nu,
-        repr(estimate),
-        repr(v1),
-        repr(v2),
-        int(not 0.0 < estimate < 1.0),
-    ]
+    return [seed, h_true, label, nu, estimate, v1, v2, int(not 0.0 < estimate < 1.0)]
 
 
 def _cmd_estimate(args) -> int:
@@ -116,11 +97,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_theory(args) -> int:
     filt = parse_filter(args.filter)
     bundle = theory.asymptotic_constants(filt, args.u, args.v, args.hurst)
-    values = (
-        bundle.E_u, bundle.E_v, bundle.C_uu, bundle.C_uv, bundle.C_vv, bundle.gamma
-    )
     header = ["E_u", "E_v", "C_uu", "C_uv", "C_vv", "gamma"]
-    _write_csv(args.out, header, [[repr(x) for x in values]])
+    _write_csv(args.out, header, [[getattr(bundle, name) for name in header]])
     return 0
 
 

@@ -34,16 +34,15 @@ Every task follows one failure policy: a block that raises is redone one
 replicate at a time, so only the replicates at fault fail (both
 replicates of a 1-d pair when its synthesis fails).  A cell with more
 than 1% of its replicates failed stops the run.  A run opens one process
-pool and queues every cell's tasks on it at once; results are collected
-in cell and replicate order, so parallelism cannot change output.  Each
-worker caches the amplitude table of the latest cell only (the 4 MB
-table in FFT column order at M = 512).
+pool, of at most one process per CPU, and queues every cell's tasks on it
+at once; results are collected in cell and replicate order, so
+parallelism cannot change output.  Each worker caches the amplitude table
+of the latest cell only (the 4 MB table in FFT column order at M = 512).
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
 import os
 import time
@@ -57,7 +56,7 @@ from .estimator import check_level, check_span, estimate_H, estimate_pair
 from .filters import DiscreteFilter, parse_filter
 from .spectral import AnisotropicIndex, parse_index
 from .synthesis import (
-    _NOISE_BLOCK, _integer, afb_sra, check_grid, derived_stream, fbm_path,
+    _NOISE_BLOCK, _integer, _write_csv, afb_sra, check_grid, derived_stream, fbm_path,
 )
 from . import theory
 
@@ -74,6 +73,12 @@ __all__ = [
 
 _FAILURE_SHARE = 0.01  # tolerated fraction of errored replicates
 
+# ExperimentConfig fields that hold an integer or a tuple of integers
+_INTEGER_FIELDS = (
+    "grid_size", "path_lengths", "reps", "nu_levels",
+    "dilation_u", "dilation_v", "seed", "workers",
+)
+
 
 @dataclass
 class ExperimentConfig:
@@ -81,7 +86,10 @@ class ExperimentConfig:
 
     1-d mode reads neither ``grid_size`` nor ``nu_levels``; 2-d mode reads
     neither ``hursts`` nor ``path_lengths``.  ``workers`` of None or <= 0
-    means one worker per CPU.
+    means one worker per CPU.  A larger ``workers`` still sets the task
+    blocks, but the pool runs at most one process per CPU.  The counts,
+    levels, lengths and dilations must be integers; numpy integers are
+    stored as ``int``.
     """
 
     mode: str = "2d"
@@ -101,16 +109,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("1d", "2d"):
             raise ValueError(f"mode must be '1d' or '2d', got {self.mode!r}")
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, (tuple, list)):
+                value = tuple(_integer(x, f"{name} entry {x!r}") for x in value)
+            elif value is not None or name != "workers":  # no workers: one per CPU
+                value = _integer(value, f"{name} = {value!r}")
+            setattr(self, name, value)
         for key, name in (("index", "indices"), ("hurst", "hursts"),
                           ("length", "path_lengths"), ("nu", "nu_levels")):
             values = getattr(self, name)
             repeated = [x for i, x in enumerate(values) if x in values[:i]]
             if repeated:
                 raise ValueError(f"config key {key} ({name}) lists {repeated[0]} twice")
-        for name in ("grid_size", "reps", "seed", "workers"):
-            value = getattr(self, name)
-            if value is not None or name != "workers":  # no workers: one per CPU
-                setattr(self, name, _integer(value, f"{name} = {value!r}"))
         if self.reps < 2:
             raise ValueError("need at least two replicates")
         if self.seed < 0:
@@ -198,15 +209,15 @@ def _map_cells(cell_tasks, workers):
     order.
 
     With more than one worker, every cell's tasks are queued at once on
-    one process pool, so workers move on to the next cell while the last
-    tasks of the current one finish.  Closing the generator early cancels
-    the tasks that have not started.
+    one process pool of at most one process per CPU, so workers move on
+    to the next cell while the last tasks of the current one finish.
+    Closing the generator early cancels the tasks that have not started.
     """
     if workers <= 1 or sum(map(len, cell_tasks)) < 4:
         for tasks in cell_tasks:
             yield [out for task in tasks for out in _block(task)]
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [[pool.submit(_block, task) for task in tasks] for tasks in cell_tasks]
         try:
             for cell in futures:
@@ -422,19 +433,15 @@ _HEADERS = {
 
 
 def emit_table(report: EvalReport, path) -> None:
-    """Write the report as CSV, one row per (parameters, level).
+    """Write the report as CSV, one row per (parameters, level), through
+    the package's one CSV writer (``synthesis._write_csv``).
 
     Row order follows the configuration (parameters first, levels
-    ascending) and floats are serialized with full round-trip precision,
-    so re-running with the same seed reproduces the file byte for byte.
+    ascending), counts are written as integers and every other value with
+    full round-trip precision, so re-running with the same seed reproduces
+    the file byte for byte.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_HEADERS[report.mode])
-        for row in report.rows:
-            writer.writerow(
-                [v if isinstance(v, int) else repr(float(v)) for v in astuple(row)]
-            )
+    _write_csv(path, _HEADERS[report.mode], map(astuple, report.rows))
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:

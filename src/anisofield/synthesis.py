@@ -30,8 +30,11 @@ when the replicate count changes.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import operator
 import struct
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -47,7 +50,6 @@ from .spectral import AnisotropicIndex, density
 __all__ = [
     "derived_stream",
     "fgn_autocovariance",
-    "fgn_exact",
     "fbm_path",
     "afb_sra",
     "check_grid",
@@ -137,8 +139,20 @@ def _embedding_sqrt(H: float, n: int) -> np.ndarray:
 
 def _fgn_transforms(H: float, n: int, seeds: list) -> np.ndarray:
     """The first n values of the transforms whose real and imaginary parts
-    are the two samples of :func:`fgn_exact`, one row per seed, as a view
-    of the whole (len(seeds), m) array.
+    are two independent exact samples of n stationary fractional Gaussian
+    noise increments, one row per seed, as a view of the whole
+    (len(seeds), m) array.
+
+    Complex white noise w = a + ib (a, b independent standard normal
+    vectors) is shaped by the square roots of the circulant embedding's
+    eigenvalues and transformed, y = F diag(amp) w.  Then E[y y^H] = 2C,
+    where C is the embedded circulant covariance, and E[y y^T] = 0 because
+    E[w w^T] = E[a a^T] - E[b b^T] = 0.  Hence Re y and Im y each have
+    covariance Re C, and their cross-covariance is (C-bar - C)/2i.  The
+    eigenvalues are real and even, so C is real: each part has covariance C,
+    whose leading n x n block is exactly the fGn autocovariance, and the
+    cross-covariance vanishes.  Jointly Gaussian and uncorrelated, the two
+    parts are independent.
 
     The noise of each seed is drawn into its own row, and the rows are
     shaped by one multiply and transformed by one FFT along the rows, in
@@ -161,29 +175,11 @@ def _fgn_transforms(H: float, n: int, seeds: list) -> np.ndarray:
     return z[:, :n]
 
 
-def fgn_exact(H: float, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent exact samples of n stationary fractional Gaussian
-    noise increments, ``(real, imag)``, from one transform.
-
-    Complex white noise w = a + ib (a, b independent standard normal
-    vectors) is shaped by the square roots of the circulant embedding's
-    eigenvalues and transformed, y = F diag(amp) w.  Then E[y y^H] = 2C,
-    where C is the embedded circulant covariance, and E[y y^T] = 0 because
-    E[w w^T] = E[a a^T] - E[b b^T] = 0.  Hence Re y and Im y each have
-    covariance Re C, and their cross-covariance is (C-bar - C)/2i.  The
-    eigenvalues are real and even, so C is real: each part has covariance C,
-    whose leading n x n block is exactly the fGn autocovariance, and the
-    cross-covariance vanishes.  Jointly Gaussian and uncorrelated, the two
-    parts are independent.
-    """
-    y = _fgn_transforms(H, n, [seed])[0]
-    return np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag)
-
-
 def fbm_path(H: float, N: int, seed):
     """Two independent fractional Brownian motions sampled at k/N,
     k = 0..N, with X(0) = 0: the paths of the real and of the imaginary
-    fGn sample of :func:`fgn_exact`, as read-only arrays of N + 1 values.
+    fGn sample of one transform (see _fgn_transforms), as read-only arrays
+    of N + 1 values.
 
     Cumulative sums of exact fGn scaled by N^{-H}, so Var X(k/N) = (k/N)^2H
     holds in law exactly.
@@ -381,10 +377,11 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     return _anchored(y.real), _anchored(y.imag)
 
 
-# --- field file format ------------------------------------------------------
+# --- file formats -----------------------------------------------------------
 #
-# Binary header: magic "AFB1", u32 grid size M, f64 h_h, f64 h_v, u64 seed,
-# all little-endian, followed by row-major f64 field values.
+# Field files: binary header magic "AFB1", u32 grid size M, f64 h_h, f64 h_v,
+# u64 seed, all little-endian, followed by row-major f64 field values.
+# Paths, projections and every table of results: CSV through _write_csv.
 
 _HEADER = struct.Struct("<4sIddQ")
 
@@ -443,25 +440,51 @@ def field_to_csv(values: np.ndarray, path) -> None:
     np.savetxt(path, values, delimiter=",", fmt="%.17g")
 
 
+def _write_csv(path, header, rows, comments=()) -> None:
+    """Write a table as CSV to the file ``path``, or to stdout when no
+    path is given: a ``# key = value`` line per ``(key, value)`` of
+    ``comments`` whose value is not None, then the header, then the rows.
+
+    Every table the package writes goes through here, with one rule per
+    cell: None is an empty cell, an int or a str is written as it is, and
+    any other number as ``repr(float(x))``, the shortest text that reads
+    back to the same float.  Lines end in a bare newline, so the same
+    values give the same bytes on every run and platform.
+    """
+
+    def cell(x):
+        if x is None:
+            return ""
+        return x if isinstance(x, (int, str)) else repr(float(x))
+
+    target = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    with target as fh:
+        for key, value in comments:
+            if value is not None:
+                fh.write(f"# {key} = {cell(value)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cell(x) for x in row] for row in rows)
+
+
 def write_path_csv(values: np.ndarray, path, hurst=None, seed=None) -> None:
     """Two-column CSV (t, value) of a series at t = k/N, k = 0..N, with the
-    true Hurst index and the seed, when known, in comments.
+    true Hurst index and the seed, when known, in ``# hurst = ...`` and
+    ``# seed = ...`` comments (see _write_csv).
 
     The positions need N >= 1, so the series must hold two or more values.
+    The seed must be an integer, so that :func:`read_path_csv` reads it
+    back.
     """
     n = values.size - 1
     if n < 1:
         raise PathTooShort(
             f"a path CSV needs at least two values, got {values.size}"
         )
-    with open(path, "w", newline="") as fh:
-        if hurst is not None:
-            fh.write(f"# hurst = {float(hurst)!r}\n")
-        if seed is not None:
-            fh.write(f"# seed = {seed}\n")
-        fh.write("t,value\n")
-        for k, val in enumerate(values):
-            fh.write(f"{k / n!r},{float(val)!r}\n")
+    hurst = None if hurst is None else float(hurst)
+    seed = None if seed is None else _integer(seed, f"seed = {seed!r}")
+    rows = ((k / n, val) for k, val in enumerate(values))
+    _write_csv(path, ["t", "value"], rows, [("hurst", hurst), ("seed", seed)])
 
 
 def read_path_csv(path) -> tuple[np.ndarray, float | None, int | None]:

@@ -16,6 +16,7 @@ from anisofield import (
     fbm_path,
     project_axis,
 )
+from anisofield import synthesis
 
 
 def _fft_order_frequencies(M):
@@ -61,6 +62,13 @@ def afb_sra_direct(model, M, seed):
     phase = np.exp(-2j * np.pi * np.outer(n, k) / (2 * M))
     y = np.pi * np.einsum("ab,ak,bl->kl", weighted, phase, phase)
     return tuple(part - part[0, 0] for part in (y.real, y.imag))
+
+
+def fgn_pair(H, n, seed):
+    """The two independent exact fGn samples ``(real, imag)`` of one
+    transform of the 1-d route, as contiguous arrays."""
+    y = synthesis._fgn_transforms(H, n, [seed])[0]
+    return np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag)
 
 
 def axis_projections(field):

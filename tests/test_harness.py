@@ -142,6 +142,22 @@ class TestRun2D:
         assert len(pools) == 1
         assert report.rows == run_eval_2d(dataclasses.replace(cfg, workers=1)).rows
 
+    def test_pool_at_most_one_process_per_cpu(self, monkeypatch):
+        # five workers on two CPUs: a pool of two, and the same report
+        sizes = []
+
+        class Recording(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        cfg = _cfg_2d(reps=6, workers=5)
+        report = run_eval_2d(cfg)
+        assert sizes == [2]
+        assert report.rows == run_eval_2d(dataclasses.replace(cfg, workers=1)).rows
+
     def test_block_failure_fails_one_replicate(self, monkeypatch):
         # replicate 2 of the block 1..4 gives NaN projections: the block
         # is redone one replicate at a time and only replicate 2 fails
@@ -399,9 +415,31 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} = {re.escape(repr(value))} is not"):
             run_eval_2d(_cfg_2d(**{field: value}))
 
+    @pytest.mark.parametrize(
+        "make, field, value, message",
+        [
+            (_cfg_2d, "nu_levels", (0, 1.5), "nu_levels entry 1.5"),
+            (_cfg_1d, "path_lengths", (64.0,), "path_lengths entry 64.0"),
+            (_cfg_1d, "dilation_u", 2.5, "dilation_u = 2.5"),
+            (_cfg_1d, "dilation_v", 1.5, "dilation_v = 1.5"),
+        ],
+        ids=["nu_levels", "path_lengths", "dilation_u", "dilation_v"],
+    )
+    def test_non_integer_level_length_or_dilation_named(
+        self, monkeypatch, make, field, value, message
+    ):
+        monkeypatch.setattr(harness, "_map_cells", lambda *args: pytest.fail("ran"))
+        run = run_eval_2d if make is _cfg_2d else run_eval_1d
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+            run(make(**{field: value}))
+
     def test_integer_like_counts_become_ints(self):
         cfg = _cfg_2d(grid_size=np.int64(32), reps=np.int64(4), seed=np.uint64(5))
         assert [type(x) for x in (cfg.grid_size, cfg.reps, cfg.seed)] == [int] * 3
+        two = _cfg_2d(nu_levels=(np.int64(0), np.uint8(1)))
+        one = _cfg_1d(path_lengths=(np.int64(256),), dilation_u=np.int32(3))
+        values = [*two.nu_levels, *one.path_lengths, one.dilation_u, one.dilation_v]
+        assert [type(x) for x in values] == [int] * 5
 
     def test_validation(self):
         with pytest.raises(ValueError):

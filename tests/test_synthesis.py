@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -6,13 +7,15 @@ import pytest
 
 from anisofield import (
     AnisotropicIndex,
+    EvalReport,
+    EvalRow1D,
     MalformedFieldFile,
     MalformedPathFile,
     afb_sra,
     derived_stream,
+    emit_table,
     fbm_path,
     fgn_autocovariance,
-    fgn_exact,
     field_to_csv,
     parse_index,
     read_field,
@@ -21,7 +24,9 @@ from anisofield import (
     write_path_csv,
 )
 from anisofield import synthesis
-from oracles import afb_sra_direct, axis_projections, full_grid_amplitude, shaped_noise_whole
+from oracles import (
+    afb_sra_direct, axis_projections, fgn_pair, full_grid_amplitude, shaped_noise_whole,
+)
 
 # fGn lag-1 autocovariance at H=0.7: (2^1.4 - 2)/2
 R1_H07 = 0.3195079107728942
@@ -29,17 +34,17 @@ R1_H07 = 0.3195079107728942
 
 class TestFgn:
     def test_brownian_increments_uncorrelated(self):
-        x = fgn_exact(0.5, 1_000_000, 42)[0]
+        x = fgn_pair(0.5, 1_000_000, 42)[0]
         corr = float(np.mean(x[1:] * x[:-1]) / x.var())
         assert abs(corr) <= 0.003
 
     def test_lag_one_autocovariance(self):
-        x = fgn_exact(0.7, 1_000_000, 43)[0]
+        x = fgn_pair(0.7, 1_000_000, 43)[0]
         assert float(np.mean(x[1:] * x[:-1])) == pytest.approx(R1_H07, abs=0.005)
 
     def test_determinism(self):
-        assert np.array_equal(fgn_exact(0.3, 4096, 7)[0], fgn_exact(0.3, 4096, 7)[0])
-        assert not np.array_equal(fgn_exact(0.3, 4096, 7)[0], fgn_exact(0.3, 4096, 8)[0])
+        assert np.array_equal(fgn_pair(0.3, 4096, 7)[0], fgn_pair(0.3, 4096, 7)[0])
+        assert not np.array_equal(fgn_pair(0.3, 4096, 7)[0], fgn_pair(0.3, 4096, 8)[0])
 
     @pytest.mark.parametrize("H", [0.2, 0.55, 0.8])
     def test_autocovariance_lags_0_to_5(self, H):
@@ -48,7 +53,7 @@ class TestFgn:
         streams, n = 400, 512
         prods = np.zeros((2, streams, 6))
         for i in range(streams):
-            for part, x in enumerate(fgn_exact(H, n, derived_stream(1000, i))):
+            for part, x in enumerate(fgn_pair(H, n, derived_stream(1000, i))):
                 for k in range(6):
                     prods[part, i, k] = np.mean(x[k:] * x[: n - k])
         target = fgn_autocovariance(H, np.arange(6))
@@ -70,7 +75,7 @@ class TestFgn:
                 out[:] = next(noise)
 
         monkeypatch.setattr(synthesis, "_rng", lambda seed: UnitNoise())
-        maps = np.array([fgn_exact(H, n, 0) for _ in units])
+        maps = np.array([fgn_pair(H, n, 0) for _ in units])
         re, im = maps[:, 0], maps[:, 1]
         k = np.arange(n)
         toeplitz = fgn_autocovariance(H, k[:, None] - k[None, :])
@@ -84,7 +89,7 @@ class TestFgn:
         H, n, reps, lags = 0.7, 64, 2000, 4
         cross = np.empty((reps, 2 * lags - 1))
         for i in range(reps):
-            re, im = fgn_exact(H, n, derived_stream(7, i))
+            re, im = fgn_pair(H, n, derived_stream(7, i))
             cross[i, :lags] = [np.mean(re[k:] * im[: n - k]) for k in range(lags)]
             cross[i, lags:] = [np.mean(im[k:] * re[: n - k]) for k in range(1, lags)]
         se = cross.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -92,18 +97,17 @@ class TestFgn:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            fgn_exact(1.0, 100, 0)
+            fgn_pair(1.0, 100, 0)
         with pytest.raises(ValueError):
-            fgn_exact(0.5, 1, 0)
+            fgn_pair(0.5, 1, 0)
 
     @pytest.mark.parametrize(
         ("synthesize", "n", "seed", "message"),
         [
             (fbm_path, 64.5, 1, "n = 64.5 samples is not an integer"),
-            (fgn_exact, 64.5, 1, "n = 64.5 samples is not an integer"),
             (fbm_path, 64, [], "need at least one seed"),
         ],
-        ids=["fbm-length", "fgn-length", "empty-batch"],
+        ids=["fbm-length", "empty-batch"],
     )
     def test_rejected_before_any_work(self, monkeypatch, synthesize, n, seed, message):
         built = []
@@ -125,7 +129,7 @@ class TestFgn:
         synth_mod._embedding_sqrt.cache_clear()
         try:
             with pytest.raises(EmbeddingNotPSD):
-                fgn_exact(0.313, 3, 0)
+                fgn_pair(0.313, 3, 0)
         finally:
             synth_mod._embedding_sqrt.cache_clear()
 
@@ -447,6 +451,50 @@ class TestFieldIO:
         assert hurst == 0.4
         np.testing.assert_array_equal(back, path)
 
+    def test_path_seed_must_be_an_integer(self, tmp_path):
+        # else read_path_csv could not read the comment back
+        f = tmp_path / "path.csv"
+        with pytest.raises(ValueError, match=r"^seed = 1\.5 is not an integer$"):
+            write_path_csv(np.zeros(3), f, 0.5, 1.5)
+        assert not f.exists()
+        write_path_csv(np.zeros(3), f, 0.5, np.uint64(2**63 + 1))
+        assert read_path_csv(f)[2] == 2**63 + 1
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_csv_bytes(self, tmp_path, capsys, to_file):
+        # hand-built values, so the bytes are the same on every numpy build
+        report = EvalReport(
+            mode="1d",
+            rows=[EvalRow1D(0.7, 256, -0.25, np.float64(2 / 3), math.nan, 1e-300)],
+            reps=2,
+            seed=0,
+        )
+        cli_header = ["seed", "h_true", "direction", "nu", "estimate", "V1", "V2", "out_of_range"]
+        cli_row = [None, None, "path", 1, 0.1, np.float64(3e-17), 12.5, 0]
+        writes = {
+            "report": lambda out: emit_table(report, out),
+            "cli": lambda out: synthesis._write_csv(out, cli_header, [cli_row]),
+            "path": lambda out: write_path_csv(
+                np.array([0.0, -1.5, 1 / 3]), out, np.float64(0.7), np.int64(7)
+            ),
+        }
+        expected = {
+            "report": "hurst,n,bias,sigma,n_var,gamma\n"
+            "0.7,256,-0.25,0.6666666666666666,nan,1e-300\n",
+            "cli": "seed,h_true,direction,nu,estimate,V1,V2,out_of_range\n"
+            ",,path,1,0.1,3e-17,12.5,0\n",
+            "path": "# hurst = 0.7\n# seed = 7\nt,value\n"
+            "0.0,0.0\n0.5,-1.5\n1.0,0.3333333333333333\n",
+        }
+        for name, write in writes.items():
+            if to_file:
+                write(tmp_path / name)
+                written = (tmp_path / name).read_bytes().decode()
+            else:
+                write(None)
+                written = capsys.readouterr().out
+            assert written == expected[name]
+
     @pytest.mark.parametrize(
         "text, line, message",
         [
@@ -470,9 +518,9 @@ class TestFieldIO:
 class TestStreams:
     def test_spawn_stability(self):
         # replicate streams do not depend on how many replicates run
-        a = fgn_exact(0.6, 64, derived_stream(5, 3))[0]
-        b = fgn_exact(0.6, 64, derived_stream(5, 3))[0]
-        c = fgn_exact(0.6, 64, derived_stream(5, 4))[0]
+        a = fgn_pair(0.6, 64, derived_stream(5, 3))[0]
+        b = fgn_pair(0.6, 64, derived_stream(5, 3))[0]
+        c = fgn_pair(0.6, 64, derived_stream(5, 4))[0]
         assert np.array_equal(a, b) and not np.array_equal(a, c)
 
     def test_cells_independent_keys(self):
