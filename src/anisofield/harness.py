@@ -37,13 +37,15 @@ than 1% of its replicates failed stops the run.  A run opens one process
 pool, of at most one process per CPU, and queues every cell's tasks on it
 at once; results are collected in cell and replicate order, so
 parallelism cannot change output.  Each worker caches the amplitude table
-of the latest cell only (the 4 MB table in FFT column order at M = 512).
+of the latest cell only (the 4 MB table in FFT column order at M = 512):
+a task of another cell drops it before building its own in row chunks.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -89,7 +91,8 @@ class ExperimentConfig:
     means one worker per CPU.  A larger ``workers`` still sets the task
     blocks, but the pool runs at most one process per CPU.  The counts,
     levels, lengths and dilations must be integers; numpy integers are
-    stored as ``int``.
+    stored as ``int``.  Each index must be an ``AnisotropicIndex`` and each
+    Hurst value a real number other than a bool, in either mode.
     """
 
     mode: str = "2d"
@@ -116,6 +119,12 @@ class ExperimentConfig:
             elif value is not None or name != "workers":  # no workers: one per CPU
                 value = _integer(value, f"{name} = {value!r}")
             setattr(self, name, value)
+        for index in self.indices:
+            if not isinstance(index, AnisotropicIndex):
+                raise ValueError(f"indices entry {index!r} is not an AnisotropicIndex")
+        for hurst in self.hursts:
+            if isinstance(hurst, bool) or not isinstance(hurst, numbers.Real):
+                raise ValueError(f"hursts entry {hurst!r} is not a real number")
         for key, name in (("index", "indices"), ("hurst", "hursts"),
                           ("length", "path_lengths"), ("nu", "nu_levels")):
             values = getattr(self, name)

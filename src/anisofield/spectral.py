@@ -76,7 +76,8 @@ def density(index: AnisotropicIndex, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != 2:
         raise ValueError(f"frequency dimension {xi.shape[-1]} != 2")
-    r2 = np.sum(xi * xi, axis=-1)
+    x1, x2 = xi[..., 0], xi[..., 1]
+    r2 = x1 * x1 + x2 * x2
     if np.any(r2 == 0.0):
         raise ZeroFrequency("density is singular at the zero frequency")
     h = index.evaluate(xi)

@@ -67,7 +67,8 @@ _CLAMP_REL = 1e-8
 _NO_SEED = 0xFFFFFFFFFFFFFFFF  # header sentinel for "seed unknown"
 
 # Complex noise values drawn and shaped at a time for either 2-d output
-# (0.5 MB): whole rows, all 2M of them up to M = 64.
+# (0.5 MB): whole rows, all 2M of them up to M = 64.  Also about the
+# frequencies per row chunk of the amplitude table's build.
 _NOISE_BLOCK = 2**15
 
 
@@ -204,7 +205,10 @@ def fbm_path(H: float, N: int, seed):
     return values if batch else tuple(values[0])
 
 
-@lru_cache(maxsize=1)
+# The one cached amplitude table, keyed by (index, M); see _sra_amplitude.
+_AMPLITUDE: dict = {}
+
+
 def _sra_amplitude(index: AnisotropicIndex, M: int) -> np.ndarray:
     """Square root of the density at the frequencies pi * (n_1, n_2),
     n_1 = 0..M and n_2 in FFT storage order, as a read-only (M+1) x (2M)
@@ -212,18 +216,38 @@ def _sra_amplitude(index: AnisotropicIndex, M: int) -> np.ndarray:
 
     The density depends on |xi_1| and |xi_2| only.  So the density is
     evaluated on the quadrant n_1, n_2 = 0..M, and column M + j (frequency
-    n_2 = -M + j, j = 1..M-1) is the quadrant's column M - j, appended once
-    when the table is built.  Frequency (n_1, n_2) then takes row |n_1| of
-    the table (see _shape_noise).  Only the latest table is kept: runs
-    synthesize one cell at a time, and at M = 512 a table takes 4 MB.
+    n_2 = -M + j, j = 1..M-1) is the quadrant's column M - j, copied in
+    place once the quadrant is filled.  Frequency (n_1, n_2) then takes
+    row |n_1| of the table (see _shape_noise).
+
+    The quadrant's rows are filled a chunk of about _NOISE_BLOCK points at
+    a time (63 rows at M = 512, one chunk up to M = 128), so no grid of
+    every point and none of the density's temporaries at that size exist.
+    Only one table is kept: runs synthesize one cell at a time, and at
+    M = 512 a table takes 4 MB.  A call for another (index, M) drops the
+    cached table before it builds the new one.
     """
+    key = (index, M)
+    if key in _AMPLITUDE:
+        return _AMPLITUDE[key]
+    _AMPLITUDE.clear()
     xi = np.pi * np.arange(M + 1, dtype=float)
-    pts = np.stack(np.broadcast_arrays(xi[:, None], xi[None, :]), axis=-1)
-    quadrant = np.zeros((M + 1, M + 1))
-    quadrant.flat[1:] = density(index, pts.reshape(-1, 2)[1:])
+    table = np.empty((M + 1, 2 * M))
+    quadrant = table[:, : M + 1]
+    rows = max(_NOISE_BLOCK // (M + 1), 1)
+    for first in range(0, M + 1, rows):
+        pts = np.empty((min(rows, M + 1 - first), M + 1, 2))
+        pts[..., 0] = xi[first : first + len(pts), None]
+        pts[..., 1] = xi
+        if first == 0:
+            pts[0, 0] = xi[1]  # stands in for the singular origin, zeroed below
+        quadrant[first : first + len(pts)] = density(index, pts)
+        del pts
     np.sqrt(quadrant, out=quadrant)
-    table = np.concatenate([quadrant, quadrant[:, M - 1 : 0 : -1]], axis=1)
+    table[0, 0] = 0.0
+    table[:, M + 1 :] = quadrant[:, M - 1 : 0 : -1]
     table.flags.writeable = False
+    _AMPLITUDE[key] = table
     return table
 
 
@@ -336,7 +360,8 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     the column mirror already (see _sra_amplitude).  The (2M) x (M+1)
     buffer is allocated once the first block is shaped, so at M <= 64,
     where one block holds every row, it does not sit beside the shaping's
-    cast buffer.
+    cast buffer.  A call for a new (index, M) first drops the previous
+    table, then builds its own in row chunks, before any noise is drawn.
 
     Returns ``(real_field, imag_field)``: the real and the imaginary part
     of the sum as read-only (M+1) x (M+1) arrays, entry (k1, k2) at

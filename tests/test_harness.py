@@ -433,6 +433,33 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
             run(make(**{field: value}))
 
+    @pytest.mark.parametrize(
+        "make, field, value, message",
+        [
+            (_cfg_2d, "indices", ("axes:0.7,0.2",),
+             "indices entry 'axes:0.7,0.2' is not an AnisotropicIndex"),
+            (_cfg_1d, "indices", ((0.7, 0.2),),
+             "indices entry (0.7, 0.2) is not an AnisotropicIndex"),
+            (_cfg_1d, "hursts", ("0.5",), "hursts entry '0.5' is not a real number"),
+            (_cfg_1d, "hursts", (0.5, True), "hursts entry True is not a real number"),
+            (_cfg_2d, "hursts", (None,), "hursts entry None is not a real number"),
+        ],
+        ids=["index_text", "index_tuple_1d", "hurst_text", "hurst_bool", "hurst_none_2d"],
+    )
+    def test_non_index_or_non_number_entry_named(
+        self, monkeypatch, make, field, value, message
+    ):
+        # rejected when the config is built, in either mode, before any
+        # replicate runs
+        monkeypatch.setattr(harness, "_map_cells", lambda *args: pytest.fail("ran"))
+        run = run_eval_2d if make is _cfg_2d else run_eval_1d
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(make(**{field: value}))
+
+    def test_numpy_hurst_values_accepted(self):
+        cfg = _cfg_1d(hursts=(np.float64(0.3), np.float32(0.5)))
+        assert len(run_eval_1d(cfg).rows) == 2
+
     def test_integer_like_counts_become_ints(self):
         cfg = _cfg_2d(grid_size=np.int64(32), reps=np.int64(4), seed=np.uint64(5))
         assert [type(x) for x in (cfg.grid_size, cfg.reps, cfg.seed)] == [int] * 3

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from anisofield import (
     MalformedFieldFile,
     MalformedPathFile,
     afb_sra,
+    density,
     derived_stream,
     emit_table,
     fbm_path,
@@ -230,14 +232,15 @@ class TestSra:
         assert z.flags.c_contiguous and z.shape == shape
         assert z.tobytes() == pairs.view(np.complex128)[..., 0].tobytes()
 
-    @pytest.mark.parametrize("M", [4, 8, 64])
+    @pytest.mark.parametrize("M", [4, 8, 64, 256, 512])
     @pytest.mark.parametrize(
         "index", [AnisotropicIndex(0.3, 0.3), AnisotropicIndex(0.7, 0.2)]
     )
     def test_mirrored_amplitude_table(self, index, M):
         # the table holds the full grid's rows 0..M in FFT column order,
         # and shaping by it multiplies every noise term by its full-grid
-        # amplitude, bit for bit
+        # amplitude, bit for bit; at M = 256 and 512 the rows are built in
+        # 3 and 9 chunks
         full = full_grid_amplitude(index, M)
         table = synthesis._sra_amplitude(index, M)
         assert table.shape == (M + 1, 2 * M)
@@ -289,6 +292,42 @@ class TestSra:
         finally:
             tracemalloc.stop()
         assert peak / (16 * (2 * M) ** 2) < bound
+
+    def test_cell_switch_builds_one_table_at_a_time(self):
+        # peak traced allocation in units of one M = 512 table, when a
+        # first cell's table is cached and a second cell is synthesized:
+        # the chunked build holds the new table and one chunk's
+        # temporaries, not a grid of every frequency beside them
+        M = 512
+        afb_sra(AnisotropicIndex(0.7, 0.2), M, 0, projected=True)
+        tracemalloc.start()
+        try:
+            afb_sra(AnisotropicIndex(0.5, 0.5), M, 1, projected=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * (M + 1) * 2 * M) < 2.0
+
+    def test_old_table_dropped_before_the_next_is_built(self, monkeypatch):
+        # the cache holds one table, and a new cell's table is built only
+        # once nothing refers to the previous cell's table any more
+        M = 16
+        first, second = AnisotropicIndex(0.7, 0.2), AnisotropicIndex(0.5, 0.5)
+        afb_sra(first, M, 0, projected=True)
+        old = weakref.ref(synthesis._sra_amplitude(first, M))
+        assert old() is not None
+        dropped = []
+
+        def density_after_the_drop(index, xi):
+            dropped.append(old() is None)
+            return density(index, xi)
+
+        monkeypatch.setattr(synthesis, "density", density_after_the_drop)
+        afb_sra(second, M, 0, projected=True)
+        assert dropped == [True]
+        table = synthesis._sra_amplitude(second, M)
+        assert synthesis._sra_amplitude(second, M) is table  # a hit builds nothing
+        assert dropped == [True]
 
     def test_pair_law(self, aniso_model):
         # The real and imaginary parts of one transform are independent
