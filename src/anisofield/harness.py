@@ -37,7 +37,7 @@ than 1% of its replicates failed stops the run.  A run opens one process
 pool, of at most one process per CPU, and queues every cell's tasks on it
 at once; results are collected in cell and replicate order, so
 parallelism cannot change output.  Each worker caches the amplitude table
-of the latest cell only (the 4 MB table in FFT column order at M = 512):
+of the latest cell only (the 2 MB quadrant of amplitudes at M = 512):
 a task of another cell drops it before building its own in row chunks.
 """
 

@@ -67,8 +67,8 @@ _CLAMP_REL = 1e-8
 _NO_SEED = 0xFFFFFFFFFFFFFFFF  # header sentinel for "seed unknown"
 
 # Complex noise values drawn and shaped at a time for either 2-d output
-# (0.5 MB): whole rows, all 2M of them up to M = 64.  Also about the
-# frequencies per row chunk of the amplitude table's build.
+# (0.5 MB): whole rows, all 2M of them up to M = 64.  A quarter of it is
+# about the frequencies per row chunk of the amplitude table's build.
 _NOISE_BLOCK = 2**15
 
 
@@ -87,9 +87,16 @@ def _integer(value, label: str) -> int:
 
 
 def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, int) and seed < 0:
-        raise ValueError(f"seed {seed} is negative; a seed is an integer >= 0")
-    return np.random.default_rng(seed)
+    """The generator of ``seed``: an integer >= 0, a list of them (one
+    seed's entropy) or a SeedSequence; a ValueError naming any other."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        if isinstance(seed, int) and seed < 0:
+            raise ValueError(f"seed {seed} is negative; a seed is an integer >= 0") from None
+        raise ValueError(
+            f"seed {seed!r} is not an integer >= 0, a list of them or a SeedSequence"
+        ) from None
 
 
 def _draw_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -211,41 +218,39 @@ _AMPLITUDE: dict = {}
 
 def _sra_amplitude(index: AnisotropicIndex, M: int) -> np.ndarray:
     """Square root of the density at the frequencies pi * (n_1, n_2),
-    n_1 = 0..M and n_2 in FFT storage order, as a read-only (M+1) x (2M)
-    table, zero at the origin.
+    n_1, n_2 = 0..M, as a read-only (M+1) x (M+1) table, zero at the
+    origin.
 
-    The density depends on |xi_1| and |xi_2| only.  So the density is
-    evaluated on the quadrant n_1, n_2 = 0..M, and column M + j (frequency
-    n_2 = -M + j, j = 1..M-1) is the quadrant's column M - j, copied in
-    place once the quadrant is filled.  Frequency (n_1, n_2) then takes
-    row |n_1| of the table (see _shape_noise).
+    The density depends on |xi_1| and |xi_2| only, so this quadrant holds
+    every amplitude of the (2M) x (2M) grid: frequency (n_1, n_2) takes
+    entry (|n_1|, |n_2|), and _shape_noise reads the mirrored rows and
+    columns through reversed views.
 
-    The quadrant's rows are filled a chunk of about _NOISE_BLOCK points at
-    a time (63 rows at M = 512, one chunk up to M = 128), so no grid of
-    every point and none of the density's temporaries at that size exist.
-    Only one table is kept: runs synthesize one cell at a time, and at
-    M = 512 a table takes 4 MB.  A call for another (index, M) drops the
-    cached table before it builds the new one.
+    The rows are filled a chunk of about _NOISE_BLOCK / 4 points at a time
+    (15 rows at M = 512, one chunk up to M = 64), so no grid of every
+    point and none of the density's temporaries at that size exist, and
+    the build peaks below synthesis.  Only one table is kept: runs
+    synthesize one cell at a time, and at M = 512 a table takes 2 MB.  A
+    call for another (index, M) drops the cached table before it builds
+    the new one.
     """
     key = (index, M)
     if key in _AMPLITUDE:
         return _AMPLITUDE[key]
     _AMPLITUDE.clear()
     xi = np.pi * np.arange(M + 1, dtype=float)
-    table = np.empty((M + 1, 2 * M))
-    quadrant = table[:, : M + 1]
-    rows = max(_NOISE_BLOCK // (M + 1), 1)
+    table = np.empty((M + 1, M + 1))
+    rows = max(_NOISE_BLOCK // 4 // (M + 1), 1)
     for first in range(0, M + 1, rows):
         pts = np.empty((min(rows, M + 1 - first), M + 1, 2))
         pts[..., 0] = xi[first : first + len(pts), None]
         pts[..., 1] = xi
         if first == 0:
             pts[0, 0] = xi[1]  # stands in for the singular origin, zeroed below
-        quadrant[first : first + len(pts)] = density(index, pts)
+        table[first : first + len(pts)] = density(index, pts)
         del pts
-    np.sqrt(quadrant, out=quadrant)
+    np.sqrt(table, out=table)
     table[0, 0] = 0.0
-    table[:, M + 1 :] = quadrant[:, M - 1 : 0 : -1]
     table.flags.writeable = False
     _AMPLITUDE[key] = table
     return table
@@ -255,16 +260,36 @@ def _shape_noise(z: np.ndarray, table: np.ndarray, first: int = 0) -> None:
     """Multiply rows first, first+1, ... of the (2M) x (2M) noise, held in
     z, in place by the amplitude of each frequency, in FFT storage order.
 
-    Rows 0..M hold the frequencies 0..M and take the table's rows as they
-    are; rows M+1..2M-1 hold -M+1..-1 and take its rows M-1..1, reversed.
-    Each is one multiply of whole rows by the (M+1) x (2M) table of
-    _sra_amplitude, whose columns are already in FFT order, and the
-    products are those of a multiply by the full (2M) x (2M) table.
+    Rows 0..M hold the frequencies 0..M and take the quadrant's rows as
+    they are; rows M+1..2M-1 hold -M+1..-1 and take its rows M-1..1.
+    Within a row, columns 0..M take the quadrant row and columns
+    M+1..2M-1 the view of its entries M-1..1.  Each multiply runs on the
+    float views ``.real`` and ``.imag`` of z, so neither a complex cast of
+    the amplitudes nor a copy of the mirror is made.  The products are
+    those of a multiply by the full (2M) x (2M) table, bit for bit, and so
+    are the signed zeros at the origin, whose amplitude is zero.
     """
     M = len(table) - 1
     split = min(max(M + 1 - first, 0), len(z))  # rows of z that are in 0..M
-    z[:split] *= table[first : first + split]
-    z[split:] *= table[2 * M - first - split : 2 * M - first - len(z) : -1]
+    groups = (
+        (z[:split], table[first : first + split]),
+        (z[split:], table[2 * M - first - split : 2 * M - first - len(z) : -1]),
+    )
+    # With ufunc buffers of two rows or more, numpy copies these strided
+    # rows through buffers to lengthen its inner loop; with one row's worth
+    # each multiply runs on the rows in place, about a third faster at
+    # M = 512.  Leaving the errstate context restores the buffer size.
+    with np.errstate():
+        np.setbufsize(16 * (M // 16 + 1))
+        for part, rows in groups:
+            for values in (part.real, part.imag):
+                values[:, : M + 1] *= rows
+                values[:, M + 1 :] *= rows[:, M - 1 : 0 : -1]
+    if first == 0:
+        # the views left the origin zeros with the signs of its real and
+        # imaginary noise; the complex product by its zero amplitude
+        # combines them as the full complex multiply does
+        z[:1, :1] *= table[:1, :1]
 
 
 def _shaped_noise(rng: np.random.Generator, table: np.ndarray):
@@ -325,17 +350,21 @@ def _projections_of_spectrum(blocks, M: int) -> np.ndarray:
     subtracts the origin value F_00 = pi Re sum(z) from each of the M + 1
     points of a line, and the projection divides by M.
 
-    Each block is reduced as it arrives.  The reductions run through
-    einsum, not a matrix product: a threaded BLAS would compete with the
-    other workers of a run for the CPUs.
+    Each block is reduced as it arrives, by ``np.vecdot`` against the
+    conjugated weights: one BLAS dot per row and per column, of at most 2M
+    values.  The OpenBLAS bundled with numpy 2.4 (0.3.31) runs a dot of up
+    to 10000 values on one thread and splits longer ones over its threads,
+    so up to M = 4096 the reductions neither compete with the other
+    workers of a run for the CPUs nor depend on the thread count; a matrix
+    product would run threaded.
     """
-    w = _line_sum_weights(M)
+    w_conj = _line_sum_weights(M).conj()
     rows = np.empty(2 * M, dtype=complex)
     cols = np.zeros(2 * M, dtype=complex)
     total = 0.0
     for first, z in blocks:
-        rows[first : first + len(z)] = np.einsum("ij,j->i", z, w)
-        cols += np.einsum("i,ij->j", w[first : first + len(z)], z)
+        rows[first : first + len(z)] = np.vecdot(w_conj, z)
+        cols += np.vecdot(w_conj[first : first + len(z)], z, axis=0)
         total += z.real.sum()
         del z
     sums = np.stack([rows, cols])
@@ -355,13 +384,13 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     outputs on the unit grid are needed, so each row block of the shaped
     noise is transformed along axis 1 and keeps M+1 columns; the axis-0
     transform then runs once over the (2M) x (M+1) result and keeps M+1
-    rows.  Both transforms run in place.  Each block is shaped by two
-    multiplies of whole rows by the cached amplitude table, which holds
-    the column mirror already (see _sra_amplitude).  The (2M) x (M+1)
-    buffer is allocated once the first block is shaped, so at M <= 64,
-    where one block holds every row, it does not sit beside the shaping's
-    cast buffer.  A call for a new (index, M) first drops the previous
-    table, then builds its own in row chunks, before any noise is drawn.
+    rows.  Both transforms run in place.  Each block is shaped by the
+    cached quadrant of amplitudes, its mirrored rows and columns read
+    through views (see _shape_noise).  The (2M) x (M+1) buffer is
+    allocated once the first block is shaped, so at M <= 64, where one
+    block holds every row, it does not sit beside the shaping's buffers.
+    A call for a new (index, M) first drops the previous table, then
+    builds its own in row chunks, before any noise is drawn.
 
     Returns ``(real_field, imag_field)``: the real and the imaginary part
     of the sum as read-only (M+1) x (M+1) arrays, entry (k1, k2) at
@@ -391,7 +420,7 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
         return _projections_of_spectrum(blocks, M)
     y = None
     for first, z in blocks:
-        if y is None:  # after the first block's shaping cast buffer is gone
+        if y is None:  # after the first block's shaping buffers are gone
             y = np.empty((2 * M, M + 1), dtype=complex)
         np.fft.fft(z, axis=1, out=z)
         y[first : first + len(z)] = z[:, : M + 1]

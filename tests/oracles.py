@@ -49,6 +49,16 @@ def shaped_noise_whole(model, M, seed):
     return z * full_grid_amplitude(model, M)
 
 
+def projections_by_einsum(model, M, seed):
+    """The projections of ``afb_sra(model, M, seed, projected=True)``, with
+    the two line-sum reductions by ``einsum`` over the whole shaped draw,
+    not by BLAS dots block by block."""
+    z = shaped_noise_whole(model, M, seed)
+    w = synthesis._line_sum_weights(M)
+    sums = np.fft.fft(np.stack([np.einsum("ij,j->i", z, w), np.einsum("i,ij->j", w, z)]))
+    return (np.pi / M) * sums[:, : M + 1].real - (M + 1) / M * (np.pi * z.real.sum())
+
+
 def afb_sra_direct(model, M, seed):
     """The discretized spectral sum behind ``afb_sra``, term by term.
 

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -27,7 +30,8 @@ from anisofield import (
 )
 from anisofield import synthesis
 from oracles import (
-    afb_sra_direct, axis_projections, fgn_pair, full_grid_amplitude, shaped_noise_whole,
+    afb_sra_direct, axis_projections, fgn_pair, full_grid_amplitude, projections_by_einsum,
+    shaped_noise_whole,
 )
 
 # fGn lag-1 autocovariance at H=0.7: (2^1.4 - 2)/2
@@ -176,6 +180,18 @@ class TestFbm:
         real, imag = fbm_path(0.5, 16, [1, 2])
         assert real.tobytes() == fbm_path(0.5, 16, np.random.SeedSequence([1, 2]))[0].tobytes()
 
+    @pytest.mark.parametrize(
+        "seed", [1.5, "x", [np.random.SeedSequence(1), 3]], ids=["float", "str", "mixed-list"]
+    )
+    def test_seed_of_another_kind_named(self, aniso_model, seed):
+        # numpy's TypeError becomes a ValueError that names the seed, on
+        # both routes that draw noise
+        message = f"^seed {re.escape(repr(seed))} is not an integer >= 0"
+        with pytest.raises(ValueError, match=message):
+            fbm_path(0.5, 16, seed)
+        with pytest.raises(ValueError, match=message):
+            afb_sra(aniso_model, 8, seed)
+
     def test_unit_time_variance(self):
         vals = np.array(
             [fbm_path(0.5, 64, derived_stream(2, i))[0][-1] for i in range(10_000)]
@@ -237,23 +253,32 @@ class TestSra:
         "index", [AnisotropicIndex(0.3, 0.3), AnisotropicIndex(0.7, 0.2)]
     )
     def test_mirrored_amplitude_table(self, index, M):
-        # the table holds the full grid's rows 0..M in FFT column order,
-        # and shaping by it multiplies every noise term by its full-grid
-        # amplitude, bit for bit; at M = 256 and 512 the rows are built in
-        # 3 and 9 chunks
+        # the table is the full grid's quadrant n_1, n_2 = 0..M, and shaping
+        # by it, through reversed views of its rows and columns, multiplies
+        # every noise term by its full-grid amplitude bit for bit; at
+        # M = 256 and 512 the rows are built in 9 and 35 chunks.  The seeds
+        # give the origin noise, whose amplitude is zero, each combination
+        # of signs: the shaped origin keeps the signed zeros of the complex
+        # product
         full = full_grid_amplitude(index, M)
         table = synthesis._sra_amplitude(index, M)
-        assert table.shape == (M + 1, 2 * M)
+        assert table.shape == (M + 1, M + 1)
         assert not table.flags.writeable
-        assert np.array_equal(table, full[: M + 1])
-        z = synthesis._draw_complex_noise(np.random.default_rng(M), (2 * M, 2 * M))
-        expected = z * full
-        # blocks of 3 rows straddle row M, where the mirroring starts
-        for block in (3, 2 * M):
-            shaped = z.copy()
-            for first in range(0, 2 * M, block):
-                synthesis._shape_noise(shaped[first : first + block], table, first)
-            assert shaped.tobytes() == expected.tobytes()
+        assert table.tobytes() == full[: M + 1, : M + 1].tobytes()
+        signs = set()
+        bufsize = np.getbufsize()
+        for seed in (0, 1, 4, 9):
+            z = synthesis._draw_complex_noise(np.random.default_rng(seed), (2 * M, 2 * M))
+            signs.add((z[0, 0].real > 0, z[0, 0].imag > 0))
+            expected = z * full
+            # blocks of 3 rows straddle row M, where the mirroring starts
+            for block in (3, 2 * M):
+                shaped = z.copy()
+                for first in range(0, 2 * M, block):
+                    synthesis._shape_noise(shaped[first : first + block], table, first)
+                assert shaped.tobytes() == expected.tobytes()
+        assert len(signs) == 4
+        assert np.getbufsize() == bufsize  # shaping restores numpy's setting
 
     @pytest.mark.parametrize("M", [128, 256])
     def test_row_blocks_match_one_whole_draw(self, aniso_model, M):
@@ -294,10 +319,12 @@ class TestSra:
         assert peak / (16 * (2 * M) ** 2) < bound
 
     def test_cell_switch_builds_one_table_at_a_time(self):
-        # peak traced allocation in units of one M = 512 table, when a
-        # first cell's table is cached and a second cell is synthesized:
-        # the chunked build holds the new table and one chunk's
-        # temporaries, not a grid of every frequency beside them
+        # peak traced allocation in units of one M = 512 quadrant table,
+        # when a first cell's table is cached and a second cell is
+        # synthesized: the chunked build holds the new table and one
+        # small chunk's temporaries, and synthesis one noise block beside
+        # it; a table 2M columns wide, or build chunks of 63 rows, would
+        # not fit
         M = 512
         afb_sra(AnisotropicIndex(0.7, 0.2), M, 0, projected=True)
         tracemalloc.start()
@@ -306,7 +333,7 @@ class TestSra:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (8 * (M + 1) * 2 * M) < 2.0
+        assert peak / (8 * (M + 1) ** 2) < 1.5
 
     def test_old_table_dropped_before_the_next_is_built(self, monkeypatch):
         # the cache holds one table, and a new cell's table is built only
@@ -416,6 +443,31 @@ class TestProjectedSra:
             fast = afb_sra(aniso_model, 8, seed, projected=True)
             slow = axis_projections(afb_sra_direct(aniso_model, 8, seed)[0])
             assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+
+    @pytest.mark.parametrize("M", [4, 64, 512])
+    def test_reductions_match_einsum_oracle(self, aniso_model, M):
+        for seed in range(3):
+            fast = afb_sra(aniso_model, M, seed, projected=True)
+            slow = projections_by_einsum(aniso_model, M, seed)
+            assert np.abs(fast - slow).max() <= 1e-13 * np.abs(slow).max()
+
+    def test_one_blas_thread_gives_the_same_bytes(self, aniso_model):
+        # the reductions are BLAS dots of at most 2M values, which OpenBLAS
+        # runs on one thread at these lengths: a process held to one
+        # thread computes the projections of this one, byte for byte
+        code = (
+            "import sys\n"
+            "from anisofield import AnisotropicIndex, afb_sra\n"
+            "values = afb_sra(AnisotropicIndex(0.7, 0.2), 512, 5, projected=True)\n"
+            "sys.stdout.write(values.tobytes().hex())\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        values = afb_sra(aniso_model, 512, 5, projected=True)
+        assert proc.stdout == values.tobytes().hex()
 
     @pytest.mark.parametrize("M", [4, 8, 512])
     def test_line_sum_weights_are_the_box_transform(self, M):
