@@ -21,7 +21,7 @@ from .errors import (
     PathTooShort,
     ZeroVariation,
 )
-from .filters import DiscreteFilter, apply_filter, binomial_filter
+from .filters import DiscreteFilter, _integer, apply_filter, binomial_filter
 from .projection import project_axis  # perfbench/spans.py wraps this name by getattr
 
 __all__ = [
@@ -57,6 +57,7 @@ def quad_variation(path, a: DiscreteFilter, u: int):
     gives on its own.
     """
     x = np.atleast_1d(np.asarray(path, dtype=float))
+    u = _integer(u, f"dilation u = {u!r}")
     if _summands(x.shape[-1] - 1, a, u) < 2:
         raise PathTooShort(
             f"{x.shape[-1]} values leave fewer than two summands for a "
@@ -110,6 +111,9 @@ def log_ratio_at_level(
     along its last axis; the three results are floats for one series and
     arrays of the leading shape otherwise.
     """
+    nu = _integer(nu, f"level nu = {nu!r}")
+    u = _integer(u, f"dilation u = {u!r}")
+    v = _integer(v, f"dilation v = {v!r}")
     if u == v:
         raise EqualDilations("need two distinct dilation factors")
     if nu < 0:
@@ -141,6 +145,7 @@ def check_level(M: int, nu: int, a: DiscreteFilter, u: int) -> None:
     The stride 2^nu must divide M and leave at least 8 steps, and the
     filter dilated by u must leave at least two summands on them.
     """
+    nu = _integer(nu, f"level nu = {nu!r}")
     if nu < 0:
         raise ValueError("nu must be >= 0")
     steps = M >> nu

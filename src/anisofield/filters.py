@@ -11,6 +11,7 @@ possible.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -29,6 +30,18 @@ __all__ = [
 # Moment r is considered zero below _REL_TOL * max|a_k| * l**r.  Exact
 # integer filters dominate usage; the tolerance only guards float inputs.
 _REL_TOL = 1e-9
+
+
+def _integer(value, label: str) -> int:
+    """``value`` as an int; a ValueError that starts with ``label`` if it
+    is not an integer (a float, even an integral one, is not).
+
+    The package's one rule for counts, sizes, levels and dilations.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{label} is not an integer") from None
 
 
 def infer_order(coeffs) -> int:
@@ -114,6 +127,7 @@ def binomial_filter(order: int) -> DiscreteFilter:
 
     ``binomial_filter(2)`` is the second difference (1, -2, 1).
     """
+    order = _integer(order, f"filter order = {order!r}")
     if order < 1:
         raise ValueError("order must be >= 1")
     coeffs = [(-1.0) ** (order - k) * math.comb(order, k) for k in range(order + 1)]
@@ -157,6 +171,7 @@ def apply_filter(a: DiscreteFilter, values, u: int = 1) -> np.ndarray:
     series are stacked.
     """
     x = np.atleast_1d(np.asarray(values, dtype=float))
+    u = _integer(u, f"dilation u = {u!r}")
     if u < 1:
         raise ValueError("dilation factor must be >= 1")
     span = (a.length - 1) * u

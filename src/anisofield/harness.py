@@ -55,10 +55,10 @@ import numpy as np
 
 from .errors import AnisofieldError, OrderTooLow, TooManyFailures
 from .estimator import check_level, check_span, estimate_H, estimate_pair
-from .filters import DiscreteFilter, parse_filter
+from .filters import DiscreteFilter, _integer, parse_filter
 from .spectral import AnisotropicIndex, parse_index
 from .synthesis import (
-    _NOISE_BLOCK, _integer, _write_csv, afb_sra, check_grid, derived_stream, fbm_path,
+    _NOISE_BLOCK, _write_csv, afb_sra, check_grid, derived_stream, fbm_path,
 )
 from . import theory
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .filters import _integer
 from .spectral import Window1DMinus
 
 __all__ = ["DIRECTIONS", "project_axis"]
@@ -64,8 +65,7 @@ def project_axis(
     if field.ndim != 2 or field.shape[0] != field.shape[1]:
         raise ValueError("field values must be a square matrix")
     M = field.shape[0] - 1
-    if m_sub is None:
-        m_sub = M
+    m_sub = M if m_sub is None else _integer(m_sub, f"m_sub = {m_sub!r}")
     if not 1 <= m_sub <= M:
         raise ValueError("m_sub must lie in 1..M")
     if M % m_sub != 0:

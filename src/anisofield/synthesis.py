@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import operator
 import struct
 import sys
 from functools import lru_cache
@@ -45,6 +44,7 @@ from .errors import (
     MalformedPathFile,
     PathTooShort,
 )
+from .filters import _integer
 from .spectral import AnisotropicIndex, density
 
 __all__ = [
@@ -75,15 +75,6 @@ _NOISE_BLOCK = 2**15
 def derived_stream(base_seed: int, *key: int) -> np.random.SeedSequence:
     """Child stream for one replicate; stable under growing batch sizes."""
     return np.random.SeedSequence(base_seed, spawn_key=tuple(key))
-
-
-def _integer(value, label: str) -> int:
-    """``value`` as an int; a ValueError that starts with ``label`` if it
-    is not an integer (a float, even an integral one, is not)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{label} is not an integer") from None
 
 
 def _rng(seed) -> np.random.Generator:
@@ -263,11 +254,10 @@ def _shape_noise(z: np.ndarray, table: np.ndarray, first: int = 0) -> None:
     Rows 0..M hold the frequencies 0..M and take the quadrant's rows as
     they are; rows M+1..2M-1 hold -M+1..-1 and take its rows M-1..1.
     Within a row, columns 0..M take the quadrant row and columns
-    M+1..2M-1 the view of its entries M-1..1.  Each multiply runs on the
-    float views ``.real`` and ``.imag`` of z, so neither a complex cast of
-    the amplitudes nor a copy of the mirror is made.  The products are
-    those of a multiply by the full (2M) x (2M) table, bit for bit, and so
-    are the signed zeros at the origin, whose amplitude is zero.
+    M+1..2M-1 the view of its entries M-1..1, so no copy of the mirror is
+    made.  Each is one complex multiply, so the products are those of a
+    multiply by the full (2M) x (2M) table, bit for bit, signed zeros at
+    the zero-amplitude origin included.
     """
     M = len(table) - 1
     split = min(max(M + 1 - first, 0), len(z))  # rows of z that are in 0..M
@@ -275,21 +265,16 @@ def _shape_noise(z: np.ndarray, table: np.ndarray, first: int = 0) -> None:
         (z[:split], table[first : first + split]),
         (z[split:], table[2 * M - first - split : 2 * M - first - len(z) : -1]),
     )
-    # With ufunc buffers of two rows or more, numpy copies these strided
-    # rows through buffers to lengthen its inner loop; with one row's worth
-    # each multiply runs on the rows in place, about a third faster at
-    # M = 512.  Leaving the errstate context restores the buffer size.
+    # numpy casts the amplitudes to complex through its ufunc buffers, and
+    # with the default size of 8192 values it copies these strided rows
+    # through them too, to lengthen its inner loop; with one row's worth
+    # the buffers take a few KB and the multiply runs on the rows in
+    # place.  Leaving the errstate context restores the buffer size.
     with np.errstate():
         np.setbufsize(16 * (M // 16 + 1))
         for part, rows in groups:
-            for values in (part.real, part.imag):
-                values[:, : M + 1] *= rows
-                values[:, M + 1 :] *= rows[:, M - 1 : 0 : -1]
-    if first == 0:
-        # the views left the origin zeros with the signs of its real and
-        # imaginary noise; the complex product by its zero amplitude
-        # combines them as the full complex multiply does
-        z[:1, :1] *= table[:1, :1]
+            part[:, : M + 1] *= rows
+            part[:, M + 1 :] *= rows[:, M - 1 : 0 : -1]
 
 
 def _shaped_noise(rng: np.random.Generator, table: np.ndarray):
@@ -324,9 +309,8 @@ def _anchored(block: np.ndarray) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=1)
 def _line_sum_weights(M: int) -> np.ndarray:
-    """w(n) = sum_{k=0..M} exp(-i pi n k / M) for n = 0..2M-1, read-only.
+    """w(n) = sum_{k=0..M} exp(-i pi n k / M) for n = 0..2M-1.
 
     The transform of the indicator of 0..M on 2M points, in closed form:
     M + 1 at n = 0, 1 at every other even n and -i cot(pi n / 2M) at odd n.
@@ -335,7 +319,6 @@ def _line_sum_weights(M: int) -> np.ndarray:
     w[0] = M + 1
     odd = np.arange(1, 2 * M, 2)
     w[odd] = -1j / np.tan(np.pi * odd / (2 * M))
-    w.flags.writeable = False
     return w
 
 
@@ -352,22 +335,21 @@ def _projections_of_spectrum(blocks, M: int) -> np.ndarray:
 
     Each block is reduced as it arrives, by ``np.vecdot`` against the
     conjugated weights: one BLAS dot per row and per column, of at most 2M
-    values.  The OpenBLAS bundled with numpy 2.4 (0.3.31) runs a dot of up
-    to 10000 values on one thread and splits longer ones over its threads,
-    so up to M = 4096 the reductions neither compete with the other
-    workers of a run for the CPUs nor depend on the thread count; a matrix
-    product would run threaded.
+    values, into one (2, 2M) array of line sums that one FFT along its
+    rows then transforms in place.  The OpenBLAS bundled with numpy 2.4
+    (0.3.31) runs a dot of up to 10000 values on one thread and splits
+    longer ones over its threads, so up to M = 4096 the reductions neither
+    compete with the other workers of a run for the CPUs nor depend on
+    the thread count; a matrix product would run threaded.
     """
     w_conj = _line_sum_weights(M).conj()
-    rows = np.empty(2 * M, dtype=complex)
-    cols = np.zeros(2 * M, dtype=complex)
+    sums = np.zeros((2, 2 * M), dtype=complex)  # line sums by rows, by columns
     total = 0.0
     for first, z in blocks:
-        rows[first : first + len(z)] = np.vecdot(w_conj, z)
-        cols += np.vecdot(w_conj[first : first + len(z)], z, axis=0)
+        sums[0, first : first + len(z)] = np.vecdot(w_conj, z)
+        sums[1] += np.vecdot(w_conj[first : first + len(z)], z, axis=0)
         total += z.real.sum()
         del z
-    sums = np.stack([rows, cols])
     np.fft.fft(sums, axis=1, out=sums)
     values = (np.pi / M) * sums[:, : M + 1].real - (M + 1) / M * (np.pi * total)
     values.flags.writeable = False
@@ -386,11 +368,10 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     transform then runs once over the (2M) x (M+1) result and keeps M+1
     rows.  Both transforms run in place.  Each block is shaped by the
     cached quadrant of amplitudes, its mirrored rows and columns read
-    through views (see _shape_noise).  The (2M) x (M+1) buffer is
-    allocated once the first block is shaped, so at M <= 64, where one
-    block holds every row, it does not sit beside the shaping's buffers.
-    A call for a new (index, M) first drops the previous table, then
-    builds its own in row chunks, before any noise is drawn.
+    through views (see _shape_noise); shaping takes a few KB of buffers,
+    so the (2M) x (M+1) output buffer is allocated before the first block
+    is drawn.  A call for a new (index, M) first drops the previous table,
+    then builds its own in row chunks, before any noise is drawn.
 
     Returns ``(real_field, imag_field)``: the real and the imaginary part
     of the sum as read-only (M+1) x (M+1) arrays, entry (k1, k2) at
@@ -413,15 +394,12 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     bit for bit.
     """
     check_grid(M)
-    # The table first: its temporaries and the noise then do not coexist.
     table = _sra_amplitude(index, int(M))
     blocks = _shaped_noise(_rng(seed), table)
     if projected:
         return _projections_of_spectrum(blocks, M)
-    y = None
+    y = np.empty((2 * M, M + 1), dtype=complex)
     for first, z in blocks:
-        if y is None:  # after the first block's shaping buffers are gone
-            y = np.empty((2 * M, M + 1), dtype=complex)
         np.fft.fft(z, axis=1, out=z)
         y[first : first + len(z)] = z[:, : M + 1]
         del z

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,3 +311,37 @@ class TestEstimatePair:
         fields = (afb_sra(model, 128, derived_stream(14, i))[0] for i in range(400))
         diffs = [np.subtract(*estimate_pair(axis_projections(f))[0]) for f in fields]
         assert abs(np.mean(diffs)) <= 0.02
+
+
+_WALK = np.cumsum(np.random.default_rng(3).standard_normal(257))
+_GRID = np.add.outer(_WALK[:17], _WALK[17:34])
+_PROJECTIONS = np.stack([_WALK[:17], _WALK[17:34]])
+
+
+@pytest.mark.parametrize(
+    "call, value, label",
+    [
+        (lambda n: project_axis(_GRID, "horizontal", m_sub=n), 2.0, "m_sub"),
+        (lambda n: estimate_projection(_PROJECTIONS[0], n), 1.0, "level nu"),
+        (lambda n: estimate_pair(_PROJECTIONS, (n,), A2), 0.0, "level nu"),
+        (lambda n: log_ratio_at_level(_WALK, n, A2, 2, 1), 1.0, "level nu"),
+        (lambda n: estimate_H(_WALK, A2, n, 1), 2.0, "dilation u"),
+        (lambda n: estimate_H(_WALK, A2, 2, n), 1.0, "dilation v"),
+        (lambda n: quad_variation(_WALK, A2, n), 1.5, "dilation u"),
+        (lambda n: theory.Gamma_fourier(A2, n, 1, 0.5, 0), 1.5, "dilation u"),
+        (lambda n: binomial_filter(n).coeffs, 2.0, "filter order"),
+    ],
+    ids=[
+        "project_axis", "estimate_projection", "estimate_pair", "log_ratio_at_level",
+        "estimate_H-u", "estimate_H-v", "quad_variation", "Gamma_fourier", "binomial_filter",
+    ],
+)
+def test_non_integer_argument_named(call, value, label):
+    # each public entry takes its levels, dilations, m_sub and filter
+    # order through the package's one integer rule: a float, even an
+    # integral one, fails with its name and value, and a numpy integer
+    # gives the int's result
+    with pytest.raises(ValueError, match=rf"^{re.escape(label)} = {value!r} is not an integer$"):
+        call(value)
+    n = int(value)
+    assert np.array_equal(np.asarray(call(np.int64(n))), np.asarray(call(n)))

@@ -305,10 +305,12 @@ class TestSra:
     )
     def test_peak_memory_below_one_whole_draw(self, aniso_model, M, projected, bound):
         # peak traced allocation in units of one (2M)^2 complex array;
-        # the amplitude table is cached by a first call.  At M = 64 one
-        # block holds the whole draw, and the bound leaves room for its
-        # shaping cast buffer but not for the output buffer beside it, nor
-        # for the temporaries of a per-block column mirror of the table.
+        # the amplitude table is cached by a first call.  Shaping adds a
+        # few KB (see test_shaping_takes_a_few_kb).  At M = 64 one block
+        # holds the whole draw and the field route's (2M) x (M+1) output
+        # buffer sits beside it, about 1.53; the bound leaves no room for
+        # shaping casts at numpy's default ufunc buffer size, nor for the
+        # temporaries of a per-block column mirror of the table.
         afb_sra(aniso_model, M, 0, projected=projected)
         tracemalloc.start()
         try:
@@ -317,6 +319,25 @@ class TestSra:
         finally:
             tracemalloc.stop()
         assert peak / (16 * (2 * M) ** 2) < bound
+
+    @pytest.mark.parametrize("M, first", [(64, 0), (512, 512)])
+    def test_shaping_takes_a_few_kb(self, aniso_model, M, first):
+        # peak traced allocation of shaping one noise block in place, in
+        # units of the block: the whole draw at M = 64, and at M = 512 the
+        # block whose first row is row M, so that it takes both quadrant
+        # rows and mirrored ones.  The ufunc buffers held to one row's
+        # worth read about 0.02; at numpy's default buffer size the cast
+        # of the amplitudes to complex takes about three quarters
+        table = synthesis._sra_amplitude(aniso_model, M)
+        rows = min(synthesis._NOISE_BLOCK // (2 * M), 2 * M)
+        z = synthesis._draw_complex_noise(np.random.default_rng(2), (rows, 2 * M))
+        tracemalloc.start()
+        try:
+            synthesis._shape_noise(z, table, first)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / z.nbytes < 0.05
 
     def test_cell_switch_builds_one_table_at_a_time(self):
         # peak traced allocation in units of one M = 512 quadrant table,
