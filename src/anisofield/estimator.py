@@ -21,7 +21,7 @@ from .errors import (
     PathTooShort,
     ZeroVariation,
 )
-from .filters import DiscreteFilter, _integer, apply_filter, binomial_filter
+from .filters import DiscreteFilter, _dilation, _integer, apply_filter, binomial_filter
 from .projection import project_axis  # perfbench/spans.py wraps this name by getattr
 
 __all__ = [
@@ -37,6 +37,15 @@ __all__ = [
 # Variations below this are treated as exact annihilation rather than
 # small stochastic values.
 _ZERO_VARIATION = 1e-300
+
+
+def _level(nu) -> int:
+    """The subsampling level nu as an int >= 0: the package's one rule for
+    levels, which every public entry that takes one applies."""
+    nu = _integer(nu, f"level nu = {nu!r}")
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
+    return nu
 
 
 def _summands(n_steps: int, a: DiscreteFilter, u: int) -> int:
@@ -57,7 +66,7 @@ def quad_variation(path, a: DiscreteFilter, u: int):
     gives on its own.
     """
     x = np.atleast_1d(np.asarray(path, dtype=float))
-    u = _integer(u, f"dilation u = {u!r}")
+    u = _dilation(u)
     if _summands(x.shape[-1] - 1, a, u) < 2:
         raise PathTooShort(
             f"{x.shape[-1]} values leave fewer than two summands for a "
@@ -111,13 +120,10 @@ def log_ratio_at_level(
     along its last axis; the three results are floats for one series and
     arrays of the leading shape otherwise.
     """
-    nu = _integer(nu, f"level nu = {nu!r}")
-    u = _integer(u, f"dilation u = {u!r}")
-    v = _integer(v, f"dilation v = {v!r}")
+    nu = _level(nu)
+    u, v = _dilation(u), _dilation(v, "v")
     if u == v:
         raise EqualDilations("need two distinct dilation factors")
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
     x = np.asarray(values)[..., :: 1 << nu]
     v_u = quad_variation(x, a, u)
     v_v = quad_variation(x, a, v)
@@ -145,9 +151,7 @@ def check_level(M: int, nu: int, a: DiscreteFilter, u: int) -> None:
     The stride 2^nu must divide M and leave at least 8 steps, and the
     filter dilated by u must leave at least two summands on them.
     """
-    nu = _integer(nu, f"level nu = {nu!r}")
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
+    nu = _level(nu)
     steps = M >> nu
     if M % (1 << nu) != 0 or steps < 8:
         raise GridTooCoarse(
@@ -159,6 +163,7 @@ def check_level(M: int, nu: int, a: DiscreteFilter, u: int) -> None:
 def check_span(n_steps: int, a: DiscreteFilter, u: int, what: str) -> None:
     """Reject a series of n_steps steps on which the filter dilated by u
     leaves fewer than two summands; ``what`` names the series."""
+    u = _dilation(u)
     if _summands(n_steps, a, u) < 2:
         raise GridTooCoarse(
             f"{what} leaves {n_steps} steps, "
@@ -185,6 +190,7 @@ def estimate_projection(
     """
     if a is None:
         a = binomial_filter(2)
+    u, v = _dilation(u), _dilation(v, "v")
     check_level(values.shape[-1] - 1, nu, a, max(u, v))
     r, t1, t2 = log_ratio_at_level(values, nu, a, u, v)
     return r - 0.5, t1, t2

@@ -34,14 +34,31 @@ _REL_TOL = 1e-9
 
 def _integer(value, label: str) -> int:
     """``value`` as an int; a ValueError that starts with ``label`` if it
-    is not an integer (a float, even an integral one, is not).
+    is not an integer (a float, even an integral one, is not, and neither
+    is a bool).
 
     The package's one rule for counts, sizes, levels and dilations.
     """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{label} is not an integer") from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{label} is not an integer")
+
+
+def _dilation(value, name: str = "u") -> int:
+    """The dilation factor ``name`` (u or v) as an int >= 1.
+
+    The package's one rule for dilations, which every public entry that
+    takes one applies: a ValueError names the argument and its value, as
+    in ``dilation u = 2.5 is not an integer`` or
+    ``dilation v = 0 must be >= 1``.
+    """
+    d = _integer(value, f"dilation {name} = {value!r}")
+    if d < 1:
+        raise ValueError(f"dilation {name} = {d} must be >= 1")
+    return d
 
 
 def infer_order(coeffs) -> int:
@@ -154,8 +171,7 @@ def transfer_sq(a: DiscreteFilter, xi):
 
 def cross_transfer(a: DiscreteFilter, u: int, v: int, xi):
     """Two-scale transfer product P_a(e^{-iu xi}) * conj(P_a(e^{-iv xi}))."""
-    if u < 1 or v < 1:
-        raise ValueError("dilation factors must be >= 1")
+    u, v = _dilation(u), _dilation(v, "v")
     xi = np.asarray(xi, dtype=float)
     val = _poly_unit_circle(a, u * xi) * np.conj(_poly_unit_circle(a, v * xi))
     return complex(val) if val.ndim == 0 else val
@@ -171,9 +187,7 @@ def apply_filter(a: DiscreteFilter, values, u: int = 1) -> np.ndarray:
     series are stacked.
     """
     x = np.atleast_1d(np.asarray(values, dtype=float))
-    u = _integer(u, f"dilation u = {u!r}")
-    if u < 1:
-        raise ValueError("dilation factor must be >= 1")
+    u = _dilation(u)
     span = (a.length - 1) * u
     count = x.shape[-1] - span
     if count < 1:

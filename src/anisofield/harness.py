@@ -90,8 +90,8 @@ class ExperimentConfig:
     neither ``hursts`` nor ``path_lengths``.  ``workers`` of None or <= 0
     means one worker per CPU.  A larger ``workers`` still sets the task
     blocks, but the pool runs at most one process per CPU.  The counts,
-    levels, lengths and dilations must be integers; numpy integers are
-    stored as ``int``.  Each index must be an ``AnisotropicIndex`` and each
+    levels, lengths and dilations must be integers other than a bool;
+    numpy integers are stored as ``int``.  Each index must be an ``AnisotropicIndex`` and each
     Hurst value a real number other than a bool, in either mode.
     """
 

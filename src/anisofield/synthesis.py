@@ -504,10 +504,13 @@ def write_path_csv(values: np.ndarray, path, hurst=None, seed=None) -> None:
     true Hurst index and the seed, when known, in ``# hurst = ...`` and
     ``# seed = ...`` comments (see _write_csv).
 
-    The positions need N >= 1, so the series must hold two or more values.
-    The seed must be an integer, so that :func:`read_path_csv` reads it
-    back.
+    The series must be 1-d, and the positions need N >= 1, so it must hold
+    two or more values.  The seed must be an integer, so that
+    :func:`read_path_csv` reads it back.  Each check runs before the file
+    is opened.
     """
+    if values.ndim != 1:
+        raise ValueError(f"a path CSV needs a 1-d series, got shape {values.shape}")
     n = values.size - 1
     if n < 1:
         raise PathTooShort(

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import EqualDilations, NegativeVariance, OrderTooLow
 # cross_transfer, transfer_sq: unused here; the benchmark's tracer wraps them.
-from .filters import DiscreteFilter, _integer, cross_transfer, transfer_sq
+from .filters import DiscreteFilter, _dilation, cross_transfer, transfer_sq
 
 __all__ = [
     "AsymptoticConstants",
@@ -97,10 +97,7 @@ def E_const(a: DiscreteFilter, u: int, H: float) -> float:
 
     Finite exactly when the filter order exceeds H.
     """
-    u = _integer(u, f"dilation u = {u!r}")
-    if u < 1:
-        raise ValueError("dilation factor must be >= 1")
-    return float(u) ** (2.0 * H) * Gamma_fourier(a, 1, 1, H, 0)
+    return float(_dilation(u)) ** (2.0 * H) * Gamma_fourier(a, 1, 1, H, 0)
 
 
 def Gamma_fourier(a: DiscreteFilter, u: int, v: int, H: float, p):
@@ -111,10 +108,7 @@ def Gamma_fourier(a: DiscreteFilter, u: int, v: int, H: float, p):
     decays in |p| like |p|^(2H - 2K) for a filter of order K, and is not
     symmetric in the sign of p unless u == v.
     """
-    u = _integer(u, f"dilation u = {u!r}")
-    v = _integer(v, f"dilation v = {v!r}")
-    if u < 1 or v < 1:
-        raise ValueError("dilation factors must be >= 1")
+    u, v = _dilation(u), _dilation(v, "v")
     if not H > 0.0:
         raise ValueError(f"H={H} must be positive")
     if a.order <= H:
@@ -198,12 +192,9 @@ def asymptotic_constants(
     a: DiscreteFilter, u: int, v: int, H: float
 ) -> AsymptoticConstants:
     """Compute every constant the CLT needs for one configuration."""
-    u = _integer(u, f"dilation u = {u!r}")
-    v = _integer(v, f"dilation v = {v!r}")
+    u, v = _dilation(u), _dilation(v, "v")
     if u == v:
         raise EqualDilations("gamma is undefined for equal dilations")
-    if u < 1 or v < 1:
-        raise ValueError("dilation factors must be >= 1")
     # E grows like 1/H and C like 1/H^2: below H ~ 1e-154 they overflow,
     # and opposite infinities in the tap sum give NaN.
     with np.errstate(over="ignore", invalid="ignore"):

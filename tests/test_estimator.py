@@ -15,8 +15,10 @@ from anisofield import (
     PathTooShort,
     ZeroVariation,
     afb_sra,
+    apply_filter,
     binomial_filter,
     check_level,
+    cross_transfer,
     derived_stream,
     estimate_H,
     estimate_pair,
@@ -27,6 +29,7 @@ from anisofield import (
     quad_variation,
 )
 from anisofield import theory
+from anisofield.estimator import check_span
 from oracles import axis_projections
 
 A2 = binomial_filter(2)
@@ -330,18 +333,69 @@ _PROJECTIONS = np.stack([_WALK[:17], _WALK[17:34]])
         (lambda n: quad_variation(_WALK, A2, n), 1.5, "dilation u"),
         (lambda n: theory.Gamma_fourier(A2, n, 1, 0.5, 0), 1.5, "dilation u"),
         (lambda n: binomial_filter(n).coeffs, 2.0, "filter order"),
+        (lambda n: check_level(64, 0, A2, n), 2.5, "dilation u"),
+        (lambda n: cross_transfer(A2, n, 1, 0.3), 1.5, "dilation u"),
+        (lambda n: cross_transfer(A2, 1, n, 0.3), 1.5, "dilation v"),
+        (lambda n: apply_filter(A2, _WALK, n), 2.0, "dilation u"),
+        (lambda n: theory.E_const(A2, n, 0.5), 2.5, "dilation u"),
+        (lambda n: theory.asymptotic_constants(A2, 2, n, 0.5).gamma, 1.0, "dilation v"),
+        (lambda n: estimate_projection(_PROJECTIONS[0], 0, A2, 2, n), 3.5, "dilation v"),
+        (lambda n: project_axis(_GRID, "horizontal", m_sub=n), True, "m_sub"),
+        (lambda n: log_ratio_at_level(_WALK, n, A2, 2, 1), True, "level nu"),
+        (lambda n: quad_variation(_WALK, A2, n), True, "dilation u"),
+        (lambda n: binomial_filter(n).coeffs, True, "filter order"),
     ],
     ids=[
         "project_axis", "estimate_projection", "estimate_pair", "log_ratio_at_level",
         "estimate_H-u", "estimate_H-v", "quad_variation", "Gamma_fourier", "binomial_filter",
+        "check_level", "cross_transfer-u", "cross_transfer-v", "apply_filter", "E_const",
+        "asymptotic_constants", "estimate_projection-v", "project_axis-bool",
+        "log_ratio_at_level-bool", "quad_variation-bool", "binomial_filter-bool",
     ],
 )
 def test_non_integer_argument_named(call, value, label):
     # each public entry takes its levels, dilations, m_sub and filter
     # order through the package's one integer rule: a float, even an
-    # integral one, fails with its name and value, and a numpy integer
-    # gives the int's result
+    # integral one, or a bool fails with its name and value, and a numpy
+    # integer gives the int's result
     with pytest.raises(ValueError, match=rf"^{re.escape(label)} = {value!r} is not an integer$"):
         call(value)
     n = int(value)
     assert np.array_equal(np.asarray(call(np.int64(n))), np.asarray(call(n)))
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda d: apply_filter(A2, _WALK, d), "u"),
+        (lambda d: cross_transfer(A2, d, 1, 0.3), "u"),
+        (lambda d: cross_transfer(A2, 1, d, 0.3), "v"),
+        (lambda d: quad_variation(_WALK, A2, d), "u"),
+        (lambda d: log_ratio_at_level(_WALK, 0, A2, d, 1), "u"),
+        (lambda d: log_ratio_at_level(_WALK, 0, A2, 2, d), "v"),
+        (lambda d: estimate_H(_WALK, A2, d, 1), "u"),
+        (lambda d: estimate_H(_WALK, A2, 2, d), "v"),
+        (lambda d: check_level(64, 0, A2, d), "u"),
+        (lambda d: check_span(64, A2, d, "a path"), "u"),
+        (lambda d: estimate_projection(_PROJECTIONS[0], 0, A2, d, 1), "u"),
+        (lambda d: estimate_projection(_PROJECTIONS[0], 0, A2, 2, d), "v"),
+        (lambda d: theory.E_const(A2, d, 0.5), "u"),
+        (lambda d: theory.Gamma_fourier(A2, d, 1, 0.5, 0), "u"),
+        (lambda d: theory.Gamma_fourier(A2, 1, d, 0.5, 0), "v"),
+        (lambda d: theory.asymptotic_constants(A2, d, 1, 0.5), "u"),
+        (lambda d: theory.asymptotic_constants(A2, 2, d, 0.5), "v"),
+    ],
+    ids=[
+        "apply_filter", "cross_transfer-u", "cross_transfer-v", "quad_variation",
+        "log_ratio_at_level-u", "log_ratio_at_level-v", "estimate_H-u", "estimate_H-v",
+        "check_level", "check_span", "estimate_projection-u", "estimate_projection-v",
+        "E_const", "Gamma_fourier-u", "Gamma_fourier-v", "asymptotic_constants-u",
+        "asymptotic_constants-v",
+    ],
+)
+def test_dilation_below_one_named(call, name, value):
+    # every entry that takes a dilation applies the one dilation rule, and
+    # the error names the argument at fault
+    with pytest.raises(ValueError, match=rf"^dilation {name} = {value} must be >= 1$"):
+        call(value)

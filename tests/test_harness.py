@@ -406,11 +406,12 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("grid_size", 16.0), ("reps", 2.5), ("seed", 1.0), ("workers", 1.5)],
+        [("grid_size", 16.0), ("reps", 2.5), ("seed", 1.0), ("workers", 1.5),
+         ("seed", True), ("workers", False)],
     )
     def test_non_integer_count_named(self, monkeypatch, field, value):
         # rejected when the config is built, naming the field and the
-        # value, before any replicate runs
+        # value, before any replicate runs; a bool is not an integer
         monkeypatch.setattr(harness, "_map_cells", lambda *args: pytest.fail("ran"))
         with pytest.raises(ValueError, match=f"^{field} = {re.escape(repr(value))} is not"):
             run_eval_2d(_cfg_2d(**{field: value}))

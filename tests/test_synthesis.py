@@ -572,6 +572,16 @@ class TestFieldIO:
         write_path_csv(np.zeros(3), f, 0.5, np.uint64(2**63 + 1))
         assert read_path_csv(f)[2] == 2**63 + 1
 
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 5), ()], ids=["3x3", "1x5", "0-d"])
+    def test_path_must_be_1d(self, tmp_path, shape):
+        # rejected before the file is opened: a header alone would read
+        # back as an empty path
+        f = tmp_path / "path.csv"
+        message = rf"^a path CSV needs a 1-d series, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            write_path_csv(np.zeros(shape), f)
+        assert not f.exists()
+
     @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
     def test_csv_bytes(self, tmp_path, capsys, to_file):
         # hand-built values, so the bytes are the same on every numpy build
