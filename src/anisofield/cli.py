@@ -17,6 +17,7 @@ from .harness import emit_table, load_config, run_eval_1d, run_eval_2d
 from .projection import DIRECTIONS, project_axis
 from .spectral import parse_index, parse_window
 from .synthesis import (
+    _is_field_file,
     _write_csv,
     afb_sra,
     fbm_path,
@@ -61,11 +62,6 @@ def _cmd_project(args) -> int:
     window = parse_window(args.window) if args.window else None
     write_path_csv(project_axis(field, args.direction, window, args.m_sub), args.out)
     return 0
-
-
-def _is_field_file(path: str) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(4) == b"AFB1"
 
 
 def _row(seed, h_true, label, nu, estimate, v1, v2) -> list:

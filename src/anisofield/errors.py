@@ -38,8 +38,8 @@ class MalformedFieldFile(AnisofieldError, ValueError):
 
 
 class MalformedPathFile(AnisofieldError, ValueError):
-    """A path CSV has a row that is not two numbers, or a metadata comment
-    whose value does not parse."""
+    """A path CSV has a row that is not two numbers, a metadata comment
+    whose value does not parse, or fewer than two values."""
 
 
 # --- estimators -----------------------------------------------------------

@@ -36,7 +36,9 @@ replicates of a 1-d pair when its synthesis fails).  A cell with more
 than 1% of its replicates failed stops the run.  A run opens one process
 pool, of at most one process per CPU, and queues every cell's tasks on it
 at once; results are collected in cell and replicate order, so
-parallelism cannot change output.  Each worker caches the amplitude table
+parallelism cannot change output.  The pool stack (``concurrent.futures``
+and ``multiprocessing``) loads on the first run that opens a pool, never
+on import or in a serial run.  Each worker caches the amplitude table
 of the latest cell only (the 2 MB quadrant of amplitudes at M = 512):
 a task of another cell drops it before building its own in row chunks.
 """
@@ -48,7 +50,6 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
@@ -221,11 +222,18 @@ def _map_cells(cell_tasks, workers):
     one process pool of at most one process per CPU, so workers move on
     to the next cell while the last tasks of the current one finish.
     Closing the generator early cancels the tasks that have not started.
+    The pool stack loads on the first run that opens a pool, never on
+    import or in a serial run (one worker, or fewer than four tasks).
     """
     if workers <= 1 or sum(map(len, cell_tasks)) < 4:
         for tasks in cell_tasks:
             yield [out for task in tasks for out in _block(task)]
         return
+    # imported on first use: concurrent.futures.process pulls in
+    # multiprocessing, socket, subprocess and logging, which only a pool
+    # uses; loading them at import costs every process ~9 ms and ~1.2 MB
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [[pool.submit(_block, task) for task in tasks] for tasks in cell_tasks]
         try:

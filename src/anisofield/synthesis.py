@@ -415,6 +415,7 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
 # u64 seed, all little-endian, followed by row-major f64 field values.
 # Paths, projections and every table of results: CSV through _write_csv.
 
+_MAGIC = b"AFB1"
 _HEADER = struct.Struct("<4sIddQ")
 
 
@@ -424,6 +425,7 @@ def write_field(values: np.ndarray, path, params=None, seed=None) -> None:
 
     The header holds a seed in 0..2^64-2; 2^64-1 marks an unknown seed.
     """
+    values = np.asarray(values)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("field values must be a square matrix")
     if seed is not None and not 0 <= seed < _NO_SEED:
@@ -432,7 +434,7 @@ def write_field(values: np.ndarray, path, params=None, seed=None) -> None:
         )
     h_h, h_v = params if params is not None else (float("nan"),) * 2
     seed = seed if seed is not None else _NO_SEED
-    header = _HEADER.pack(b"AFB1", values.shape[0] - 1, h_h, h_v, seed)
+    header = _HEADER.pack(_MAGIC, values.shape[0] - 1, h_h, h_v, seed)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
@@ -447,7 +449,7 @@ def read_field(path) -> tuple[np.ndarray, tuple[float, float] | None, int | None
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != b"AFB1":
+    if raw[:len(_MAGIC)] != _MAGIC:
         raise MalformedFieldFile(f"{path}: not an AFB1 field file")
     if len(raw) < _HEADER.size:
         raise MalformedFieldFile(
@@ -465,6 +467,12 @@ def read_field(path) -> tuple[np.ndarray, tuple[float, float] | None, int | None
     values.flags.writeable = False
     params = None if np.isnan(h_h) or np.isnan(h_v) else (h_h, h_v)
     return values, params, None if seed == _NO_SEED else int(seed)
+
+
+def _is_field_file(path) -> bool:
+    """Whether the file at ``path`` starts with the AFB1 magic."""
+    with open(path, "rb") as fh:
+        return fh.read(len(_MAGIC)) == _MAGIC
 
 
 def field_to_csv(values: np.ndarray, path) -> None:
@@ -509,6 +517,7 @@ def write_path_csv(values: np.ndarray, path, hurst=None, seed=None) -> None:
     :func:`read_path_csv` reads it back.  Each check runs before the file
     is opened.
     """
+    values = np.asarray(values)
     if values.ndim != 1:
         raise ValueError(f"a path CSV needs a 1-d series, got shape {values.shape}")
     n = values.size - 1
@@ -528,7 +537,8 @@ def read_path_csv(path) -> tuple[np.ndarray, float | None, int | None]:
 
     Raises MalformedPathFile, naming the file and the line, at a row that
     is not two numbers t,value or at a ``# hurst`` or ``# seed`` comment
-    whose value does not parse.
+    whose value does not parse, and naming the file when it holds fewer
+    than the two values a path needs.
     """
     hurst = None
     seed = None
@@ -566,6 +576,10 @@ def read_path_csv(path) -> tuple[np.ndarray, float | None, int | None]:
                     f"{where}: row {line!r} is not two numbers t,value"
                 ) from None
             values.append(value)
+    if len(values) < 2:
+        raise MalformedPathFile(
+            f"{path}: a path CSV needs at least two values, found {len(values)}"
+        )
     arr = np.asarray(values)
     arr.flags.writeable = False
     return arr, hurst, seed

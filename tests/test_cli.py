@@ -268,6 +268,19 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith(f"anisofield: {path_csv}:3: row '0.5,abc' is not two numbers")
 
+    @pytest.mark.parametrize("text", ["t,value\n", "t,value\n0.0,1.5\n"],
+                             ids=["header_only", "one_row"])
+    def test_path_of_fewer_than_two_values(self, tmp_path, capsys, text):
+        path_csv = tmp_path / "p.csv"
+        path_csv.write_text(text)
+        rc = main(["estimate", "--input", str(path_csv)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"anisofield: {path_csv}: a path CSV needs at least two values"
+        )
+
     @pytest.mark.parametrize("damage", ["truncated", "extended", "wrong_m"])
     def test_malformed_field_file(self, tmp_path, capsys, damage):
         field_file = tmp_path / "f.afb"

@@ -1,8 +1,11 @@
+import concurrent.futures
 import csv
 import dataclasses
 import math
 import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -127,12 +130,12 @@ class TestRun2D:
     def test_one_pool_per_run(self, monkeypatch):
         pools = []
 
-        class Counting(harness.ProcessPoolExecutor):
+        class Counting(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 pools.append(self)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
         cfg = _cfg_2d(
             indices=(AnisotropicIndex(0.5, 0.5), AnisotropicIndex(0.7, 0.2)),
             reps=6,
@@ -146,12 +149,12 @@ class TestRun2D:
         # five workers on two CPUs: a pool of two, and the same report
         sizes = []
 
-        class Recording(harness.ProcessPoolExecutor):
+        class Recording(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         cfg = _cfg_2d(reps=6, workers=5)
         report = run_eval_2d(cfg)
@@ -181,12 +184,12 @@ class TestRun2D:
     def test_too_many_failures_cancels_pending_tasks(self, monkeypatch):
         futures = []
 
-        class Recording(harness.ProcessPoolExecutor):
+        class Recording(concurrent.futures.ProcessPoolExecutor):
             def submit(self, *args, **kwargs):
                 futures.append(super().submit(*args, **kwargs))
                 return futures[-1]
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(harness, "_block", _slow_failing_block)
         indices = tuple(AnisotropicIndex(h, h) for h in (0.2, 0.4, 0.5, 0.7))
         cfg = _cfg_2d(indices=indices, reps=32, workers=2)
@@ -223,6 +226,34 @@ class TestRun2D:
         with pytest.raises(ValueError, match=r"u = 2, v = 1"):
             _cfg_2d(**{key: 3})
         assert _cfg_1d(**{key: 3}).mode == "1d"  # 1-d mode takes them
+
+
+def test_pool_stack_loads_only_when_a_run_opens_a_pool():
+    # neither the import nor a serial run loads the process-pool stack;
+    # a two-worker run of six tasks opens a pool and loads it
+    code = """
+import dataclasses
+import sys
+import anisofield
+
+STACK = ("concurrent", "multiprocessing", "logging", "socket", "subprocess")
+
+def loaded():
+    return ",".join(sorted(m for m in sys.modules if m.split(".")[0] in STACK))
+
+print(loaded())
+cfg = anisofield.ExperimentConfig(
+    mode="2d", indices=(anisofield.AnisotropicIndex(0.7, 0.2),),
+    grid_size=32, reps=6, nu_levels=(0, 1), seed=5, workers=1,
+)
+anisofield.run_eval_2d(cfg)
+print(loaded())
+anisofield.run_eval_2d(dataclasses.replace(cfg, workers=2))
+print("concurrent.futures.process" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", "", "True"]
 
 
 def _per_replicate(monkeypatch, run, config):

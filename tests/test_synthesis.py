@@ -582,6 +582,36 @@ class TestFieldIO:
             write_path_csv(np.zeros(shape), f)
         assert not f.exists()
 
+    def test_path_given_as_list(self, tmp_path):
+        # a list writes the bytes of the array; a nested list is still
+        # rejected as not 1-d before the file is opened
+        values = [0.0, -1.5, 1 / 3]
+        write_path_csv(np.array(values), tmp_path / "array.csv", 0.7, 7)
+        write_path_csv(values, tmp_path / "list.csv", 0.7, 7)
+        assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "array.csv").read_bytes()
+        f = tmp_path / "nested.csv"
+        with pytest.raises(ValueError, match=r"^a path CSV needs a 1-d series, got shape \(2, 2\)$"):
+            write_path_csv([[0.0, 1.0], [2.0, 3.0]], f)
+        assert not f.exists()
+
+    def test_field_given_as_list(self, tmp_path):
+        values = [[0.0, 1.5], [-2.0, 1 / 3]]
+        write_field(np.array(values), tmp_path / "array.afb", (0.7, 0.2), 9)
+        write_field(values, tmp_path / "list.afb", (0.7, 0.2), 9)
+        assert (tmp_path / "list.afb").read_bytes() == (tmp_path / "array.afb").read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, found",
+        [("", 0), ("t,value\n", 0), ("# hurst = 0.5\nt,value\n0.0,1.5\n", 1)],
+        ids=["empty", "header_only", "one_row"],
+    )
+    def test_path_csv_needs_two_values(self, tmp_path, text, found):
+        f = tmp_path / "short.csv"
+        f.write_text(text)
+        message = rf"^{re.escape(str(f))}: a path CSV needs at least two values, found {found}$"
+        with pytest.raises(MalformedPathFile, match=message):
+            read_path_csv(f)
+
     @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
     def test_csv_bytes(self, tmp_path, capsys, to_file):
         # hand-built values, so the bytes are the same on every numpy build
