@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="axis projection of a field file")
     p.add_argument("--field", required=True)
     p.add_argument("--direction", choices=("horizontal", "vertical"), required=True)
-    p.add_argument("--window", help="indicator or gaussian:SIGMA[,CENTER]")
+    p.add_argument("--window", help="gaussian:SIGMA[,CENTER]; omit for a plain sum")
     p.add_argument("--m-sub", type=int, dest="m_sub", help="hyperplane sum resolution")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_project)

@@ -188,6 +188,7 @@ def estimate_projection(
     ``h = log(T_2 / T_1) / (2 log(u / v)) - 1/2``, the 1/2 correcting for
     the hyperplane average.
     """
+    values = np.asarray(values)
     if a is None:
         a = binomial_filter(2)
     u, v = _dilation(u), _dilation(v, "v")
@@ -213,4 +214,5 @@ def estimate_pair(
     """
     if len(nus) == 0:
         raise ValueError("estimate_pair needs at least one level nu")
+    projections = np.asarray(projections)
     return np.stack([estimate_projection(projections, nu, a)[0] for nu in nus], axis=-2)

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import os
 import time
 from dataclasses import astuple, dataclass, field as dc_field
@@ -57,7 +56,7 @@ import numpy as np
 from .errors import AnisofieldError, OrderTooLow, TooManyFailures
 from .estimator import check_level, check_span, estimate_H, estimate_pair
 from .filters import DiscreteFilter, _integer, parse_filter
-from .spectral import AnisotropicIndex, parse_index
+from .spectral import AnisotropicIndex, _real, parse_index
 from .synthesis import (
     _NOISE_BLOCK, _write_csv, afb_sra, check_grid, derived_stream, fbm_path,
 )
@@ -124,8 +123,7 @@ class ExperimentConfig:
             if not isinstance(index, AnisotropicIndex):
                 raise ValueError(f"indices entry {index!r} is not an AnisotropicIndex")
         for hurst in self.hursts:
-            if isinstance(hurst, bool) or not isinstance(hurst, numbers.Real):
-                raise ValueError(f"hursts entry {hurst!r} is not a real number")
+            _real(hurst, f"hursts entry {hurst!r}")
         for key, name in (("index", "indices"), ("hurst", "hursts"),
                           ("length", "path_lengths"), ("nu", "nu_levels")):
             values = getattr(self, name)

@@ -53,11 +53,10 @@ def project_axis(
 
     The grid lines at j/m_sub (j = 0..m_sub) orthogonal to the axis are
     weighted by the window, summed and normalized by m_sub, which must
-    divide the grid size M (default m_sub = M).  Without a window the
-    lines are summed unweighted, so a constant field c projects to
-    c * (m_sub + 1) / m_sub; the unit indicator window gives the same sum
-    bit for bit.  The Gaussian profile is evaluated on [0, 1] only, i.e.
-    truncated.
+    divide the grid size M (default m_sub = M).  Without a window (None,
+    the grid footprint [0, 1]) the lines are summed unweighted, so a
+    constant field c projects to c * (m_sub + 1) / m_sub.  A Gaussian
+    window is evaluated on [0, 1] only, i.e. truncated.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")

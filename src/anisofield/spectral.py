@@ -14,6 +14,7 @@ the density's peak, checked by comparing a 16- and a 32-point rule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +34,17 @@ __all__ = [
 ]
 
 
+def _real(value, label: str) -> None:
+    """A ValueError ``<label> is not a real number`` unless ``value`` is
+    one (a bool is not).
+
+    The package's one rule for real parameters: Hurst indices, index
+    values and window parameters.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{label} is not a real number")
+
+
 @dataclass(frozen=True)
 class AnisotropicIndex:
     """Directional regularity index of a 2-d field, split by axis.
@@ -46,6 +58,7 @@ class AnisotropicIndex:
 
     def __post_init__(self):
         for val in (self.h_h, self.h_v):
+            _real(val, f"index value {val!r}")
             if not 0.0 < val < 1.0:
                 raise ValueError(f"index value {val} outside (0, 1)")
 
@@ -71,7 +84,8 @@ def density(index: AnisotropicIndex, xi):
     variations, in which a constant factor cancels.
 
     ``xi`` has shape ``(2,)`` or ``(..., 2)``.  Raises ZeroFrequency if any
-    point is the origin, where the density is singular.
+    point is the origin, where the density is singular, and ValueError if
+    any is NaN; an infinite frequency has density 0.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != 2:
@@ -80,6 +94,8 @@ def density(index: AnisotropicIndex, xi):
     r2 = x1 * x1 + x2 * x2
     if np.any(r2 == 0.0):
         raise ZeroFrequency("density is singular at the zero frequency")
+    if np.isnan(r2).any():
+        raise ValueError("density needs frequencies that are not NaN")
     h = index.evaluate(xi)
     out = r2 ** (-(h + 1.0))
     return float(out) if out.ndim == 0 else out
@@ -87,52 +103,34 @@ def density(index: AnisotropicIndex, xi):
 
 @dataclass(frozen=True)
 class Window1DMinus:
-    """Scalar window on the projection hyperplane coordinate.
+    """Gaussian window ``exp(-(x - center)^2 / (2 sigma^2))`` on the
+    projection hyperplane coordinate, which is rapidly decreasing and has
+    no compact support.
 
-    Two profiles: the indicator of the grid footprint [0, 1] and a
-    Gaussian bump ``exp(-(x - center)^2 / (2 sigma^2))``, which is rapidly
-    decreasing and has no compact support.
+    Where a window is optional, None stands for the indicator of the grid
+    footprint [0, 1].
     """
 
-    profile: str  # "indicator" | "gaussian"
-    sigma: float = 0.0
+    sigma: float
     center: float = 0.0
 
     def __post_init__(self):
-        if self.profile == "indicator":
-            if (self.sigma, self.center) != (0.0, 0.0):
-                raise ValueError("the indicator window takes no sigma or center")
-        elif self.profile == "gaussian":
-            if not (0.0 < self.sigma < math.inf and math.isfinite(self.center)):
-                raise ValueError(
-                    "gaussian window needs a finite sigma > 0 and a finite center, "
-                    f"got sigma {self.sigma}, center {self.center}"
-                )
-        else:
-            raise ValueError(f"unknown window profile {self.profile!r}")
-
-    @classmethod
-    def indicator_unit(cls) -> "Window1DMinus":
-        return cls("indicator")
-
-    @classmethod
-    def gaussian(cls, sigma: float, center: float = 0.0) -> "Window1DMinus":
-        return cls("gaussian", sigma=sigma, center=center)
+        _real(self.sigma, f"window sigma {self.sigma!r}")
+        _real(self.center, f"window center {self.center!r}")
+        if not (0.0 < self.sigma < math.inf and math.isfinite(self.center)):
+            raise ValueError(
+                "gaussian window needs a finite sigma > 0 and a finite center, "
+                f"got sigma {self.sigma}, center {self.center}"
+            )
 
     @property
     def integral(self) -> float:
         """Integral over the real line, used for normalization."""
-        if self.profile == "indicator":
-            return 1.0
         return self.sigma * _SQRT_TWO_PI
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.profile == "indicator":
-            out = np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
-        else:
-            z = (x - self.center) / self.sigma
-            out = np.exp(-0.5 * z * z)
+        z = (np.asarray(x, dtype=float) - self.center) / self.sigma
+        out = np.exp(-0.5 * z * z)
         return float(out) if out.ndim == 0 else out
 
 
@@ -148,19 +146,22 @@ def _gauss_legendre(n: int):
     return leggauss(n)
 
 
-def radon_density(index: AnisotropicIndex, window_sq: Window1DMinus, p: float) -> float:
+def radon_density(
+    index: AnisotropicIndex, window_sq: Window1DMinus | None, p: float
+) -> float:
     """Project the density onto one axis against a normalized window.
 
-    Computes ``integral f((gamma, p)) w(gamma) dgamma`` over the hyperplane
-    coordinate gamma, with ``w`` the window profile normalized to unit
-    integral.  For large |p| the result decays like
-    ``|p|^(-2 h(axis) - 2)`` where the axis is the projection direction.
+    Computes ``integral density(index, (gamma, p)) w(gamma) dgamma`` over
+    the hyperplane coordinate gamma, with ``w`` the window normalized to
+    unit integral, or the indicator of [0, 1] when ``window_sq`` is None.
+    For large |p| the result decays like ``|p|^(-2 h(axis) - 2)`` where
+    the axis is the projection direction.
 
     The integral is one composite Gauss-Legendre sum.  The pieces end at
-    the window ends (center +- 40 sigma for the Gaussian, whose profile
-    underflows well inside that), at +-|p| 2^k for k = 0, 1, ... until
-    they pass the window, and for the Gaussian at center + sigma
-    {-8, ..., 8}.  The pieces thus grow geometrically away from the
+    the window ends (0 and 1 without a window, center +- 40 sigma for the
+    Gaussian, whose profile underflows well inside that), at +-|p| 2^k for
+    k = 0, 1, ... until they pass the window, and for the Gaussian at
+    center + sigma {-8, ..., 8}.  The pieces thus grow geometrically away from the
     density's peak at gamma = 0, the exponent switch at |gamma| = |p|
     falls on a piece end, and the complex poles at +-i|p| stay at least
     a half-length away from every piece, so both rules converge
@@ -175,14 +176,13 @@ def radon_density(index: AnisotropicIndex, window_sq: Window1DMinus, p: float) -
     if not math.isfinite(p):
         raise ValueError(f"projected density needs a finite p, got {p}")
     a = abs(p)
-    if window_sq.profile == "indicator":
-        lo, hi = 0.0, 1.0
-        marks = []
+    if window_sq is None:
+        lo, hi, marks, integral = 0.0, 1.0, [], 1.0
     else:
         reach = 40.0 * window_sq.sigma
-        lo = window_sq.center - reach
-        hi = window_sq.center + reach
+        lo, hi = window_sq.center - reach, window_sq.center + reach
         marks = window_sq.center + window_sq.sigma * np.arange(-8.0, 9.0)
+        integral = window_sq.integral
     steps = math.ceil(math.log2(max(-lo, hi)) - math.log2(a))
     graded = np.ldexp(a, np.arange(steps + 2))
     cuts = np.unique(np.clip(np.concatenate([[lo, hi], -graded, graded, marks]), lo, hi))
@@ -192,11 +192,12 @@ def radon_density(index: AnisotropicIndex, window_sq: Window1DMinus, p: float) -
     for n in (16, 32):
         x, w = _gauss_legendre(n)
         gamma = mid + half * x
-        h = np.where(np.abs(gamma) < a, index.h_v, index.h_h)
+        points = np.stack([gamma, np.full_like(gamma, p)], axis=-1)
+        weight = 1.0 if window_sq is None else window_sq(gamma)
         # a value that overflows, or underflows to zero, fails the check below
         with np.errstate(all="ignore"):
-            f = (gamma * gamma + a * a) ** -(h + 1.0) * window_sq(gamma)
-        sums.append(float(np.sum(half * w * f)) / window_sq.integral)
+            f = density(index, points) * weight
+        sums.append(float(np.sum(half * w * f)) / integral)
     coarse, fine = sums
     if not abs(fine - coarse) < _QUAD_RTOL * abs(fine):
         raise QuadratureFailure(
@@ -221,18 +222,14 @@ def parse_index(text: str) -> AnisotropicIndex:
 
 
 def parse_window(text: str) -> Window1DMinus:
-    """Parse window syntax ``indicator`` or ``gaussian:SIGMA[,CENTER]``."""
-    kind, colon, rest = text.partition(":")
-    kind = kind.strip().lower()
-    if kind == "indicator":
-        if colon:
-            raise ValueError(f"bad window spec {text!r}: indicator takes no arguments")
-        return Window1DMinus.indicator_unit()
-    if kind == "gaussian":
+    """Parse window syntax ``gaussian:SIGMA[,CENTER]``; no window is the
+    plain line sum, so no spec stands for it."""
+    kind, _, rest = text.partition(":")
+    if kind.strip().lower() == "gaussian":
         try:
             values = [float(tok) for tok in rest.split(",") if tok.strip()]
             if len(values) in (1, 2):
-                return Window1DMinus.gaussian(*values)
+                return Window1DMinus(*values)
         except ValueError as exc:
             raise ValueError(f"bad window spec {text!r}: {exc}") from exc
     raise ValueError(f"bad window spec {text!r}")

@@ -45,7 +45,7 @@ from .errors import (
     PathTooShort,
 )
 from .filters import _integer
-from .spectral import AnisotropicIndex, density
+from .spectral import AnisotropicIndex, _real, density
 
 __all__ = [
     "derived_stream",
@@ -159,6 +159,7 @@ def _fgn_transforms(H: float, n: int, seeds: list) -> np.ndarray:
     a batch allocates one array of its embeddings' size.
     """
     n = _integer(n, f"n = {n!r} samples")
+    _real(H, f"H = {H!r}")
     if not 0.0 < H < 1.0:
         raise ValueError("H must lie in (0, 1)")
     if n < 2:
@@ -428,12 +429,13 @@ def write_field(values: np.ndarray, path, params=None, seed=None) -> None:
     values = np.asarray(values)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("field values must be a square matrix")
-    if seed is not None and not 0 <= seed < _NO_SEED:
+    if seed is None:
+        seed = _NO_SEED
+    elif not 0 <= _integer(seed, f"seed = {seed!r}") < _NO_SEED:
         raise ValueError(
             f"seed {seed} is outside 0..2^64-2, the range a field file holds"
         )
     h_h, h_v = params if params is not None else (float("nan"),) * 2
-    seed = seed if seed is not None else _NO_SEED
     header = _HEADER.pack(_MAGIC, values.shape[0] - 1, h_h, h_v, seed)
     with open(path, "wb") as fh:
         fh.write(header)

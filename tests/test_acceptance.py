@@ -14,7 +14,6 @@ from anisofield import (
     AnisotropicIndex,
     DiscreteFilter,
     ExperimentConfig,
-    Window1DMinus,
     afb_sra,
     apply_filter,
     binomial_filter,
@@ -205,7 +204,7 @@ def test_criterion_5_quadrature_oracle():
 
 def test_criterion_6_projected_density_asymptotics():
     """log-log slope of the projected density equals -(2 h(axis) + 2)."""
-    window = Window1DMinus.indicator_unit()
+    window = None
     cases = [
         (AnisotropicIndex(0.2, 0.2), -2.4),
         (AnisotropicIndex(0.5, 0.5), -3.0),

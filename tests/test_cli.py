@@ -147,7 +147,7 @@ class TestProject:
         rows = _read_csv(out)
         assert len(rows) == 1 + 65
         vals = np.array([float(r[1]) for r in rows[1:]])
-        window = Window1DMinus.gaussian(0.2, center=0.5)
+        window = Window1DMinus(0.2, center=0.5)
         field = read_field(field_file)[0]
         expected = project_axis(field, "horizontal", window, 16)
         np.testing.assert_array_equal(vals, expected)

@@ -278,6 +278,13 @@ class TestEstimatePair:
         with pytest.raises(ValueError, match="at least one level nu"):
             estimate_pair(axis_projections(sra_field), ())
 
+    def test_list_gives_the_array_estimates(self, sra_field):
+        projections = axis_projections(sra_field)
+        got = estimate_pair(projections.tolist(), (0, 1))
+        assert got.tobytes() == estimate_pair(projections, (0, 1)).tobytes()
+        values = projections[0]
+        assert estimate_projection(values.tolist(), 1) == estimate_projection(values, 1)
+
     @pytest.mark.parametrize("order", [2, 3])
     def test_block_matches_fields(self, order):
         # a block of projection pairs, with any leading shape, gives at

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from anisofield import (
     Window1DMinus,
     ZeroFrequency,
     density,
+    fbm_path,
     parse_index,
     parse_window,
     radon_density,
@@ -64,6 +66,17 @@ class TestDensity:
         with pytest.raises(ZeroFrequency):
             density(model, [0.0, 0.0])
 
+    def test_nan_frequency_rejected(self):
+        # an infinite frequency keeps its limit 0; a NaN one has no value
+        model = AnisotropicIndex(0.7, 0.2)
+        for xi in ([np.nan, 1.0], [[1.0, 2.0], [1.0, np.nan]], [np.inf, np.nan]):
+            with pytest.raises(ValueError, match="not NaN"):
+                density(model, xi)
+        assert density(model, [np.inf, 1.0]) == 0.0
+        np.testing.assert_array_equal(
+            density(model, [[-np.inf, 0.0], [2.0, np.inf]]), [0.0, 0.0]
+        )
+
     def test_even(self):
         model = AnisotropicIndex(0.3, 0.8)
         pts = np.random.default_rng(1).normal(size=(50, 2))
@@ -82,41 +95,53 @@ class TestDensity:
 
 
 class TestWindow:
-    def test_indicator_unit(self):
-        w = Window1DMinus.indicator_unit()
-        assert w(0.5) == 1.0 and w(-0.1) == 0.0 and w(1.1) == 0.0
-        assert w.integral == 1.0
-
     def test_gaussian(self):
-        w = Window1DMinus.gaussian(0.2, center=0.5)
+        w = Window1DMinus(0.2, center=0.5)
         assert w(0.5) == 1.0
         assert w(0.1) == pytest.approx(np.exp(-2.0))
         assert w.integral == pytest.approx(0.2 * np.sqrt(2 * np.pi))
 
     def test_parse(self):
-        assert parse_window("indicator") == Window1DMinus.indicator_unit()
-        assert parse_window("gaussian:0.3") == Window1DMinus.gaussian(0.3)
-        assert parse_window("gaussian:0.3,0.5") == Window1DMinus.gaussian(0.3, center=0.5)
+        assert parse_window("gaussian:0.3") == Window1DMinus(0.3)
+        assert parse_window("gaussian:0.3,0.5") == Window1DMinus(0.3, center=0.5)
         with pytest.raises(ValueError):
             parse_window("hann")
-        for text in ("gaussian:nan", "gaussian:0.2,inf", "indicator:0.2,0.8", "indicator:"):
+        # no spec stands for the footprint: no window is the plain sum
+        bad = ("gaussian:nan", "gaussian:0.2,inf", "indicator", "indicator:0.2,0.8", "indicator:")
+        for text in bad:
             with pytest.raises(ValueError, match=f"bad window spec '{text}'"):
                 parse_window(text)
 
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"profile": "gaussian", "sigma": np.nan}, "got sigma nan, center 0"),
-            ({"profile": "gaussian", "sigma": np.inf}, "got sigma inf, center 0"),
-            ({"profile": "gaussian", "sigma": 0.2, "center": np.inf}, "got sigma 0.2, center inf"),
-            ({"profile": "gaussian", "sigma": 0.2, "center": np.nan}, "got sigma 0.2, center nan"),
-            ({"profile": "indicator", "sigma": 0.2}, "no sigma or center"),
-            ({"profile": "indicator", "center": 0.5}, "no sigma or center"),
+            ({"sigma": np.nan}, "got sigma nan, center 0"),
+            ({"sigma": np.inf}, "got sigma inf, center 0"),
+            ({"sigma": 0.2, "center": np.inf}, "got sigma 0.2, center inf"),
+            ({"sigma": 0.2, "center": np.nan}, "got sigma 0.2, center nan"),
         ],
     )
     def test_rejects_non_finite_or_stray_parameters(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             Window1DMinus(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: AnisotropicIndex("0.5", 0.5), "index value '0.5'"),
+        (lambda: Window1DMinus("0.2"), "window sigma '0.2'"),
+        (lambda: Window1DMinus(True), "window sigma True"),
+        (lambda: Window1DMinus(0.2, "0.5"), "window center '0.5'"),
+        (lambda: fbm_path("0.5", 8, 0), "H = '0.5'"),
+    ],
+    ids=["index-str", "sigma-str", "sigma-bool", "center-str", "hurst-str"],
+)
+def test_real_parameter_named(call, message):
+    # one rule for every real parameter; ExperimentConfig's hursts entries
+    # follow it too (tests/test_harness.py)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} is not a real number$"):
+        call()
 
 
 def _fit_slope(model, window, exponents):
@@ -129,11 +154,11 @@ class TestRadonDensity:
     def test_zero_offset_rejected(self):
         model = AnisotropicIndex(0.5, 0.5)
         with pytest.raises(ZeroFrequency):
-            radon_density(model, Window1DMinus.indicator_unit(), 0.0)
+            radon_density(model, None, 0.0)
 
     def test_even_and_positive(self):
         model = AnisotropicIndex(0.7, 0.2)
-        w = Window1DMinus.gaussian(0.5)
+        w = Window1DMinus(0.5)
         for p in (0.5, 2.0, 17.0):
             plus = radon_density(model, w, p)
             minus = radon_density(model, w, -p)
@@ -143,30 +168,30 @@ class TestRadonDensity:
     @pytest.mark.parametrize("h", [0.2, 0.5, 0.7])
     def test_constant_slope(self, h):
         model = AnisotropicIndex(h, h)
-        slope = _fit_slope(model, Window1DMinus.indicator_unit(), np.arange(6, 13))
+        slope = _fit_slope(model, None, np.arange(6, 13))
         assert slope == pytest.approx(-(2 * h + 2), abs=0.05)
 
     def test_axis_pair_slope_picks_vertical(self):
         model = AnisotropicIndex(0.7, 0.2)
-        slope = _fit_slope(model, Window1DMinus.indicator_unit(), np.arange(6, 13))
+        slope = _fit_slope(model, None, np.arange(6, 13))
         assert slope == pytest.approx(-2.4, abs=0.05)
 
     def test_gaussian_window_same_asymptotics(self):
         model = AnisotropicIndex(0.5, 0.5)
-        slope = _fit_slope(model, Window1DMinus.gaussian(1.0), np.arange(6, 13))
+        slope = _fit_slope(model, Window1DMinus(1.0), np.arange(6, 13))
         assert slope == pytest.approx(-3.0, abs=0.05)
 
     def test_point_mass_limit(self):
         # A shrinking window concentrates on the axis value of the density.
         model = AnisotropicIndex(0.5, 0.5)
-        w = Window1DMinus.gaussian(1e-3)
+        w = Window1DMinus(1e-3)
         for p in (1.0, 2.0):
             assert radon_density(model, w, p) == pytest.approx(abs(p) ** -3, rel=1e-3)
 
     @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
     def test_non_finite_offset_rejected(self, p):
         model = AnisotropicIndex(0.7, 0.2)
-        for w in (Window1DMinus.indicator_unit(), Window1DMinus.gaussian(0.3)):
+        for w in (None, Window1DMinus(0.3)):
             with pytest.raises(ValueError, match=f"got {p}"):
                 radon_density(model, w, p)
 
@@ -176,7 +201,7 @@ class TestRadonDensity:
         # far out the density underflows to 0, which is no estimate of it
         model = AnisotropicIndex(0.5, 0.5)
         with pytest.raises(QuadratureFailure, match=r"p=1e\+200: .* give 0 and 0"):
-            radon_density(model, Window1DMinus.indicator_unit(), 1e200)
+            radon_density(model, None, 1e200)
 
     # p in +-10^[-12, 6] in half-decade steps: from the spike at gamma = 0
     # narrower than any window to offsets far beyond it
@@ -186,10 +211,10 @@ class TestRadonDensity:
     @pytest.mark.parametrize(
         "window",
         [
-            Window1DMinus.indicator_unit(),
-            Window1DMinus.gaussian(1e-3, 0.5),
-            Window1DMinus.gaussian(0.3),
-            Window1DMinus.gaussian(10.0, 2.0),
+            None,
+            Window1DMinus(1e-3, 0.5),
+            Window1DMinus(0.3),
+            Window1DMinus(10.0, 2.0),
         ],
         ids=["indicator", "gaussian-1e-3-0.5", "gaussian-0.3-0", "gaussian-10-2"],
     )
@@ -197,7 +222,7 @@ class TestRadonDensity:
         model = AnisotropicIndex(hh, hv)
         worst = 0.0
         for p in self.ORACLE_OFFSETS:
-            if window.profile == "indicator":
+            if window is None:
                 ref = radon_indicator_exact(model, p)
             else:
                 ref = radon_gaussian_quad(model, window.sigma, window.center, p)
@@ -212,17 +237,17 @@ class TestRadonDensity:
         monkeypatch.setattr(spectral_mod, "_QUAD_RTOL", 0.0)
         model = AnisotropicIndex(0.7, 0.2)
         with pytest.raises(QuadratureFailure):
-            radon_density(model, Window1DMinus.gaussian(0.3), 0.25)
+            radon_density(model, Window1DMinus(0.3), 0.25)
 
 
 def test_import_leaves_quadrature_unloaded():
     # numpy is the package's only runtime dependency: neither the import
-    # nor radon_density with either window loads a scipy module
+    # nor radon_density with or without a window loads a scipy module
     code = """
 import sys
 import anisofield
 index = anisofield.AnisotropicIndex(0.5, 0.5)
-for window in (anisofield.Window1DMinus.indicator_unit(), anisofield.Window1DMinus.gaussian(0.3)):
+for window in (None, anisofield.Window1DMinus(0.3)):
     print(anisofield.radon_density(index, window, 256.0))
 print(",".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """

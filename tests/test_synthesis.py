@@ -600,6 +600,13 @@ class TestFieldIO:
         write_field(values, tmp_path / "list.afb", (0.7, 0.2), 9)
         assert (tmp_path / "list.afb").read_bytes() == (tmp_path / "array.afb").read_bytes()
 
+    @pytest.mark.parametrize("seed", [1.5, "7", True], ids=["float", "str", "bool"])
+    def test_field_seed_must_be_an_integer(self, tmp_path, seed):
+        f = tmp_path / "field.afb"
+        with pytest.raises(ValueError, match=rf"^seed = {re.escape(repr(seed))} is not an integer$"):
+            write_field(np.zeros((2, 2)), f, None, seed)
+        assert not f.exists()
+
     @pytest.mark.parametrize(
         "text, found",
         [("", 0), ("t,value\n", 0), ("# hurst = 0.5\nt,value\n0.0,1.5\n", 1)],
