@@ -9,6 +9,7 @@ from .errors import (
     EmbeddingNotPSD,
     EqualDilations,
     GridTooCoarse,
+    InvalidArgument,
     MalformedFieldFile,
     MalformedPathFile,
     NegativeVariance,

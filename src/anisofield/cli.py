@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AnisofieldError, ValueError, OSError) as exc:
+    except (AnisofieldError, OSError) as exc:
         print(f"anisofield: {exc}", file=sys.stderr)
         return 1
 

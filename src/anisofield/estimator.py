@@ -15,13 +15,10 @@ import math
 import numpy as np
 
 from .errors import (
-    EqualDilations,
-    GridTooCoarse,
-    NonFiniteVariation,
-    PathTooShort,
-    ZeroVariation,
+    EqualDilations, GridTooCoarse, InvalidArgument, NonFiniteVariation, PathTooShort,
+    ZeroVariation, _dilation, _kind, _level,
 )
-from .filters import DiscreteFilter, _dilation, _integer, apply_filter, binomial_filter
+from .filters import DiscreteFilter, apply_filter, binomial_filter
 from .projection import project_axis  # perfbench/spans.py wraps this name by getattr
 
 __all__ = [
@@ -37,15 +34,6 @@ __all__ = [
 # Variations below this are treated as exact annihilation rather than
 # small stochastic values.
 _ZERO_VARIATION = 1e-300
-
-
-def _level(nu) -> int:
-    """The subsampling level nu as an int >= 0: the package's one rule for
-    levels, which every public entry that takes one applies."""
-    nu = _integer(nu, f"level nu = {nu!r}")
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    return nu
 
 
 def _summands(n_steps: int, a: DiscreteFilter, u: int) -> int:
@@ -66,6 +54,7 @@ def quad_variation(path, a: DiscreteFilter, u: int):
     gives on its own.
     """
     x = np.atleast_1d(np.asarray(path, dtype=float))
+    _kind(a, DiscreteFilter, "filter")
     u = _dilation(u)
     if _summands(x.shape[-1] - 1, a, u) < 2:
         raise PathTooShort(
@@ -163,6 +152,7 @@ def check_level(M: int, nu: int, a: DiscreteFilter, u: int) -> None:
 def check_span(n_steps: int, a: DiscreteFilter, u: int, what: str) -> None:
     """Reject a series of n_steps steps on which the filter dilated by u
     leaves fewer than two summands; ``what`` names the series."""
+    _kind(a, DiscreteFilter, "filter")
     u = _dilation(u)
     if _summands(n_steps, a, u) < 2:
         raise GridTooCoarse(
@@ -212,7 +202,10 @@ def estimate_pair(
     once with the dilations u = 2, v = 1, and a block gives, bit for bit,
     the estimates of its fields one at a time.
     """
-    if len(nus) == 0:
-        raise ValueError("estimate_pair needs at least one level nu")
+    levels = [_level(nu) for nu in nus] if np.iterable(nus) else []
+    if not levels:
+        raise InvalidArgument(
+            f"nus = {nus!r}: estimate_pair needs a sequence of at least one level nu"
+        )
     projections = np.asarray(projections)
-    return np.stack([estimate_projection(projections, nu, a)[0] for nu in nus], axis=-2)
+    return np.stack([estimate_projection(projections, nu, a)[0] for nu in levels], axis=-2)

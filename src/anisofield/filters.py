@@ -11,11 +11,10 @@ possible.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
-from .errors import AllMomentsVanish, OrderZero
+from .errors import AllMomentsVanish, InvalidArgument, OrderZero, _dilation, _integer, _kind
 
 __all__ = [
     "DiscreteFilter",
@@ -32,49 +31,20 @@ __all__ = [
 _REL_TOL = 1e-9
 
 
-def _integer(value, label: str) -> int:
-    """``value`` as an int; a ValueError that starts with ``label`` if it
-    is not an integer (a float, even an integral one, is not, and neither
-    is a bool).
-
-    The package's one rule for counts, sizes, levels and dilations.
-    """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{label} is not an integer")
-
-
-def _dilation(value, name: str = "u") -> int:
-    """The dilation factor ``name`` (u or v) as an int >= 1.
-
-    The package's one rule for dilations, which every public entry that
-    takes one applies: a ValueError names the argument and its value, as
-    in ``dilation u = 2.5 is not an integer`` or
-    ``dilation v = 0 must be >= 1``.
-    """
-    d = _integer(value, f"dilation {name} = {value!r}")
-    if d < 1:
-        raise ValueError(f"dilation {name} = {d} must be >= 1")
-    return d
-
-
 def infer_order(coeffs) -> int:
     """Return the smallest K >= 1 with a non-vanishing K-th moment.
 
-    Raises ValueError at a NaN or infinite coefficient, OrderZero when the
-    coefficients do not sum to zero (order 0 is not a valid variation
-    filter) and AllMomentsVanish when every moment up to r = l is below
-    tolerance.
+    Raises InvalidArgument at a NaN or infinite coefficient, OrderZero
+    when the coefficients do not sum to zero (order 0 is not a valid
+    variation filter) and AllMomentsVanish when every moment up to r = l
+    is below tolerance.
     """
     a = np.asarray(coeffs, dtype=float)
     if a.ndim != 1 or a.size == 0:
-        raise ValueError("coefficients must be a non-empty 1-d sequence")
+        raise InvalidArgument("coefficients must be a non-empty 1-d sequence")
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
-        raise ValueError(
+        raise InvalidArgument(
             f"filter coefficient {bad[0]} is {a[bad[0]]}, not a finite number"
         )
     l = a.size - 1
@@ -105,7 +75,7 @@ class DiscreteFilter:
     def __init__(self, coeffs):
         arr = np.array(coeffs, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("a filter needs at least two coefficients")
+            raise InvalidArgument("a filter needs at least two coefficients")
         self._order = infer_order(arr)
         arr.flags.writeable = False
         self._coeffs = arr
@@ -146,13 +116,14 @@ def binomial_filter(order: int) -> DiscreteFilter:
     """
     order = _integer(order, f"filter order = {order!r}")
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise InvalidArgument("order must be >= 1")
     coeffs = [(-1.0) ** (order - k) * math.comb(order, k) for k in range(order + 1)]
     return DiscreteFilter(coeffs)
 
 
 def _poly_unit_circle(a: DiscreteFilter, xi):
     """Evaluate P_a(e^{-i xi}) = sum_k a_k e^{-ik xi} (vectorized in xi)."""
+    _kind(a, DiscreteFilter, "filter")
     xi = np.asarray(xi, dtype=float)
     k = np.arange(a.length)
     phases = np.exp(-1j * np.multiply.outer(xi, k))
@@ -187,11 +158,12 @@ def apply_filter(a: DiscreteFilter, values, u: int = 1) -> np.ndarray:
     series are stacked.
     """
     x = np.atleast_1d(np.asarray(values, dtype=float))
+    _kind(a, DiscreteFilter, "filter")
     u = _dilation(u)
     span = (a.length - 1) * u
     count = x.shape[-1] - span
     if count < 1:
-        raise ValueError("input shorter than the dilated filter")
+        raise InvalidArgument("input shorter than the dilated filter")
     out = np.zeros(x.shape[:-1] + (count,))
     for k, c in enumerate(a.coeffs):
         if c != 0.0:
@@ -204,5 +176,5 @@ def parse_filter(text: str) -> DiscreteFilter:
     try:
         coeffs = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValueError(f"bad filter spec {text!r}") from exc
+        raise InvalidArgument(f"bad filter spec {text!r}") from exc
     return DiscreteFilter(coeffs)

@@ -30,10 +30,11 @@ the whole block in one call, bit for bit as one replicate at a time.  A
 complex values (4 pairs at N = 4096, 64 at N = 256): one ``fbm_path`` call
 synthesizes a chunk's pairs and one ``estimate_H`` call estimates its
 stacked paths, again bit for bit as one pair and one path at a time.
-Every task follows one failure policy: a block that raises is redone one
-replicate at a time, so only the replicates at fault fail (both
-replicates of a 1-d pair when its synthesis fails).  A cell with more
-than 1% of its replicates failed stops the run.  A run opens one process
+Every task follows one failure policy: a block that raises an
+AnisofieldError is redone one replicate at a time, so only the replicates
+at fault fail (both replicates of a 1-d pair when its synthesis fails).
+A cell with more than 1% of its replicates failed stops the run, and so
+does an InvalidArgument at once: a bad argument is no replicate's fault.  A run opens one process
 pool, of at most one process per CPU, and queues every cell's tasks on it
 at once; results are collected in cell and replicate order, so
 parallelism cannot change output.  The pool stack (``concurrent.futures``
@@ -53,10 +54,13 @@ from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import AnisofieldError, OrderTooLow, TooManyFailures
+from .errors import (
+    AnisofieldError, InvalidArgument, OrderTooLow, TooManyFailures,
+    _integer, _kind, _real, _seed,
+)
 from .estimator import check_level, check_span, estimate_H, estimate_pair
-from .filters import DiscreteFilter, _integer, parse_filter
-from .spectral import AnisotropicIndex, _real, parse_index
+from .filters import DiscreteFilter, parse_filter
+from .spectral import AnisotropicIndex, parse_index
 from .synthesis import (
     _NOISE_BLOCK, _write_csv, afb_sra, check_grid, derived_stream, fbm_path,
 )
@@ -78,7 +82,7 @@ _FAILURE_SHARE = 0.01  # tolerated fraction of errored replicates
 # ExperimentConfig fields that hold an integer or a tuple of integers
 _INTEGER_FIELDS = (
     "grid_size", "path_lengths", "reps", "nu_levels",
-    "dilation_u", "dilation_v", "seed", "workers",
+    "dilation_u", "dilation_v", "workers",
 )
 
 
@@ -90,9 +94,10 @@ class ExperimentConfig:
     neither ``hursts`` nor ``path_lengths``.  ``workers`` of None or <= 0
     means one worker per CPU.  A larger ``workers`` still sets the task
     blocks, but the pool runs at most one process per CPU.  The counts,
-    levels, lengths and dilations must be integers other than a bool;
-    numpy integers are stored as ``int``.  Each index must be an ``AnisotropicIndex`` and each
-    Hurst value a real number other than a bool, in either mode.
+    levels, lengths and dilations must be integers other than a bool, and
+    the seed an integer >= 0; numpy integers are stored as ``int``.  Each
+    index must be an ``AnisotropicIndex`` and each Hurst value a real
+    number other than a bool, in either mode.
     """
 
     mode: str = "2d"
@@ -111,7 +116,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.mode not in ("1d", "2d"):
-            raise ValueError(f"mode must be '1d' or '2d', got {self.mode!r}")
+            raise InvalidArgument(f"mode must be '1d' or '2d', got {self.mode!r}")
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
             if isinstance(value, (tuple, list)):
@@ -120,41 +125,37 @@ class ExperimentConfig:
                 value = _integer(value, f"{name} = {value!r}")
             setattr(self, name, value)
         for index in self.indices:
-            if not isinstance(index, AnisotropicIndex):
-                raise ValueError(f"indices entry {index!r} is not an AnisotropicIndex")
+            _kind(index, AnisotropicIndex, "indices entry")
         for hurst in self.hursts:
-            _real(hurst, f"hursts entry {hurst!r}")
+            _real(hurst, "hursts entry")
         for key, name in (("index", "indices"), ("hurst", "hursts"),
                           ("length", "path_lengths"), ("nu", "nu_levels")):
             values = getattr(self, name)
             repeated = [x for i, x in enumerate(values) if x in values[:i]]
             if repeated:
-                raise ValueError(f"config key {key} ({name}) lists {repeated[0]} twice")
+                raise InvalidArgument(f"config key {key} ({name}) lists {repeated[0]} twice")
         if self.reps < 2:
-            raise ValueError("need at least two replicates")
-        if self.seed < 0:
-            raise ValueError(
-                f"seed {self.seed} is negative; a seed is an integer >= 0"
-            )
+            raise InvalidArgument("need at least two replicates")
+        self.seed = _seed(self.seed)
         if self.workers is not None and self.workers <= 0:
             self.workers = None
         if self.mode == "2d":
             if (self.dilation_u, self.dilation_v) != (2, 1):
-                raise ValueError(
+                raise InvalidArgument(
                     "2-d mode estimates with the dilations u = 2, v = 1; got "
                     f"u = {self.dilation_u}, v = {self.dilation_v}"
                 )
             check_grid(self.grid_size)
             if not self.nu_levels:
-                raise ValueError("2-d mode needs at least one level nu")
+                raise InvalidArgument("2-d mode needs at least one level nu")
             for nu in self.nu_levels:
                 check_level(self.grid_size, nu, self.filter, self.dilation_u)
         else:
             if not self.path_lengths:
-                raise ValueError("1-d mode needs at least one path length")
+                raise InvalidArgument("1-d mode needs at least one path length")
             u, v = self.dilation_u, self.dilation_v
             if min(u, v) < 1 or u == v:
-                raise ValueError(
+                raise InvalidArgument(
                     "1-d mode needs two different dilations, each >= 1; got "
                     f"u = {u}, v = {v}"
                 )
@@ -163,7 +164,7 @@ class ExperimentConfig:
                 check_span(n, self.filter, dilation, f"path length {n}")
             for hurst in self.hursts:
                 if not 0.0 < hurst < 1.0:
-                    raise ValueError(f"H must lie in (0, 1), got {hurst}")
+                    raise InvalidArgument(f"H must lie in (0, 1), got {hurst}")
 
     @property
     def filter(self) -> DiscreteFilter:
@@ -199,9 +200,13 @@ class EvalReport:
     rows: list
     reps: int
     seed: int
-    failures: int = 0
     runtime: float = 0.0
     failure_log: list = dc_field(default_factory=list)
+
+    @property
+    def failures(self) -> int:
+        """Failed replicates over all cells: one entry of failure_log each."""
+        return len(self.failure_log)
 
 
 def _blocks(reps: int, workers: int, unit: int) -> list[tuple[int, int]]:
@@ -248,12 +253,15 @@ def _block(task):
 
     A task is ``(estimate, spec, cell, first, count)``, and
     ``estimate(spec, cell, first, count)`` returns the payloads.  If it
-    raises, the block is redone one replicate at a time, so only the
-    replicates at fault fail.
+    raises an AnisofieldError, the block is redone one replicate at a
+    time, so only the replicates at fault fail.  An InvalidArgument is
+    the run's fault, not a replicate's, and ends the run at once.
     """
     estimate, spec, cell, first, count = task
     try:
         return [("ok", payload) for payload in estimate(spec, cell, first, count)]
+    except InvalidArgument:
+        raise
     except AnisofieldError as exc:
         if count == 1:
             return [("err", f"cell {cell} rep {first}: {exc!r}")]
@@ -304,7 +312,7 @@ def _check_mode(config: ExperimentConfig, mode: str) -> None:
     """A runner reads only the keys of its own mode, and its report's
     header is that mode's: a config of the other mode is an error."""
     if config.mode != mode:
-        raise ValueError(
+        raise InvalidArgument(
             f"run_eval_{mode} evaluates a {mode} config; this one is "
             f"{config.mode} (run it with run_eval_{config.mode})"
         )
@@ -327,27 +335,23 @@ def _run(config, specs, estimate, unit, rows_of) -> EvalReport:
     ]
     rows = []
     failure_log: list[str] = []
-    total_failed = 0
     outcomes = _map_cells(cell_tasks, workers)
     with contextlib.closing(outcomes):
         for cell, results in enumerate(outcomes):
             ok = [payload for status, payload in results if status == "ok"]
             errors = [payload for status, payload in results if status != "ok"]
-            failed = config.reps - len(ok)
-            if failed > _FAILURE_SHARE * config.reps:
+            if len(errors) > _FAILURE_SHARE * config.reps:
                 raise TooManyFailures(
-                    f"{failed}/{config.reps} replicates errored "
+                    f"{len(errors)}/{config.reps} replicates errored "
                     f"(> {_FAILURE_SHARE:.0%}); first: {errors[0]}"
                 )
             failure_log += errors
-            total_failed += failed
             rows += rows_of(cell, np.array(ok))
     return EvalReport(
         mode=config.mode,
         rows=rows,
         reps=config.reps,
         seed=config.seed,
-        failures=total_failed,
         runtime=time.perf_counter() - t0,
         failure_log=failure_log,
     )
@@ -362,7 +366,7 @@ def run_eval_2d(config: ExperimentConfig) -> EvalReport:
     """
     _check_mode(config, "2d")
     if not config.indices:
-        raise ValueError("2-d evaluation needs at least one index")
+        raise InvalidArgument("2-d evaluation needs at least one index")
     nus = tuple(sorted(config.nu_levels))
     specs = [
         (index, config.grid_size, nus, config.filter_coeffs, config.seed)
@@ -402,7 +406,7 @@ def run_eval_1d(config: ExperimentConfig) -> EvalReport:
     """
     _check_mode(config, "1d")
     if not config.hursts:
-        raise ValueError("1-d evaluation needs at least one Hurst value")
+        raise InvalidArgument("1-d evaluation needs at least one Hurst value")
     filt = config.filter
     u, v = config.dilation_u, config.dilation_v
     cells = [(hurst, n) for hurst in config.hursts for n in config.path_lengths]
@@ -466,13 +470,14 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     starts a comment.  ``overrides`` (same key names) win over the file.
     """
     raw: dict[str, list[str]] = {}
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, so such a line is malformed like any other
+    with open(path, errors="replace") as fh:
         for line_no, line in enumerate(fh, 1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
             if "=" not in text:
-                raise ValueError(f"{path}:{line_no}: expected key = value")
+                raise InvalidArgument(f"{path}:{line_no}: expected key = value")
             key, _, value = text.partition("=")
             raw.setdefault(key.strip().lower(), []).append(value.strip())
     if overrides:
@@ -516,16 +521,16 @@ _KEYS = {
 def _config_from_raw(raw: dict[str, list[str]]) -> ExperimentConfig:
     unknown = set(raw) - set(_KEYS)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise InvalidArgument(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
     for key, values in raw.items():
         name, parse, _ = _KEYS[key]
         try:
             kwargs[name] = parse(values)
         except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from exc
+            raise InvalidArgument(f"{key}: {exc}") from exc
     config = ExperimentConfig(**kwargs)
     ignored = sorted(key for key in raw if _KEYS[key][2] not in (None, config.mode))
     if ignored:
-        raise ValueError(f"config keys {ignored} do not apply in {config.mode} mode")
+        raise InvalidArgument(f"config keys {ignored} do not apply in {config.mode} mode")
     return config

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .filters import _integer
+from .errors import InvalidArgument, _integer, _kind
 from .spectral import Window1DMinus
 
 __all__ = ["DIRECTIONS", "project_axis"]
@@ -59,18 +59,19 @@ def project_axis(
     window is evaluated on [0, 1] only, i.e. truncated.
     """
     if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+        raise InvalidArgument(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     field = np.asarray(field)
     if field.ndim != 2 or field.shape[0] != field.shape[1]:
-        raise ValueError("field values must be a square matrix")
+        raise InvalidArgument("field values must be a square matrix")
     M = field.shape[0] - 1
     m_sub = M if m_sub is None else _integer(m_sub, f"m_sub = {m_sub!r}")
     if not 1 <= m_sub <= M:
-        raise ValueError("m_sub must lie in 1..M")
+        raise InvalidArgument("m_sub must lie in 1..M")
     if M % m_sub != 0:
-        raise ValueError("m_sub must divide the grid size")
+        raise InvalidArgument("m_sub must divide the grid size")
     weights = None
     if window is not None:
+        _kind(window, Window1DMinus, "window")
         weights = np.asarray(window(np.arange(m_sub + 1) / m_sub), dtype=float)
     grid = field if direction == "horizontal" else field.T
     values = _accumulate_columns(grid, M // m_sub, weights) / m_sub

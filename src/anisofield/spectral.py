@@ -14,13 +14,12 @@ the density's peak, checked by comparing a 16- and a 32-point rule.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureFailure, ZeroFrequency
+from .errors import InvalidArgument, QuadratureFailure, ZeroFrequency, _kind, _real
 
 _SQRT_TWO_PI = float(np.sqrt(2.0 * np.pi))
 
@@ -32,17 +31,6 @@ __all__ = [
     "parse_index",
     "parse_window",
 ]
-
-
-def _real(value, label: str) -> None:
-    """A ValueError ``<label> is not a real number`` unless ``value`` is
-    one (a bool is not).
-
-    The package's one rule for real parameters: Hurst indices, index
-    values and window parameters.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{label} is not a real number")
 
 
 @dataclass(frozen=True)
@@ -58,9 +46,9 @@ class AnisotropicIndex:
 
     def __post_init__(self):
         for val in (self.h_h, self.h_v):
-            _real(val, f"index value {val!r}")
+            _real(val, "index value")
             if not 0.0 < val < 1.0:
-                raise ValueError(f"index value {val} outside (0, 1)")
+                raise InvalidArgument(f"index value {val} outside (0, 1)")
 
     def evaluate(self, xi) -> np.ndarray:
         """Index value for each frequency in ``xi`` (shape ``(..., 2)``).
@@ -70,7 +58,7 @@ class AnisotropicIndex:
         """
         xi = np.asarray(xi, dtype=float)
         if xi.shape[-1] != 2:
-            raise ValueError("the index is defined for d = 2 only")
+            raise InvalidArgument("the index is defined for d = 2 only")
         return np.where(
             np.abs(xi[..., 0]) < np.abs(xi[..., 1]), self.h_v, self.h_h
         )
@@ -84,18 +72,20 @@ def density(index: AnisotropicIndex, xi):
     variations, in which a constant factor cancels.
 
     ``xi`` has shape ``(2,)`` or ``(..., 2)``.  Raises ZeroFrequency if any
-    point is the origin, where the density is singular, and ValueError if
-    any is NaN; an infinite frequency has density 0.
+    point is the origin, where the density is singular, and
+    InvalidArgument if any is NaN or ``index`` is not an AnisotropicIndex;
+    an infinite frequency has density 0.
     """
+    _kind(index, AnisotropicIndex, "index")
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != 2:
-        raise ValueError(f"frequency dimension {xi.shape[-1]} != 2")
+        raise InvalidArgument(f"frequency dimension {xi.shape[-1]} != 2")
     x1, x2 = xi[..., 0], xi[..., 1]
     r2 = x1 * x1 + x2 * x2
     if np.any(r2 == 0.0):
         raise ZeroFrequency("density is singular at the zero frequency")
     if np.isnan(r2).any():
-        raise ValueError("density needs frequencies that are not NaN")
+        raise InvalidArgument("density needs frequencies that are not NaN")
     h = index.evaluate(xi)
     out = r2 ** (-(h + 1.0))
     return float(out) if out.ndim == 0 else out
@@ -115,10 +105,10 @@ class Window1DMinus:
     center: float = 0.0
 
     def __post_init__(self):
-        _real(self.sigma, f"window sigma {self.sigma!r}")
-        _real(self.center, f"window center {self.center!r}")
+        _real(self.sigma, "window sigma")
+        _real(self.center, "window center")
         if not (0.0 < self.sigma < math.inf and math.isfinite(self.center)):
-            raise ValueError(
+            raise InvalidArgument(
                 "gaussian window needs a finite sigma > 0 and a finite center, "
                 f"got sigma {self.sigma}, center {self.center}"
             )
@@ -168,17 +158,20 @@ def radon_density(
     geometrically on each.  Every piece takes the 16- and the 32-point
     rule; QuadratureFailure is raised unless the two sums agree within
     ``_QUAD_RTOL`` relative (so also when the value overflows or
-    underflows to zero), and the 32-point sum is returned.  A non-finite
-    p raises ValueError.
+    underflows to zero), and the 32-point sum is returned.  A p that is
+    not a finite real number raises InvalidArgument, and so does a window
+    that is neither None nor a Window1DMinus.
     """
+    _real(p, "p =")
     if p == 0.0:
         raise ZeroFrequency("projected density is singular at p = 0")
     if not math.isfinite(p):
-        raise ValueError(f"projected density needs a finite p, got {p}")
+        raise InvalidArgument(f"projected density needs a finite p, got {p}")
     a = abs(p)
     if window_sq is None:
         lo, hi, marks, integral = 0.0, 1.0, [], 1.0
     else:
+        _kind(window_sq, Window1DMinus, "window")
         reach = 40.0 * window_sq.sigma
         lo, hi = window_sq.center - reach, window_sq.center + reach
         marks = window_sq.center + window_sq.sigma * np.arange(-8.0, 9.0)
@@ -214,11 +207,11 @@ def parse_index(text: str) -> AnisotropicIndex:
     try:
         values = [float(tok) for tok in rest.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValueError(f"bad index spec {text!r}") from exc
+        raise InvalidArgument(f"bad index spec {text!r}") from exc
     if (kind, len(values)) in (("constant", 1), ("axes", 2)):
         # constant:h is the index (h, h)
         return AnisotropicIndex(values[0], values[-1])
-    raise ValueError(f"bad index spec {text!r}")
+    raise InvalidArgument(f"bad index spec {text!r}")
 
 
 def parse_window(text: str) -> Window1DMinus:
@@ -231,5 +224,5 @@ def parse_window(text: str) -> Window1DMinus:
             if len(values) in (1, 2):
                 return Window1DMinus(*values)
         except ValueError as exc:
-            raise ValueError(f"bad window spec {text!r}: {exc}") from exc
-    raise ValueError(f"bad window spec {text!r}")
+            raise InvalidArgument(f"bad window spec {text!r}: {exc}") from exc
+    raise InvalidArgument(f"bad window spec {text!r}")

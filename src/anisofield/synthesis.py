@@ -39,13 +39,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    EmbeddingNotPSD,
-    MalformedFieldFile,
-    MalformedPathFile,
-    PathTooShort,
+    EmbeddingNotPSD, InvalidArgument, MalformedFieldFile, MalformedPathFile, PathTooShort,
+    _integer, _kind, _real, _seed,
 )
-from .filters import _integer
-from .spectral import AnisotropicIndex, _real, density
+from .spectral import AnisotropicIndex, density
 
 __all__ = [
     "derived_stream",
@@ -79,13 +76,14 @@ def derived_stream(base_seed: int, *key: int) -> np.random.SeedSequence:
 
 def _rng(seed) -> np.random.Generator:
     """The generator of ``seed``: an integer >= 0, a list of them (one
-    seed's entropy) or a SeedSequence; a ValueError naming any other."""
+    seed's entropy) or a SeedSequence; an InvalidArgument naming any
+    other."""
     try:
         return np.random.default_rng(seed)
     except (TypeError, ValueError):
         if isinstance(seed, int) and seed < 0:
-            raise ValueError(f"seed {seed} is negative; a seed is an integer >= 0") from None
-        raise ValueError(
+            raise InvalidArgument(f"seed {seed} is negative; a seed is an integer >= 0") from None
+        raise InvalidArgument(
             f"seed {seed!r} is not an integer >= 0, a list of them or a SeedSequence"
         ) from None
 
@@ -105,7 +103,7 @@ def _draw_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 def fgn_autocovariance(H: float, lags) -> np.ndarray:
     """Autocovariance of unit-step fGn: (|k+1|^2H - 2|k|^2H + |k-1|^2H)/2."""
     k = np.asarray(lags, dtype=float)
-    two_h = 2.0 * H
+    two_h = 2.0 * _real(H, "H =")
     return 0.5 * (
         np.abs(k + 1.0) ** two_h
         - 2.0 * np.abs(k) ** two_h
@@ -159,13 +157,13 @@ def _fgn_transforms(H: float, n: int, seeds: list) -> np.ndarray:
     a batch allocates one array of its embeddings' size.
     """
     n = _integer(n, f"n = {n!r} samples")
-    _real(H, f"H = {H!r}")
+    _real(H, "H =")
     if not 0.0 < H < 1.0:
-        raise ValueError("H must lie in (0, 1)")
+        raise InvalidArgument("H must lie in (0, 1)")
     if n < 2:
-        raise ValueError("need n >= 2 samples")
+        raise InvalidArgument("need n >= 2 samples")
     if not seeds:
-        raise ValueError("need at least one seed")
+        raise InvalidArgument("need at least one seed")
     amp = _embedding_sqrt(float(H), n)
     z = np.empty((len(seeds), amp.size), dtype=np.complex128)
     for row, seed in zip(z, seeds):
@@ -300,7 +298,7 @@ def check_grid(M: int) -> None:
     """Reject a grid size that field synthesis cannot use."""
     M = _integer(M, f"grid size M = {M!r}")
     if M < 4 or M & (M - 1):
-        raise ValueError("grid size must be a power of two >= 4")
+        raise InvalidArgument("grid size must be a power of two >= 4")
 
 
 def _anchored(block: np.ndarray) -> np.ndarray:
@@ -394,6 +392,7 @@ def afb_sra(index: AnisotropicIndex, M: int, seed, *, projected: bool = False):
     those projections to rounding (about 1e-15 of the largest value), not
     bit for bit.
     """
+    _kind(index, AnisotropicIndex, "index")
     check_grid(M)
     table = _sra_amplitude(index, int(M))
     blocks = _shaped_noise(_rng(seed), table)
@@ -425,17 +424,24 @@ def write_field(values: np.ndarray, path, params=None, seed=None) -> None:
     ``(h_h, h_v)`` and seed when known.
 
     The header holds a seed in 0..2^64-2; 2^64-1 marks an unknown seed.
+    ``params`` must be a pair of real numbers.  Each check runs before the
+    file is opened.
     """
     values = np.asarray(values)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError("field values must be a square matrix")
+        raise InvalidArgument("field values must be a square matrix")
     if seed is None:
         seed = _NO_SEED
     elif not 0 <= _integer(seed, f"seed = {seed!r}") < _NO_SEED:
-        raise ValueError(
+        raise InvalidArgument(
             f"seed {seed} is outside 0..2^64-2, the range a field file holds"
         )
-    h_h, h_v = params if params is not None else (float("nan"),) * 2
+    try:
+        h_h, h_v = (float("nan"),) * 2 if params is None else params
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"params {params!r} is not a pair (h_h, h_v)") from None
+    for value in (h_h, h_v):
+        _real(value, "params entry")
     header = _HEADER.pack(_MAGIC, values.shape[0] - 1, h_h, h_v, seed)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -515,20 +521,20 @@ def write_path_csv(values: np.ndarray, path, hurst=None, seed=None) -> None:
     ``# seed = ...`` comments (see _write_csv).
 
     The series must be 1-d, and the positions need N >= 1, so it must hold
-    two or more values.  The seed must be an integer, so that
-    :func:`read_path_csv` reads it back.  Each check runs before the file
-    is opened.
+    two or more values.  The Hurst index must be a real number, and the
+    seed an integer >= 0, so that :func:`read_path_csv` reads it back.
+    Each check runs before the file is opened.
     """
     values = np.asarray(values)
     if values.ndim != 1:
-        raise ValueError(f"a path CSV needs a 1-d series, got shape {values.shape}")
+        raise InvalidArgument(f"a path CSV needs a 1-d series, got shape {values.shape}")
     n = values.size - 1
     if n < 1:
         raise PathTooShort(
             f"a path CSV needs at least two values, got {values.size}"
         )
-    hurst = None if hurst is None else float(hurst)
-    seed = None if seed is None else _integer(seed, f"seed = {seed!r}")
+    hurst = None if hurst is None else float(_real(hurst, "hurst ="))
+    seed = None if seed is None else _seed(seed)
     rows = ((k / n, val) for k, val in enumerate(values))
     _write_csv(path, ["t", "value"], rows, [("hurst", hurst), ("seed", seed)])
 
@@ -545,7 +551,8 @@ def read_path_csv(path) -> tuple[np.ndarray, float | None, int | None]:
     hurst = None
     seed = None
     values = []
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, so such a row is malformed like any other
+    with open(path, errors="replace") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

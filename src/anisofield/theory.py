@@ -38,9 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EqualDilations, NegativeVariance, OrderTooLow
+from .errors import (
+    EqualDilations, InvalidArgument, NegativeVariance, OrderTooLow, _dilation, _kind, _real,
+)
 # cross_transfer, transfer_sq: unused here; the benchmark's tracer wraps them.
-from .filters import DiscreteFilter, _dilation, cross_transfer, transfer_sq
+from .filters import DiscreteFilter, cross_transfer, transfer_sq
 
 __all__ = [
     "AsymptoticConstants",
@@ -97,6 +99,7 @@ def E_const(a: DiscreteFilter, u: int, H: float) -> float:
 
     Finite exactly when the filter order exceeds H.
     """
+    _real(H, "H =")
     return float(_dilation(u)) ** (2.0 * H) * Gamma_fourier(a, 1, 1, H, 0)
 
 
@@ -108,11 +111,14 @@ def Gamma_fourier(a: DiscreteFilter, u: int, v: int, H: float, p):
     decays in |p| like |p|^(2H - 2K) for a filter of order K, and is not
     symmetric in the sign of p unless u == v.
     """
+    _kind(a, DiscreteFilter, "filter")
     u, v = _dilation(u), _dilation(v, "v")
-    if not H > 0.0:
-        raise ValueError(f"H={H} must be positive")
+    if not _real(H, "H =") > 0.0:
+        raise InvalidArgument(f"H={H} must be positive")
     if a.order <= H:
         raise OrderTooLow(f"filter order {a.order} must exceed H={H}")
+    if np.asarray(p).dtype.kind not in "iu":
+        raise InvalidArgument(f"p = {p!r} is not an integer or an array of integers")
     p = np.asarray(p, dtype=float)
     if u == v:
         # Gamma is even in p for equal dilations; this keeps it so exactly.
@@ -147,7 +153,9 @@ def C_const(a: DiscreteFilter, u: int, v: int, H: float) -> float:
     and only even m + m' survive the sum over both signs of p, so the tail
     is 2 sum_q (c*c)_{2q} zeta(4K + 2q - 4H, P + 1) in Hurwitz zeta values.
     """
-    if a.order <= H + 0.25:
+    _kind(a, DiscreteFilter, "filter")
+    u, v = _dilation(u), _dilation(v, "v")
+    if a.order <= _real(H, "H =") + 0.25:
         raise OrderTooLow(
             f"filter order {a.order} must exceed H + 1/4 = {H + 0.25}"
         )
@@ -205,7 +213,7 @@ def asymptotic_constants(
         c_vv = C_const(a, v, v, H)
         c_uv = C_const(a, u, v, H)
     if not np.isfinite([e_u, e_v, c_uu, c_vv, c_uv]).all():
-        raise ValueError(f"the asymptotic constants at H={H} are not finite")
+        raise InvalidArgument(f"the asymptotic constants at H={H} are not finite")
     quad_form = c_uu / e_u**2 + c_vv / e_v**2 - 2.0 * c_uv / (e_u * e_v)
     gamma = quad_form / (4.0 * math.log(u / v) ** 2)
     if gamma < -1e-9:

@@ -1,0 +1,127 @@
+"""The public entries' argument contract: a bad argument raises
+InvalidArgument, which is an AnisofieldError and a ValueError, with a
+message that names the argument.
+
+One row per (entry, argument, bad value): a str or a bool where a real
+number is read, a non-finite real, and an object of the wrong kind where a
+filter, an index, a window or a sequence of levels is read.  The integer,
+dilation and real-number rules have per-entry tables of their own in
+test_estimator.py and test_spectral.py.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from anisofield import (
+    AnisofieldError,
+    AnisotropicIndex,
+    InvalidArgument,
+    afb_sra,
+    apply_filter,
+    binomial_filter,
+    check_level,
+    cross_transfer,
+    density,
+    estimate_H,
+    estimate_pair,
+    estimate_projection,
+    fgn_autocovariance,
+    project_axis,
+    quad_variation,
+    radon_density,
+    theory,
+    transfer_sq,
+    write_field,
+    write_path_csv,
+)
+
+A2 = binomial_filter(2)
+INDEX = AnisotropicIndex(0.7, 0.2)
+WALK = np.cumsum(np.random.default_rng(3).standard_normal(65))
+GRID = np.add.outer(WALK[:17], WALK[17:34])
+PROJECTIONS = np.stack([WALK[:17], WALK[17:34]])
+
+# (id, call taking a scratch directory, exact message)
+ROWS = [
+    # a str or a bool where a real number is read
+    ("asymptotic_constants-H-str", lambda d: theory.asymptotic_constants(A2, 2, 1, "0.5"),
+     "H = '0.5' is not a real number"),
+    ("asymptotic_constants-H-bool", lambda d: theory.asymptotic_constants(A2, 2, 1, True),
+     "H = True is not a real number"),
+    ("E_const-H-str", lambda d: theory.E_const(A2, 1, "0.5"),
+     "H = '0.5' is not a real number"),
+    ("C_const-H-str", lambda d: theory.C_const(A2, 2, 1, "0.5"),
+     "H = '0.5' is not a real number"),
+    ("Gamma_fourier-H-bool", lambda d: theory.Gamma_fourier(A2, 2, 1, True, 0),
+     "H = True is not a real number"),
+    ("Gamma_fourier-p-str", lambda d: theory.Gamma_fourier(A2, 2, 1, 0.5, "0"),
+     "p = '0' is not an integer or an array of integers"),
+    ("Gamma_fourier-p-float", lambda d: theory.Gamma_fourier(A2, 2, 1, 0.5, 0.5),
+     "p = 0.5 is not an integer or an array of integers"),
+    ("radon_density-p-str", lambda d: radon_density(INDEX, None, "1.0"),
+     "p = '1.0' is not a real number"),
+    ("fgn_autocovariance-H-str", lambda d: fgn_autocovariance("0.5", [0, 1]),
+     "H = '0.5' is not a real number"),
+    ("write_path_csv-hurst-str", lambda d: write_path_csv(WALK, d / "out", "0.5"),
+     "hurst = '0.5' is not a real number"),
+    ("write_field-params-str", lambda d: write_field(GRID, d / "out", "ab"),
+     "params entry 'a' is not a real number"),
+    ("write_field-params-bool", lambda d: write_field(GRID, d / "out", (0.7, True)),
+     "params entry True is not a real number"),
+    ("write_field-params-scalar", lambda d: write_field(GRID, d / "out", 0.5),
+     "params 0.5 is not a pair (h_h, h_v)"),
+    # a non-finite real
+    ("radon_density-p-inf", lambda d: radon_density(INDEX, None, math.inf),
+     "projected density needs a finite p, got inf"),
+    ("asymptotic_constants-H-nan", lambda d: theory.asymptotic_constants(A2, 2, 1, math.nan),
+     "H=nan must be positive"),
+    # an object of the wrong kind
+    ("estimate_H-filter-list", lambda d: estimate_H(WALK, [1, -2, 1], 2, 1),
+     "filter [1, -2, 1] is not a DiscreteFilter"),
+    ("quad_variation-filter-tuple", lambda d: quad_variation(WALK, (1, -2, 1), 2),
+     "filter (1, -2, 1) is not a DiscreteFilter"),
+    ("apply_filter-filter-list", lambda d: apply_filter([1, -2, 1], WALK),
+     "filter [1, -2, 1] is not a DiscreteFilter"),
+    ("check_level-filter-tuple", lambda d: check_level(64, 0, (1, -2, 1), 2),
+     "filter (1, -2, 1) is not a DiscreteFilter"),
+    ("estimate_projection-filter-list",
+     lambda d: estimate_projection(PROJECTIONS[0], 0, [1, -2, 1]),
+     "filter [1, -2, 1] is not a DiscreteFilter"),
+    ("C_const-filter-list", lambda d: theory.C_const([1, -2, 1], 2, 1, 0.5),
+     "filter [1, -2, 1] is not a DiscreteFilter"),
+    ("asymptotic_constants-filter-str", lambda d: theory.asymptotic_constants("1,-2,1", 2, 1, 0.5),
+     "filter '1,-2,1' is not a DiscreteFilter"),
+    ("transfer_sq-filter-tuple", lambda d: transfer_sq((1, -2, 1), 0.3),
+     "filter (1, -2, 1) is not a DiscreteFilter"),
+    ("cross_transfer-filter-list", lambda d: cross_transfer([1, -2, 1], 2, 1, 0.3),
+     "filter [1, -2, 1] is not a DiscreteFilter"),
+    ("afb_sra-index-str", lambda d: afb_sra("axes:0.7,0.2", 8, 0),
+     "index 'axes:0.7,0.2' is not an AnisotropicIndex"),
+    ("density-index-str", lambda d: density("x", [1.0, 1.0]),
+     "index 'x' is not an AnisotropicIndex"),
+    ("radon_density-index-tuple", lambda d: radon_density((0.7, 0.2), None, 1.0),
+     "index (0.7, 0.2) is not an AnisotropicIndex"),
+    ("radon_density-window-str", lambda d: radon_density(INDEX, "gaussian:0.2", 1.0),
+     "window 'gaussian:0.2' is not a Window1DMinus"),
+    ("project_axis-window-str", lambda d: project_axis(GRID, "horizontal", "gaussian:0.2"),
+     "window 'gaussian:0.2' is not a Window1DMinus"),
+    ("project_axis-window-function", lambda d: project_axis(GRID, "vertical", np.ones_like),
+     f"window {np.ones_like!r} is not a Window1DMinus"),
+    ("estimate_pair-nus-int", lambda d: estimate_pair(PROJECTIONS, 0),
+     "nus = 0: estimate_pair needs a sequence of at least one level nu"),
+    ("estimate_pair-nus-ragged", lambda d: estimate_pair(PROJECTIONS, [(0,), 1]),
+     "level nu = (0,) is not an integer"),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
+def test_bad_argument_raises_invalid_argument(tmp_path, call, message):
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$") as info:
+        call(tmp_path)
+    assert isinstance(info.value, AnisofieldError)
+    assert isinstance(info.value, ValueError)
+    # a writer checks its arguments before it opens the file
+    assert not (tmp_path / "out").exists()

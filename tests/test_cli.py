@@ -64,6 +64,23 @@ def test_value_errors_reported_in_one_line(tmp_path, capsys, argv):
     assert err.startswith("anisofield: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--input"], "{file}:1: expected two columns t,value, found 1"),
+        (["evaluate", "--config"], "{file}:1: expected key = value"),
+    ],
+    ids=["estimate_input", "evaluate_config"],
+)
+def test_undecodable_file_reported_in_one_line(tmp_path, capsys, argv, message):
+    # bytes that are not text fail as a malformed line, not as a decoding
+    # error that the CLI would not catch
+    f = tmp_path / "garbage.bin"
+    f.write_bytes(b"\xff\xfe\x00garbage\n")
+    assert main([*argv, str(f)]) == 1
+    assert capsys.readouterr().err == "anisofield: " + message.format(file=f) + "\n"
+
+
 class TestSimulate:
     def test_field_roundtrip(self, tmp_path):
         out = tmp_path / "f.afb"

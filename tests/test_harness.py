@@ -17,6 +17,7 @@ from anisofield import (
     EmbeddingNotPSD,
     EvalReport,
     ExperimentConfig,
+    InvalidArgument,
     TooManyFailures,
     ZeroVariation,
     afb_sra,
@@ -393,6 +394,36 @@ class TestRun1D:
         monkeypatch.setattr(harness, "estimate_H", flaky)
         with pytest.raises(TooManyFailures, match=r"first: cell 1 rep 0"):
             run_eval_1d(_cfg_1d(hursts=(0.5, 0.7), path_lengths=(16,), reps=100))
+
+    def test_failures_count_the_failure_log(self, monkeypatch):
+        # replicate 2j + 1 of pair 3 fails throughout: one failed replicate
+        # of 100 is tolerated, and the report counts it once, as logged
+        real_estimate = harness.estimate_H
+        bad_end = fbm_path(0.5, 64, derived_stream(5, 0, 3))[1][-1]
+
+        def fails_one_path(paths, a, u, v):
+            if np.any(paths[:, -1] == bad_end):
+                raise ZeroVariation("boom")
+            return real_estimate(paths, a, u, v)
+
+        monkeypatch.setattr(harness, "estimate_H", fails_one_path)
+        report = run_eval_1d(_cfg_1d(path_lengths=(64,), reps=100))
+        assert report.failures == len(report.failure_log) == 1
+        assert report.failure_log[0].startswith("cell 0 rep 7: ZeroVariation(")
+
+    def test_invalid_argument_in_a_task_ends_the_run(self, monkeypatch):
+        # a bad argument is the run's fault, not a replicate's: it is
+        # raised at once, not redone one replicate at a time and counted
+        calls = []
+
+        def bad_call(*args):
+            calls.append(args)
+            raise InvalidArgument("bad argument")
+
+        monkeypatch.setattr(harness, "fbm_path", bad_call)
+        with pytest.raises(InvalidArgument, match="^bad argument$"):
+            run_eval_1d(_cfg_1d(reps=10))
+        assert len(calls) == 1
 
 
 class TestEmitTable:

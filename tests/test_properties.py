@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from anisofield import (
     DiscreteFilter,
+    InvalidArgument,
     MalformedFieldFile,
     PathTooShort,
     binomial_filter,
@@ -129,6 +130,11 @@ def test_path_csv_round_trip_is_exact(workdir, values, hurst, seed):
     if len(values) < 2:
         # positions k/N need N >= 1
         with pytest.raises(PathTooShort):
+            write_path_csv(path, f, hurst, seed)
+        return
+    if seed is not None and seed < 0:
+        # a seed is an integer >= 0
+        with pytest.raises(InvalidArgument, match="is negative"):
             write_path_csv(path, f, hurst, seed)
         return
     write_path_csv(path, f, hurst, seed)

@@ -13,6 +13,7 @@ from anisofield import (
     AnisotropicIndex,
     EvalReport,
     EvalRow1D,
+    InvalidArgument,
     MalformedFieldFile,
     MalformedPathFile,
     afb_sra,
@@ -571,6 +572,15 @@ class TestFieldIO:
         assert not f.exists()
         write_path_csv(np.zeros(3), f, 0.5, np.uint64(2**63 + 1))
         assert read_path_csv(f)[2] == 2**63 + 1
+
+    def test_path_seed_must_not_be_negative(self, tmp_path):
+        # a seed that fbm_path refuses is not written either, and the
+        # file is not opened
+        f = tmp_path / "path.csv"
+        message = r"^seed -3 is negative; a seed is an integer >= 0$"
+        with pytest.raises(InvalidArgument, match=message):
+            write_path_csv(np.zeros(3), f, 0.5, -3)
+        assert not f.exists()
 
     @pytest.mark.parametrize("shape", [(3, 3), (1, 5), ()], ids=["3x3", "1x5", "0-d"])
     def test_path_must_be_1d(self, tmp_path, shape):
