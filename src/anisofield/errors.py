@@ -9,6 +9,15 @@ errors report what the data does to a computation.
 import numbers
 import operator
 
+import numpy as np
+
+__all__ = [
+    "AnisofieldError", "InvalidArgument", "OrderZero", "AllMomentsVanish", "ZeroFrequency",
+    "QuadratureFailure", "EmbeddingNotPSD", "MalformedFieldFile", "MalformedPathFile",
+    "PathTooShort", "ZeroVariation", "NonFiniteVariation", "EqualDilations", "GridTooCoarse",
+    "OrderTooLow", "NegativeVariance", "TooManyFailures",
+]
+
 
 class AnisofieldError(Exception):
     """Base class for all errors raised by this package."""
@@ -79,6 +88,24 @@ def _real(value, label: str):
     if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise InvalidArgument(f"{label} {value!r} is not a real number")
     return value
+
+
+def _reals(value, label: str) -> np.ndarray:
+    """``value`` read by ``np.asarray``, unless that fails (a ragged list)
+    or gives an array that is not of real numbers (str, complex, object or
+    bool): then an InvalidArgument ``<label> must be an array of real
+    numbers``.
+
+    The package's one rule for array arguments.  The value is not in the
+    message, which an array would swamp.
+    """
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise InvalidArgument(f"{label} must be an array of real numbers")
+    return array
 
 
 def _kind(value, cls: type, label: str):

@@ -10,13 +10,14 @@ estimate subtracts that offset.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .errors import (
     EqualDilations, GridTooCoarse, InvalidArgument, NonFiniteVariation, PathTooShort,
-    ZeroVariation, _dilation, _kind, _level,
+    ZeroVariation, _dilation, _kind, _level, _reals,
 )
 from .filters import DiscreteFilter, apply_filter, binomial_filter
 from .projection import project_axis  # perfbench/spans.py wraps this name by getattr
@@ -26,7 +27,6 @@ __all__ = [
     "estimate_H",
     "log_ratio_at_level",
     "check_level",
-    "check_span",
     "estimate_projection",
     "estimate_pair",
 ]
@@ -53,7 +53,7 @@ def quad_variation(path, a: DiscreteFilter, u: int):
     shape otherwise, each entry equal bit for bit to the float its series
     gives on its own.
     """
-    x = np.atleast_1d(np.asarray(path, dtype=float))
+    x = np.atleast_1d(np.asarray(_reals(path, "path"), dtype=float))
     _kind(a, DiscreteFilter, "filter")
     u = _dilation(u)
     if _summands(x.shape[-1] - 1, a, u) < 2:
@@ -67,25 +67,21 @@ def quad_variation(path, a: DiscreteFilter, u: int):
     return float(v) if x.ndim == 1 else v
 
 
-def _check_variation(v: float, d: int, a: DiscreteFilter) -> None:
-    if not math.isfinite(v):
-        raise NonFiniteVariation(
-            f"variation is {v} (dilation {d}): the path holds "
-            "NaN or infinite values"
-        )
-    if v < _ZERO_VARIATION:
-        raise ZeroVariation(
-            f"variation vanished (filter order {a.order} "
-            "annihilates this path)"
-        )
-
-
 def _check_variations(a: DiscreteFilter, u: int, v_u, v: int, v_v) -> None:
     """Raise for the first series, in order, whose variation at dilation
     u, or else at v, is not finite or vanished."""
-    for var_u, var_v in zip(np.ravel(v_u), np.ravel(v_v)):
-        _check_variation(float(var_u), u, a)
-        _check_variation(float(var_v), v, a)
+    variations = np.column_stack((np.ravel(v_u), np.ravel(v_v))).ravel().tolist()
+    for var, d in zip(variations, itertools.cycle((u, v))):
+        if not math.isfinite(var):
+            raise NonFiniteVariation(
+                f"variation is {var} (dilation {d}): the path holds "
+                "NaN or infinite values"
+            )
+        if var < _ZERO_VARIATION:
+            raise ZeroVariation(
+                f"variation vanished (filter order {a.order} "
+                "annihilates this path)"
+            )
 
 
 def _log(x):
@@ -113,7 +109,7 @@ def log_ratio_at_level(
     u, v = _dilation(u), _dilation(v, "v")
     if u == v:
         raise EqualDilations("need two distinct dilation factors")
-    x = np.asarray(values)[..., :: 1 << nu]
+    x = _reals(values, "values")[..., :: 1 << nu]
     v_u = quad_variation(x, a, u)
     v_v = quad_variation(x, a, v)
     _check_variations(a, u, v_u, v, v_v)
@@ -178,7 +174,7 @@ def estimate_projection(
     ``h = log(T_2 / T_1) / (2 log(u / v)) - 1/2``, the 1/2 correcting for
     the hyperplane average.
     """
-    values = np.asarray(values)
+    values = _reals(values, "values")
     if a is None:
         a = binomial_filter(2)
     u, v = _dilation(u), _dilation(v, "v")
@@ -196,16 +192,21 @@ def estimate_pair(
 
     ``projections`` has shape (..., 2, M+1): its last two axes hold the
     horizontal and the vertical ``project_axis`` of one field, as rows in
-    the order of ``DIRECTIONS``.  Returns an array of shape
-    (..., len(nus), 2) whose entry [..., i, 0] is h_h and [..., i, 1] is
-    h_v at level nus[i].  Each level is estimated on all projections at
-    once with the dilations u = 2, v = 1, and a block gives, bit for bit,
-    the estimates of its fields one at a time.
+    the order of ``DIRECTIONS``; any other shape raises InvalidArgument.
+    Returns an array of shape (..., len(nus), 2) whose entry [..., i, 0]
+    is h_h and [..., i, 1] is h_v at level nus[i].  Each level is
+    estimated on all projections at once with the dilations u = 2, v = 1,
+    and a block gives, bit for bit, the estimates of its fields one at a
+    time.
     """
     levels = [_level(nu) for nu in nus] if np.iterable(nus) else []
     if not levels:
         raise InvalidArgument(
             f"nus = {nus!r}: estimate_pair needs a sequence of at least one level nu"
         )
-    projections = np.asarray(projections)
+    projections = _reals(projections, "projections")
+    if projections.shape[-2:-1] != (2,):
+        raise InvalidArgument(
+            f"projections of shape {projections.shape}: estimate_pair needs shape (..., 2, M+1)"
+        )
     return np.stack([estimate_projection(projections, nu, a)[0] for nu in levels], axis=-2)

@@ -14,7 +14,9 @@ import math
 
 import numpy as np
 
-from .errors import AllMomentsVanish, InvalidArgument, OrderZero, _dilation, _integer, _kind
+from .errors import (
+    AllMomentsVanish, InvalidArgument, OrderZero, _dilation, _integer, _kind, _reals,
+)
 
 __all__ = [
     "DiscreteFilter",
@@ -39,7 +41,7 @@ def infer_order(coeffs) -> int:
     variation filter) and AllMomentsVanish when every moment up to r = l
     is below tolerance.
     """
-    a = np.asarray(coeffs, dtype=float)
+    a = np.asarray(_reals(coeffs, "coefficients"), dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise InvalidArgument("coefficients must be a non-empty 1-d sequence")
     bad = np.flatnonzero(~np.isfinite(a))
@@ -73,7 +75,7 @@ class DiscreteFilter:
     """
 
     def __init__(self, coeffs):
-        arr = np.array(coeffs, dtype=float)
+        arr = np.array(_reals(coeffs, "coefficients"), dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise InvalidArgument("a filter needs at least two coefficients")
         self._order = infer_order(arr)
@@ -124,7 +126,7 @@ def binomial_filter(order: int) -> DiscreteFilter:
 def _poly_unit_circle(a: DiscreteFilter, xi):
     """Evaluate P_a(e^{-i xi}) = sum_k a_k e^{-ik xi} (vectorized in xi)."""
     _kind(a, DiscreteFilter, "filter")
-    xi = np.asarray(xi, dtype=float)
+    xi = np.asarray(_reals(xi, "xi"), dtype=float)
     k = np.arange(a.length)
     phases = np.exp(-1j * np.multiply.outer(xi, k))
     return phases @ a.coeffs
@@ -143,7 +145,7 @@ def transfer_sq(a: DiscreteFilter, xi):
 def cross_transfer(a: DiscreteFilter, u: int, v: int, xi):
     """Two-scale transfer product P_a(e^{-iu xi}) * conj(P_a(e^{-iv xi}))."""
     u, v = _dilation(u), _dilation(v, "v")
-    xi = np.asarray(xi, dtype=float)
+    xi = np.asarray(_reals(xi, "xi"), dtype=float)
     val = _poly_unit_circle(a, u * xi) * np.conj(_poly_unit_circle(a, v * xi))
     return complex(val) if val.ndim == 0 else val
 
@@ -157,7 +159,7 @@ def apply_filter(a: DiscreteFilter, values, u: int = 1) -> np.ndarray:
     operations as on its own, so the result does not depend on how many
     series are stacked.
     """
-    x = np.atleast_1d(np.asarray(values, dtype=float))
+    x = np.atleast_1d(np.asarray(_reals(values, "values"), dtype=float))
     _kind(a, DiscreteFilter, "filter")
     u = _dilation(u)
     span = (a.length - 1) * u

@@ -79,12 +79,6 @@ __all__ = [
 
 _FAILURE_SHARE = 0.01  # tolerated fraction of errored replicates
 
-# ExperimentConfig fields that hold an integer or a tuple of integers
-_INTEGER_FIELDS = (
-    "grid_size", "path_lengths", "reps", "nu_levels",
-    "dilation_u", "dilation_v", "workers",
-)
-
 
 @dataclass
 class ExperimentConfig:
@@ -117,19 +111,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("1d", "2d"):
             raise InvalidArgument(f"mode must be '1d' or '2d', got {self.mode!r}")
-        for name in _INTEGER_FIELDS:
+        for name, parse, _ in _KEYS.values():
             value = getattr(self, name)
+            if parse is not int or value is None and name == "workers":
+                continue  # not an integer field, or no workers: one per CPU
             if isinstance(value, (tuple, list)):
                 value = tuple(_integer(x, f"{name} entry {x!r}") for x in value)
-            elif value is not None or name != "workers":  # no workers: one per CPU
+            else:
                 value = _integer(value, f"{name} = {value!r}")
             setattr(self, name, value)
         for index in self.indices:
             _kind(index, AnisotropicIndex, "indices entry")
         for hurst in self.hursts:
             _real(hurst, "hursts entry")
-        for key, name in (("index", "indices"), ("hurst", "hursts"),
-                          ("length", "path_lengths"), ("nu", "nu_levels")):
+        for key in _LIST_KEYS:
+            name = _KEYS[key][0]
             values = getattr(self, name)
             repeated = [x for i, x in enumerate(values) if x in values[:i]]
             if repeated:
@@ -466,7 +462,7 @@ def emit_table(report: EvalReport, path) -> None:
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Build a configuration from flat ``key = value`` text.
 
-    Repeatable keys (``index``, ``hurst``, ``length``) accumulate; ``#``
+    List keys (``index``, ``hurst``, ``length``, ``nu``) accumulate; ``#``
     starts a comment.  ``overrides`` (same key names) win over the file.
     """
     raw: dict[str, list[str]] = {}
@@ -487,35 +483,28 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     return _config_from_raw(raw)
 
 
-def _last(parse):
-    """Parser of a key whose last value wins."""
-    return lambda values: parse(values[-1])
-
-
-def _each(parse):
-    """Parser of a list key: every comma-separated token of every value."""
-    return lambda values: tuple(
-        parse(tok) for value in values for tok in map(str.strip, value.split(",")) if tok
-    )
-
-
-# key: (ExperimentConfig field, parser of the key's values, the one mode
-# that reads the key or None for both)
+# key: (ExperimentConfig field, parser of one value, the one mode that
+# reads the key or None for both)
 _KEYS = {
-    "mode": ("mode", _last(str.lower), None),
-    "index": ("indices", lambda values: tuple(map(parse_index, values)), "2d"),
-    "hurst": ("hursts", _each(float), "1d"),
-    "grid": ("grid_size", _last(int), "2d"),
-    "length": ("path_lengths", _each(int), "1d"),
-    "reps": ("reps", _last(int), None),
-    "nu": ("nu_levels", _each(int), "2d"),
-    "filter": ("filter_coeffs", _last(lambda s: tuple(parse_filter(s).coeffs)), None),
-    "u": ("dilation_u", _last(int), None),
-    "v": ("dilation_v", _last(int), None),
-    "seed": ("seed", _last(int), None),
-    "out": ("out", _last(str), None),
-    "workers": ("workers", _last(int), None),
+    "mode": ("mode", str.lower, None),
+    "index": ("indices", parse_index, "2d"),
+    "hurst": ("hursts", float, "1d"),
+    "grid": ("grid_size", int, "2d"),
+    "length": ("path_lengths", int, "1d"),
+    "reps": ("reps", int, None),
+    "nu": ("nu_levels", int, "2d"),
+    "filter": ("filter_coeffs", lambda s: tuple(parse_filter(s).coeffs), None),
+    "u": ("dilation_u", int, None),
+    "v": ("dilation_v", int, None),
+    "seed": ("seed", int, None),
+    "out": ("out", str, None),
+    "workers": ("workers", int, None),
 }
+
+# The keys that accumulate a list: every comma-separated value of every
+# line, except an index, whose spec holds commas and takes a whole line;
+# in this order the repeat check names the first key at fault.
+_LIST_KEYS = ("index", "hurst", "length", "nu")
 
 
 def _config_from_raw(raw: dict[str, list[str]]) -> ExperimentConfig:
@@ -525,10 +514,15 @@ def _config_from_raw(raw: dict[str, list[str]]) -> ExperimentConfig:
     kwargs = {}
     for key, values in raw.items():
         name, parse, _ = _KEYS[key]
+        if key not in _LIST_KEYS:  # the last value wins
+            values = values[-1:]
+        elif key != "index":
+            values = [tok for value in values for tok in map(str.strip, value.split(",")) if tok]
         try:
-            kwargs[name] = parse(values)
+            parsed = tuple(map(parse, values))
         except ValueError as exc:
             raise InvalidArgument(f"{key}: {exc}") from exc
+        kwargs[name] = parsed if key in _LIST_KEYS else parsed[0]
     config = ExperimentConfig(**kwargs)
     ignored = sorted(key for key in raw if _KEYS[key][2] not in (None, config.mode))
     if ignored:

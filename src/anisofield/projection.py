@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgument, _integer, _kind
+from .errors import InvalidArgument, _integer, _kind, _reals
 from .spectral import Window1DMinus
 
 __all__ = ["DIRECTIONS", "project_axis"]
@@ -60,7 +60,7 @@ def project_axis(
     """
     if direction not in DIRECTIONS:
         raise InvalidArgument(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    field = np.asarray(field)
+    field = _reals(field, "field")
     if field.ndim != 2 or field.shape[0] != field.shape[1]:
         raise InvalidArgument("field values must be a square matrix")
     M = field.shape[0] - 1

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgument, QuadratureFailure, ZeroFrequency, _kind, _real
+from .errors import InvalidArgument, QuadratureFailure, ZeroFrequency, _kind, _real, _reals
 
 _SQRT_TWO_PI = float(np.sqrt(2.0 * np.pi))
 
@@ -56,7 +56,7 @@ class AnisotropicIndex:
         Depends on the direction only, with xi and -xi giving the same
         value, so evenness and 0-homogeneity hold exactly.
         """
-        xi = np.asarray(xi, dtype=float)
+        xi = np.asarray(_reals(xi, "xi"), dtype=float)
         if xi.shape[-1] != 2:
             raise InvalidArgument("the index is defined for d = 2 only")
         return np.where(
@@ -77,7 +77,7 @@ def density(index: AnisotropicIndex, xi):
     an infinite frequency has density 0.
     """
     _kind(index, AnisotropicIndex, "index")
-    xi = np.asarray(xi, dtype=float)
+    xi = np.asarray(_reals(xi, "xi"), dtype=float)
     if xi.shape[-1] != 2:
         raise InvalidArgument(f"frequency dimension {xi.shape[-1]} != 2")
     x1, x2 = xi[..., 0], xi[..., 1]
@@ -119,7 +119,7 @@ class Window1DMinus:
         return self.sigma * _SQRT_TWO_PI
 
     def __call__(self, x):
-        z = (np.asarray(x, dtype=float) - self.center) / self.sigma
+        z = (np.asarray(_reals(x, "x"), dtype=float) - self.center) / self.sigma
         out = np.exp(-0.5 * z * z)
         return float(out) if out.ndim == 0 else out
 

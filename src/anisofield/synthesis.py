@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (
     EmbeddingNotPSD, InvalidArgument, MalformedFieldFile, MalformedPathFile, PathTooShort,
-    _integer, _kind, _real, _seed,
+    _integer, _kind, _real, _reals, _seed,
 )
 from .spectral import AnisotropicIndex, density
 
@@ -49,7 +49,6 @@ __all__ = [
     "fgn_autocovariance",
     "fbm_path",
     "afb_sra",
-    "check_grid",
     "write_field",
     "read_field",
     "field_to_csv",
@@ -102,7 +101,7 @@ def _draw_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 def fgn_autocovariance(H: float, lags) -> np.ndarray:
     """Autocovariance of unit-step fGn: (|k+1|^2H - 2|k|^2H + |k-1|^2H)/2."""
-    k = np.asarray(lags, dtype=float)
+    k = np.asarray(_reals(lags, "lags"), dtype=float)
     two_h = 2.0 * _real(H, "H =")
     return 0.5 * (
         np.abs(k + 1.0) ** two_h
@@ -427,7 +426,7 @@ def write_field(values: np.ndarray, path, params=None, seed=None) -> None:
     ``params`` must be a pair of real numbers.  Each check runs before the
     file is opened.
     """
-    values = np.asarray(values)
+    values = _reals(values, "values")
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise InvalidArgument("field values must be a square matrix")
     if seed is None:
@@ -525,7 +524,7 @@ def write_path_csv(values: np.ndarray, path, hurst=None, seed=None) -> None:
     seed an integer >= 0, so that :func:`read_path_csv` reads it back.
     Each check runs before the file is opened.
     """
-    values = np.asarray(values)
+    values = _reals(values, "values")
     if values.ndim != 1:
         raise InvalidArgument(f"a path CSV needs a 1-d series, got shape {values.shape}")
     n = values.size - 1

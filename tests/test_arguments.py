@@ -3,8 +3,11 @@ InvalidArgument, which is an AnisofieldError and a ValueError, with a
 message that names the argument.
 
 One row per (entry, argument, bad value): a str or a bool where a real
-number is read, a non-finite real, and an object of the wrong kind where a
-filter, an index, a window or a sequence of levels is read.  The integer,
+number is read, a non-finite real, an object of the wrong kind where a
+filter, an index, a window or a sequence of levels is read, an array that
+is not of real numbers (str, complex, bool or ragged) where an array is
+read, and the checks of counts and shapes that no other test reaches.
+The integer,
 dilation and real-number rules have per-entry tables of their own in
 test_estimator.py and test_spectral.py.
 """
@@ -18,7 +21,10 @@ import pytest
 from anisofield import (
     AnisofieldError,
     AnisotropicIndex,
+    DiscreteFilter,
+    ExperimentConfig,
     InvalidArgument,
+    Window1DMinus,
     afb_sra,
     apply_filter,
     binomial_filter,
@@ -29,9 +35,13 @@ from anisofield import (
     estimate_pair,
     estimate_projection,
     fgn_autocovariance,
+    infer_order,
+    log_ratio_at_level,
     project_axis,
     quad_variation,
     radon_density,
+    run_eval_1d,
+    run_eval_2d,
     theory,
     transfer_sq,
     write_field,
@@ -114,6 +124,64 @@ ROWS = [
      "nus = 0: estimate_pair needs a sequence of at least one level nu"),
     ("estimate_pair-nus-ragged", lambda d: estimate_pair(PROJECTIONS, [(0,), 1]),
      "level nu = (0,) is not an integer"),
+    # an array that is not of real numbers, where numpy alone would read
+    # a value silently: a str path written out, a complex field's real part
+    # written out, and the variation of the real part
+    ("write_path_csv-values-two-letters",
+     lambda d: write_path_csv(np.array(["a", "b"]), d / "out"),
+     "values must be an array of real numbers"),
+    ("write_field-values-complex-grid", lambda d: write_field(GRID + 1j, d / "out"),
+     "values must be an array of real numbers"),
+    ("quad_variation-path-imaginary", lambda d: quad_variation(np.arange(10) * 1j, A2, 1),
+     "path must be an array of real numbers"),
+    # projections whose second-to-last axis is not the two directions
+    ("estimate_pair-projections-3-rows",
+     lambda d: estimate_pair(np.zeros((3, 65))),
+     "projections of shape (3, 65): estimate_pair needs shape (..., 2, M+1)"),
+    ("estimate_pair-projections-1d", lambda d: estimate_pair(WALK),
+     "projections of shape (65,): estimate_pair needs shape (..., 2, M+1)"),
+    # a count that is too small
+    ("run_eval_2d-indices-none", lambda d: run_eval_2d(ExperimentConfig(mode="2d")),
+     "2-d evaluation needs at least one index"),
+    ("run_eval_1d-hursts-none", lambda d: run_eval_1d(ExperimentConfig(mode="1d")),
+     "1-d evaluation needs at least one Hurst value"),
+    ("binomial_filter-order-zero", lambda d: binomial_filter(0), "order must be >= 1"),
+]
+
+# (entry, argument, call of an array for the argument and a scratch
+# directory, an array the entry accepts there)
+ARRAY_ENTRIES = [
+    ("DiscreteFilter", "coefficients", lambda x, d: DiscreteFilter(x), A2.coeffs),
+    ("infer_order", "coefficients", lambda x, d: infer_order(x), A2.coeffs),
+    ("apply_filter", "values", lambda x, d: apply_filter(A2, x), WALK),
+    ("transfer_sq", "xi", lambda x, d: transfer_sq(A2, x), WALK),
+    ("cross_transfer", "xi", lambda x, d: cross_transfer(A2, 2, 1, x), WALK),
+    ("quad_variation", "path", lambda x, d: quad_variation(x, A2, 1), WALK),
+    ("log_ratio_at_level", "values", lambda x, d: log_ratio_at_level(x, 0, A2, 2, 1), WALK),
+    ("estimate_projection", "values", lambda x, d: estimate_projection(x), WALK),
+    ("estimate_pair", "projections", lambda x, d: estimate_pair(x), PROJECTIONS),
+    ("density", "xi", lambda x, d: density(INDEX, x), [1.0, 1.0]),
+    ("AnisotropicIndex.evaluate", "xi", lambda x, d: INDEX.evaluate(x), [1.0, 1.0]),
+    ("Window1DMinus", "x", lambda x, d: Window1DMinus(0.3)(x), WALK),
+    ("fgn_autocovariance", "lags", lambda x, d: fgn_autocovariance(0.5, x), [0, 1]),
+    ("project_axis", "field", lambda x, d: project_axis(x, "horizontal"), GRID),
+    ("write_field", "values", lambda x, d: write_field(x, d / "out"), GRID),
+    ("write_path_csv", "values", lambda x, d: write_path_csv(x, d / "out"), WALK),
+]
+
+# bad arrays made from a good one
+BAD_ARRAYS = {
+    "str": lambda x: np.asarray(x).astype(str),
+    "complex": lambda x: np.asarray(x) + 1j,
+    "bool": lambda x: np.asarray(x) > 0,
+    "ragged": lambda x: [*np.atleast_2d(x), [0.0]],
+}
+
+ROWS += [
+    (f"{entry}-{argument}-{kind}", lambda d, call=call, x=bad(good): call(x, d),
+     f"{argument} must be an array of real numbers")
+    for entry, argument, call, good in ARRAY_ENTRIES
+    for kind, bad in BAD_ARRAYS.items()
 ]
 
 
@@ -125,3 +193,11 @@ def test_bad_argument_raises_invalid_argument(tmp_path, call, message):
     assert isinstance(info.value, ValueError)
     # a writer checks its arguments before it opens the file
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "call, good", [row[2:] for row in ARRAY_ENTRIES], ids=[row[0] for row in ARRAY_ENTRIES]
+)
+def test_good_array_accepted(tmp_path, call, good):
+    # the control of the rows above: only the array's kind is at fault
+    call(good, tmp_path)
