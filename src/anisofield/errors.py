@@ -12,10 +12,8 @@ import operator
 import numpy as np
 
 __all__ = [
-    "AnisofieldError", "InvalidArgument", "OrderZero", "AllMomentsVanish", "ZeroFrequency",
-    "QuadratureFailure", "EmbeddingNotPSD", "MalformedFieldFile", "MalformedPathFile",
-    "PathTooShort", "ZeroVariation", "NonFiniteVariation", "EqualDilations", "GridTooCoarse",
-    "OrderTooLow", "NegativeVariance", "TooManyFailures",
+    "AnisofieldError", "InvalidArgument", "QuadratureFailure", "EmbeddingNotPSD",
+    "ZeroVariation", "NonFiniteVariation", "OrderTooLow", "NegativeVariance", "TooManyFailures",
 ]
 
 
@@ -122,21 +120,7 @@ def _kind(value, cls: type, label: str):
     return value
 
 
-# --- filter construction -------------------------------------------------
-
-class OrderZero(AnisofieldError):
-    """Coefficients do not sum to zero, so the filter has order 0."""
-
-
-class AllMomentsVanish(AnisofieldError):
-    """Every tested moment is below tolerance; the filter is degenerate."""
-
-
 # --- spectral models ------------------------------------------------------
-
-class ZeroFrequency(AnisofieldError):
-    """Spectral density evaluated at the origin, where it is singular."""
-
 
 class QuadratureFailure(AnisofieldError):
     """The 16- and 32-point rules disagree above the requested tolerance."""
@@ -148,22 +132,7 @@ class EmbeddingNotPSD(AnisofieldError):
     """The circulant embedding of a covariance has negative eigenvalues."""
 
 
-# --- field files ----------------------------------------------------------
-
-class MalformedFieldFile(InvalidArgument):
-    """A field file is not AFB1, or its size disagrees with its header."""
-
-
-class MalformedPathFile(InvalidArgument):
-    """A path CSV has a row that is not two numbers, a metadata comment
-    whose value does not parse, or fewer than two values."""
-
-
 # --- estimators -----------------------------------------------------------
-
-class PathTooShort(AnisofieldError):
-    """Sampled path has fewer points than the variation sum needs."""
-
 
 class ZeroVariation(AnisofieldError):
     """A quadratic variation vanished, so its log-ratio is undefined."""
@@ -171,14 +140,6 @@ class ZeroVariation(AnisofieldError):
 
 class NonFiniteVariation(AnisofieldError):
     """A quadratic variation is NaN or infinite: the input is not finite."""
-
-
-class EqualDilations(InvalidArgument):
-    """Dilation factors u and v must differ for a log-ratio estimate."""
-
-
-class GridTooCoarse(InvalidArgument):
-    """Subsampled grid is too short for the requested estimator."""
 
 
 # --- asymptotic constants ---------------------------------------------------

@@ -16,8 +16,7 @@ import math
 import numpy as np
 
 from .errors import (
-    EqualDilations, GridTooCoarse, InvalidArgument, NonFiniteVariation, PathTooShort,
-    ZeroVariation, _dilation, _kind, _level, _reals,
+    InvalidArgument, NonFiniteVariation, ZeroVariation, _dilation, _kind, _level, _reals,
 )
 from .filters import DiscreteFilter, apply_filter, binomial_filter
 from .projection import project_axis  # perfbench/spans.py wraps this name by getattr
@@ -48,7 +47,7 @@ def quad_variation(path, a: DiscreteFilter, u: int):
     ``path`` holds the values X(k/N), k = 0..N, of a sampled process, or
     an array of such series along its last axis.  Averages
     (sum_k a_k X((p + k*u)/N))^2 for p = 0..N - l*u, normalizing by the
-    number of terms; raises PathTooShort when there are fewer than two
+    number of terms; raises InvalidArgument when there are fewer than two
     terms.  Returns a float for one series and an array of the leading
     shape otherwise, each entry equal bit for bit to the float its series
     gives on its own.
@@ -57,7 +56,7 @@ def quad_variation(path, a: DiscreteFilter, u: int):
     _kind(a, DiscreteFilter, "filter")
     u = _dilation(u)
     if _summands(x.shape[-1] - 1, a, u) < 2:
-        raise PathTooShort(
+        raise InvalidArgument(
             f"{x.shape[-1]} values leave fewer than two summands for a "
             f"{a.length}-tap filter at dilation {u}"
         )
@@ -108,7 +107,7 @@ def log_ratio_at_level(
     nu = _level(nu)
     u, v = _dilation(u), _dilation(v, "v")
     if u == v:
-        raise EqualDilations("need two distinct dilation factors")
+        raise InvalidArgument("need two distinct dilation factors")
     x = _reals(values, "values")[..., :: 1 << nu]
     v_u = quad_variation(x, a, u)
     v_v = quad_variation(x, a, v)
@@ -139,7 +138,7 @@ def check_level(M: int, nu: int, a: DiscreteFilter, u: int) -> None:
     nu = _level(nu)
     steps = M >> nu
     if M % (1 << nu) != 0 or steps < 8:
-        raise GridTooCoarse(
+        raise InvalidArgument(
             f"grid size {M} at subsampling 2^{nu} leaves fewer than 8 steps"
         )
     check_span(steps, a, u, f"grid size {M} at subsampling 2^{nu}")
@@ -151,7 +150,7 @@ def check_span(n_steps: int, a: DiscreteFilter, u: int, what: str) -> None:
     _kind(a, DiscreteFilter, "filter")
     u = _dilation(u)
     if _summands(n_steps, a, u) < 2:
-        raise GridTooCoarse(
+        raise InvalidArgument(
             f"{what} leaves {n_steps} steps, "
             f"too few for a {a.length}-tap filter at dilation {u}"
         )

@@ -14,9 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    AllMomentsVanish, InvalidArgument, OrderZero, _dilation, _integer, _kind, _reals,
-)
+from .errors import InvalidArgument, _dilation, _integer, _kind, _reals
 
 __all__ = [
     "DiscreteFilter",
@@ -36,10 +34,9 @@ _REL_TOL = 1e-9
 def infer_order(coeffs) -> int:
     """Return the smallest K >= 1 with a non-vanishing K-th moment.
 
-    Raises InvalidArgument at a NaN or infinite coefficient, OrderZero
-    when the coefficients do not sum to zero (order 0 is not a valid
-    variation filter) and AllMomentsVanish when every moment up to r = l
-    is below tolerance.
+    Raises InvalidArgument at a NaN or infinite coefficient, when the
+    coefficients do not sum to zero (order 0 is not a valid variation
+    filter) and when every moment up to r = l is below tolerance.
     """
     a = np.asarray(_reals(coeffs, "coefficients"), dtype=float)
     if a.ndim != 1 or a.size == 0:
@@ -52,17 +49,17 @@ def infer_order(coeffs) -> int:
     l = a.size - 1
     scale = float(np.abs(a).max())
     if scale == 0.0:
-        raise AllMomentsVanish("all coefficients are zero")
+        raise InvalidArgument("all coefficients are zero")
     k = np.arange(a.size, dtype=float)
     for r in range(l + 1):
         moment = float(np.dot(a, k**r))  # 0**0 == 1
         if abs(moment) > _REL_TOL * scale * float(l) ** r:
             if r == 0:
-                raise OrderZero(
+                raise InvalidArgument(
                     f"coefficients sum to {moment:g}, not zero"
                 )
             return r
-    raise AllMomentsVanish(
+    raise InvalidArgument(
         f"moments up to r={l} all below tolerance; degenerate filter"
     )
 

@@ -84,23 +84,27 @@ _FAILURE_SHARE = 0.01  # tolerated fraction of errored replicates
 class ExperimentConfig:
     """Everything one evaluation run needs, parseable from key=value text.
 
-    1-d mode reads neither ``grid_size`` nor ``nu_levels``; 2-d mode reads
-    neither ``hursts`` nor ``path_lengths``.  ``workers`` of None or <= 0
-    means one worker per CPU.  A larger ``workers`` still sets the task
-    blocks, but the pool runs at most one process per CPU.  The counts,
-    levels, lengths and dilations must be integers other than a bool, and
-    the seed an integer >= 0; numpy integers are stored as ``int``.  Each
-    index must be an ``AnisotropicIndex`` and each Hurst value a real
-    number other than a bool, in either mode.
+    ``indices``, ``grid_size`` and ``nu_levels`` are 2-d mode's fields,
+    ``hursts`` and ``path_lengths`` 1-d mode's.  A field of the config's
+    mode left None takes its default (``_MODE_DEFAULTS``); a field of the
+    other mode must stay None, or the config is rejected, as a config
+    file that names such a key is.  ``workers`` of None or <= 0 means one
+    worker per CPU.  A larger ``workers`` still sets the task blocks, but
+    the pool runs at most one process per CPU.  The list fields must be
+    tuples or lists.  The counts, levels, lengths and dilations must be
+    integers other than a bool, and the seed an integer >= 0; numpy
+    integers are stored as ``int``.  Each index must be an
+    ``AnisotropicIndex`` and each Hurst value a real number other than a
+    bool.
     """
 
     mode: str = "2d"
-    indices: tuple[AnisotropicIndex, ...] = ()
-    hursts: tuple[float, ...] = ()
-    grid_size: int = 512
-    path_lengths: tuple[int, ...] = (4096,)
+    indices: tuple[AnisotropicIndex, ...] | None = None
+    hursts: tuple[float, ...] | None = None
+    grid_size: int | None = None
+    path_lengths: tuple[int, ...] | None = None
     reps: int = 1000
-    nu_levels: tuple[int, ...] = (0, 1, 2, 3)
+    nu_levels: tuple[int, ...] | None = None
     filter_coeffs: tuple[float, ...] = (1.0, -2.0, 1.0)
     dilation_u: int = 2
     dilation_v: int = 1
@@ -111,23 +115,34 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("1d", "2d"):
             raise InvalidArgument(f"mode must be '1d' or '2d', got {self.mode!r}")
-        for name, parse, _ in _KEYS.values():
+        for key, (name, parse, mode) in _KEYS.items():
             value = getattr(self, name)
-            if parse is not int or value is None and name == "workers":
-                continue  # not an integer field, or no workers: one per CPU
-            if isinstance(value, (tuple, list)):
+            if value is None and mode == self.mode:
+                value = _MODE_DEFAULTS[name]
+            if value is None and (mode or name == "workers"):
+                continue  # the other mode's field unset, or no workers: one per CPU
+            if key in _LIST_KEYS and not isinstance(value, (tuple, list)):
+                raise InvalidArgument(f"{name} = {value!r} is not a tuple or a list")
+            if parse is int and key in _LIST_KEYS:
                 value = tuple(_integer(x, f"{name} entry {x!r}") for x in value)
-            else:
+            elif parse is int:
                 value = _integer(value, f"{name} = {value!r}")
             setattr(self, name, value)
-        for index in self.indices:
+        for index in self.indices or ():
             _kind(index, AnisotropicIndex, "indices entry")
-        for hurst in self.hursts:
+        for hurst in self.hursts or ():
             _real(hurst, "hursts entry")
+        # a key is read or rejected: the other mode's fields must stay unset
+        ignored = sorted(
+            key for key, (name, _, mode) in _KEYS.items()
+            if mode not in (None, self.mode) and getattr(self, name) is not None
+        )
+        if ignored:
+            raise InvalidArgument(f"config keys {ignored} do not apply in {self.mode} mode")
         for key in _LIST_KEYS:
             name = _KEYS[key][0]
             values = getattr(self, name)
-            repeated = [x for i, x in enumerate(values) if x in values[:i]]
+            repeated = [x for i, x in enumerate(values or ()) if x in values[:i]]
             if repeated:
                 raise InvalidArgument(f"config key {key} ({name}) lists {repeated[0]} twice")
         if self.reps < 2:
@@ -501,6 +516,12 @@ _KEYS = {
     "workers": ("workers", int, None),
 }
 
+# the value of a field of one mode's key that a config leaves None
+_MODE_DEFAULTS = {
+    "indices": (), "hursts": (), "grid_size": 512, "path_lengths": (4096,),
+    "nu_levels": (0, 1, 2, 3),
+}
+
 # The keys that accumulate a list: every comma-separated value of every
 # line, except an index, whose spec holds commas and takes a whole line;
 # in this order the repeat check names the first key at fault.
@@ -523,8 +544,4 @@ def _config_from_raw(raw: dict[str, list[str]]) -> ExperimentConfig:
         except ValueError as exc:
             raise InvalidArgument(f"{key}: {exc}") from exc
         kwargs[name] = parsed if key in _LIST_KEYS else parsed[0]
-    config = ExperimentConfig(**kwargs)
-    ignored = sorted(key for key in raw if _KEYS[key][2] not in (None, config.mode))
-    if ignored:
-        raise InvalidArgument(f"config keys {ignored} do not apply in {config.mode} mode")
-    return config
+    return ExperimentConfig(**kwargs)

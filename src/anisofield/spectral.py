@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgument, QuadratureFailure, ZeroFrequency, _kind, _real, _reals
+from .errors import InvalidArgument, QuadratureFailure, _kind, _real, _reals
 
 _SQRT_TWO_PI = float(np.sqrt(2.0 * np.pi))
 
@@ -71,10 +71,10 @@ def density(index: AnisotropicIndex, xi):
     The density carries no amplitude: every estimate is a log-ratio of
     variations, in which a constant factor cancels.
 
-    ``xi`` has shape ``(2,)`` or ``(..., 2)``.  Raises ZeroFrequency if any
-    point is the origin, where the density is singular, and
-    InvalidArgument if any is NaN or ``index`` is not an AnisotropicIndex;
-    an infinite frequency has density 0.
+    ``xi`` has shape ``(2,)`` or ``(..., 2)``.  Raises InvalidArgument if
+    any point is the origin, where the density is singular, or NaN, or if
+    ``index`` is not an AnisotropicIndex; an infinite frequency has
+    density 0.
     """
     _kind(index, AnisotropicIndex, "index")
     xi = np.asarray(_reals(xi, "xi"), dtype=float)
@@ -83,7 +83,7 @@ def density(index: AnisotropicIndex, xi):
     x1, x2 = xi[..., 0], xi[..., 1]
     r2 = x1 * x1 + x2 * x2
     if np.any(r2 == 0.0):
-        raise ZeroFrequency("density is singular at the zero frequency")
+        raise InvalidArgument("density is singular at the zero frequency")
     if np.isnan(r2).any():
         raise InvalidArgument("density needs frequencies that are not NaN")
     h = index.evaluate(xi)
@@ -158,13 +158,14 @@ def radon_density(
     geometrically on each.  Every piece takes the 16- and the 32-point
     rule; QuadratureFailure is raised unless the two sums agree within
     ``_QUAD_RTOL`` relative (so also when the value overflows or
-    underflows to zero), and the 32-point sum is returned.  A p that is
-    not a finite real number raises InvalidArgument, and so does a window
-    that is neither None nor a Window1DMinus.
+    underflows to zero), and the 32-point sum is returned.  A p of 0, where
+    the density is singular, or one that is not a finite real number
+    raises InvalidArgument, and so does a window that is neither None nor
+    a Window1DMinus.
     """
     _real(p, "p =")
     if p == 0.0:
-        raise ZeroFrequency("projected density is singular at p = 0")
+        raise InvalidArgument("projected density is singular at p = 0")
     if not math.isfinite(p):
         raise InvalidArgument(f"projected density needs a finite p, got {p}")
     a = abs(p)

@@ -38,10 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    EmbeddingNotPSD, InvalidArgument, MalformedFieldFile, MalformedPathFile, PathTooShort,
-    _integer, _kind, _real, _reals, _seed,
-)
+from .errors import EmbeddingNotPSD, InvalidArgument, _integer, _kind, _real, _reals, _seed
 from .spectral import AnisotropicIndex, density
 
 __all__ = [
@@ -451,21 +448,21 @@ def read_field(path) -> tuple[np.ndarray, tuple[float, float] | None, int | None
     """Read a field written by :func:`write_field`; returns the read-only
     values, the true ``(h_h, h_v)`` and the seed, each None if unknown.
 
-    Raises MalformedFieldFile unless the file is exactly one AFB1 header
+    Raises InvalidArgument unless the file is exactly one AFB1 header
     followed by the (M+1)^2 values its grid size M calls for.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:len(_MAGIC)] != _MAGIC:
-        raise MalformedFieldFile(f"{path}: not an AFB1 field file")
+        raise InvalidArgument(f"{path}: not an AFB1 field file")
     if len(raw) < _HEADER.size:
-        raise MalformedFieldFile(
+        raise InvalidArgument(
             f"{path}: {len(raw)} bytes, shorter than the {_HEADER.size}-byte header"
         )
     _, M, h_h, h_v, seed = _HEADER.unpack_from(raw)
     expected = _HEADER.size + 8 * (M + 1) ** 2
     if len(raw) != expected:
-        raise MalformedFieldFile(
+        raise InvalidArgument(
             f"{path}: header grid size M={M} needs {expected} bytes, "
             f"file has {len(raw)}"
         )
@@ -529,7 +526,7 @@ def write_path_csv(values: np.ndarray, path, hurst=None, seed=None) -> None:
         raise InvalidArgument(f"a path CSV needs a 1-d series, got shape {values.shape}")
     n = values.size - 1
     if n < 1:
-        raise PathTooShort(
+        raise InvalidArgument(
             f"a path CSV needs at least two values, got {values.size}"
         )
     hurst = None if hurst is None else float(_real(hurst, "hurst ="))
@@ -542,7 +539,7 @@ def read_path_csv(path) -> tuple[np.ndarray, float | None, int | None]:
     """Read a path written by :func:`write_path_csv`; returns the read-only
     values, the true Hurst index and the seed, each None if unknown.
 
-    Raises MalformedPathFile, naming the file and the line, at a row that
+    Raises InvalidArgument, naming the file and the line, at a row that
     is not two numbers t,value or at a ``# hurst`` or ``# seed`` comment
     whose value does not parse, and naming the file when it holds fewer
     than the two values a path needs.
@@ -566,13 +563,13 @@ def read_path_csv(path) -> tuple[np.ndarray, float | None, int | None]:
                     elif key == "seed":
                         seed = int(val)
                 except ValueError:
-                    raise MalformedPathFile(
+                    raise InvalidArgument(
                         f"{where}: {key} comment {line!r} does not parse"
                     ) from None
                 continue
             cells = [cell.strip() for cell in line.split(",")]
             if len(cells) != 2:
-                raise MalformedPathFile(
+                raise InvalidArgument(
                     f"{where}: expected two columns t,value, found {len(cells)}"
                 )
             if [cell.lower() for cell in cells] == ["t", "value"]:
@@ -580,12 +577,12 @@ def read_path_csv(path) -> tuple[np.ndarray, float | None, int | None]:
             try:
                 _, value = map(float, cells)
             except ValueError:
-                raise MalformedPathFile(
+                raise InvalidArgument(
                     f"{where}: row {line!r} is not two numbers t,value"
                 ) from None
             values.append(value)
     if len(values) < 2:
-        raise MalformedPathFile(
+        raise InvalidArgument(
             f"{path}: a path CSV needs at least two values, found {len(values)}"
         )
     arr = np.asarray(values)

@@ -38,9 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EqualDilations, InvalidArgument, NegativeVariance, OrderTooLow, _dilation, _kind, _real,
-)
+from .errors import InvalidArgument, NegativeVariance, OrderTooLow, _dilation, _kind, _real
 # cross_transfer, transfer_sq: unused here; the benchmark's tracer wraps them.
 from .filters import DiscreteFilter, cross_transfer, transfer_sq
 
@@ -202,7 +200,7 @@ def asymptotic_constants(
     """Compute every constant the CLT needs for one configuration."""
     u, v = _dilation(u), _dilation(v, "v")
     if u == v:
-        raise EqualDilations("gamma is undefined for equal dilations")
+        raise InvalidArgument("gamma is undefined for equal dilations")
     # E grows like 1/H and C like 1/H^2: below H ~ 1e-154 they overflow,
     # and opposite infinities in the tap sum give NaN.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -6,8 +6,8 @@ One row per (entry, argument, bad value): a str or a bool where a real
 number is read, a non-finite real, an object of the wrong kind where a
 filter, an index, a window or a sequence of levels is read, an array that
 is not of real numbers (str, complex, bool or ragged) where an array is
-read, and the checks of counts and shapes that no other test reaches.
-The integer,
+read, the checks of counts and shapes that no other test reaches, and the
+arguments that the paper's estimator is not defined for.  The integer,
 dilation and real-number rules have per-entry tables of their own in
 test_estimator.py and test_spectral.py.
 """
@@ -146,6 +146,30 @@ ROWS = [
     ("run_eval_1d-hursts-none", lambda d: run_eval_1d(ExperimentConfig(mode="1d")),
      "1-d evaluation needs at least one Hurst value"),
     ("binomial_filter-order-zero", lambda d: binomial_filter(0), "order must be >= 1"),
+    # a list field of a config that is not a tuple or a list
+    ("ExperimentConfig-hursts-float", lambda d: ExperimentConfig(mode="1d", hursts=0.5),
+     "hursts = 0.5 is not a tuple or a list"),
+    ("ExperimentConfig-path_lengths-int",
+     lambda d: ExperimentConfig(mode="1d", hursts=(0.5,), path_lengths=4096),
+     "path_lengths = 4096 is not a tuple or a list"),
+    ("ExperimentConfig-indices-index", lambda d: ExperimentConfig(indices=INDEX),
+     "indices = AnisotropicIndex(h_h=0.7, h_v=0.2) is not a tuple or a list"),
+    ("ExperimentConfig-nu_levels-int",
+     lambda d: ExperimentConfig(indices=(INDEX,), nu_levels=3),
+     "nu_levels = 3 is not a tuple or a list"),
+    # what the paper's estimator is not defined for: a filter whose taps do
+    # not sum to zero or are all zero, the zero frequency, too few filtered
+    # samples, and a path CSV with no step
+    ("DiscreteFilter-coefficients-sum-2", lambda d: DiscreteFilter([1.0, 1.0]),
+     "coefficients sum to 2, not zero"),
+    ("DiscreteFilter-coefficients-zero", lambda d: DiscreteFilter([0.0, 0.0]),
+     "all coefficients are zero"),
+    ("density-xi-origin", lambda d: density(INDEX, (0.0, 0.0)),
+     "density is singular at the zero frequency"),
+    ("quad_variation-path-two-values", lambda d: quad_variation([0.0, 1.0], A2, 1),
+     "2 values leave fewer than two summands for a 3-tap filter at dilation 1"),
+    ("write_path_csv-values-one", lambda d: write_path_csv(np.zeros(1), d / "out"),
+     "a path CSV needs at least two values, got 1"),
 ]
 
 # (entry, argument, call of an array for the argument and a scratch

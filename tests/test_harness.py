@@ -455,8 +455,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "run, config",
         [
-            (run_eval_2d, lambda: _cfg_1d(indices=(AnisotropicIndex(0.7, 0.2),))),
-            (run_eval_1d, lambda: _cfg_2d(hursts=(0.5,))),
+            (run_eval_2d, _cfg_1d),
+            (run_eval_1d, _cfg_2d),
         ],
         ids=["2d_runner_1d_config", "1d_runner_2d_config"],
     )
@@ -555,8 +555,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="3-tap filter at dilation 3"):
             _cfg_1d(path_lengths=(6,), dilation_u=1, dilation_v=3)
 
-    def test_1d_does_not_check_levels_against_grid(self):
-        assert _cfg_1d(grid_size=16).grid_size == 16
+    @pytest.mark.parametrize(
+        "make, fields, message",
+        [
+            (_cfg_1d, {"grid_size": 64}, "config keys ['grid'] do not apply in 1d mode"),
+            (_cfg_1d, {"grid_size": 512, "nu_levels": (0,)},
+             "config keys ['grid', 'nu'] do not apply in 1d mode"),
+            (_cfg_1d, {"indices": ()}, "config keys ['index'] do not apply in 1d mode"),
+            (_cfg_2d, {"hursts": (0.3,)}, "config keys ['hurst'] do not apply in 2d mode"),
+            (_cfg_2d, {"path_lengths": (4096,)},
+             "config keys ['length'] do not apply in 2d mode"),
+        ],
+        ids=["1d_grid", "1d_grid_and_nu_at_default", "1d_no_index", "2d_hurst", "2d_length"],
+    )
+    def test_keys_of_the_other_mode_rejected_when_built(self, make, fields, message):
+        # the rule of a config file: a key either takes effect or is
+        # rejected, even at its default value or empty
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            make(**fields)
+
+    def test_unset_keys_take_their_mode_defaults(self):
+        two, one = ExperimentConfig(), ExperimentConfig(mode="1d")
+        assert (two.indices, two.grid_size, two.nu_levels) == ((), 512, (0, 1, 2, 3))
+        assert (one.hursts, one.path_lengths) == ((), (4096,))
+        assert None is two.hursts is two.path_lengths is one.indices is one.grid_size
 
     @pytest.mark.parametrize(
         "text",
@@ -566,8 +588,13 @@ class TestConfig:
             "mode = 1d\nhurst = 0.5\nnu = 0,1\n",
             "mode = 2d\nindex = constant:0.5\nhurst = 0.5\n",
             "index = constant:0.5\nlength = 1024\n",
+            # a key either takes effect or is rejected, at any value
+            "mode = 1d\nhurst = 0.5\ngrid = 512\n",
+            "mode = 1d\nhurst = 0.5\nnu =\n",
+            "index = constant:0.5\nlength = 4096\n",
         ],
-        ids=["1d_index", "1d_grid", "1d_nu", "2d_hurst", "2d_length"],
+        ids=["1d_index", "1d_grid", "1d_nu", "2d_hurst", "2d_length",
+             "1d_grid_default", "1d_nu_empty", "2d_length_default"],
     )
     def test_keys_of_the_other_mode_rejected(self, tmp_path, text):
         f = tmp_path / "cfg.txt"

@@ -18,13 +18,11 @@ MODULES = (
 # start with an underscore: the public classes, functions and constants,
 # and the modules the import loads
 PUBLIC = [
-    "AllMomentsVanish", "AnisofieldError", "AnisotropicIndex", "AsymptoticConstants",
-    "C_const", "DIRECTIONS", "DiscreteFilter", "E_const", "EmbeddingNotPSD",
-    "EqualDilations", "EvalReport", "EvalRow1D", "EvalRow2D", "ExperimentConfig",
-    "Gamma_fourier", "GridTooCoarse", "InvalidArgument", "MalformedFieldFile",
-    "MalformedPathFile", "NegativeVariance", "NonFiniteVariation", "OrderTooLow",
-    "OrderZero", "PathTooShort", "QuadratureFailure", "TooManyFailures",
-    "Window1DMinus", "ZeroFrequency", "ZeroVariation", "afb_sra", "apply_filter",
+    "AnisofieldError", "AnisotropicIndex", "AsymptoticConstants", "C_const",
+    "DIRECTIONS", "DiscreteFilter", "E_const", "EmbeddingNotPSD", "EvalReport",
+    "EvalRow1D", "EvalRow2D", "ExperimentConfig", "Gamma_fourier", "InvalidArgument",
+    "NegativeVariance", "NonFiniteVariation", "OrderTooLow", "QuadratureFailure",
+    "TooManyFailures", "Window1DMinus", "ZeroVariation", "afb_sra", "apply_filter",
     "asymptotic_constants", "binomial_filter", "check_level", "cross_transfer",
     "density", "derived_stream", "emit_table", "errors", "estimate_H", "estimate_pair",
     "estimate_projection", "estimator", "fbm_path", "fgn_autocovariance",
@@ -54,3 +52,15 @@ def test_each_public_name_listed_once_and_defined():
             owner[public] = name
             assert getattr(anisofield, public) is getattr(module, public)
     assert sorted([*owner, *MODULES]) == PUBLIC
+
+
+def test_error_classes_are_the_nine_a_caller_tells_apart():
+    # every bad argument is one InvalidArgument; the others report what the
+    # data does to a computation, and a run's failure policy reads them
+    errors = importlib.import_module("anisofield.errors")
+    assert sorted(errors.__all__) == [
+        "AnisofieldError", "EmbeddingNotPSD", "InvalidArgument", "NegativeVariance",
+        "NonFiniteVariation", "OrderTooLow", "QuadratureFailure", "TooManyFailures",
+        "ZeroVariation",
+    ]
+    assert all(issubclass(getattr(errors, name), errors.AnisofieldError) for name in errors.__all__)

@@ -14,8 +14,6 @@ from anisofield import (
     EvalReport,
     EvalRow1D,
     InvalidArgument,
-    MalformedFieldFile,
-    MalformedPathFile,
     afb_sra,
     density,
     derived_stream,
@@ -544,7 +542,7 @@ class TestFieldIO:
             "header_only": raw[:20],
         }[damage]
         f.write_bytes(bad)
-        with pytest.raises(MalformedFieldFile, match=re.escape(str(f))) as info:
+        with pytest.raises(InvalidArgument, match=re.escape(str(f))) as info:
             read_field(f)
         assert str(len(bad)) in str(info.value)
 
@@ -626,7 +624,7 @@ class TestFieldIO:
         f = tmp_path / "short.csv"
         f.write_text(text)
         message = rf"^{re.escape(str(f))}: a path CSV needs at least two values, found {found}$"
-        with pytest.raises(MalformedPathFile, match=message):
+        with pytest.raises(InvalidArgument, match=message):
             read_path_csv(f)
 
     @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
@@ -678,7 +676,7 @@ class TestFieldIO:
     def test_path_csv_rejects_malformed_lines(self, tmp_path, text, line, message):
         f = tmp_path / "bad.csv"
         f.write_text(text)
-        with pytest.raises(MalformedPathFile, match=re.escape(f"{f}:{line}: ")) as info:
+        with pytest.raises(InvalidArgument, match=re.escape(f"{f}:{line}: ")) as info:
             read_path_csv(f)
         assert message in str(info.value)
         assert isinstance(info.value, ValueError)

@@ -9,7 +9,7 @@ from scipy.special import zeta
 
 from anisofield import (
     DiscreteFilter,
-    EqualDilations,
+    InvalidArgument,
     OrderTooLow,
     binomial_filter,
     cross_transfer,
@@ -261,7 +261,7 @@ class TestGammaConst:
         )
 
     def test_equal_dilations(self):
-        with pytest.raises(EqualDilations):
+        with pytest.raises(InvalidArgument, match="gamma is undefined for equal dilations"):
             theory.gamma_const(A2, 2, 2, 0.5)
 
     def test_swap_invariant(self):
