@@ -12,8 +12,8 @@ import operator
 import numpy as np
 
 __all__ = [
-    "AnisofieldError", "InvalidArgument", "QuadratureFailure", "EmbeddingNotPSD",
-    "ZeroVariation", "NonFiniteVariation", "OrderTooLow", "NegativeVariance", "TooManyFailures",
+    "AnisofieldError", "InvalidArgument", "EmbeddingNotPSD", "ZeroVariation",
+    "NonFiniteVariation", "OrderTooLow", "NegativeVariance", "TooManyFailures",
 ]
 
 
@@ -67,7 +67,8 @@ def _level(nu) -> int:
 
 def _seed(value) -> int:
     """The integer seed ``value``, which must be >= 0: the package's one
-    rule for a seed that is written out or stored in a config."""
+    rule for an integer seed, whether drawn from, derived from, written
+    out or stored in a config."""
     seed = _integer(value, f"seed = {value!r}")
     if seed < 0:
         raise InvalidArgument(f"seed {seed} is negative; a seed is an integer >= 0")
@@ -79,9 +80,10 @@ def _real(value, label: str):
     InvalidArgument ``<label> <repr of value> is not a real number``.
 
     The package's one rule for real parameters: Hurst indices, index
-    values, window parameters and frequencies.  The repr is made only for
-    the message, and a float (numpy's float64 is one) passes the first,
-    cheap isinstance, so the check costs well under a microsecond.
+    values, window parameters and the parameters a file stores.  The repr
+    is made only for the message, and a float (numpy's float64 is one)
+    passes the first, cheap isinstance, so the check costs well under a
+    microsecond.
     """
     if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise InvalidArgument(f"{label} {value!r} is not a real number")
@@ -118,12 +120,6 @@ def _kind(value, cls: type, label: str):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise InvalidArgument(f"{label} {value!r} is not {article} {cls.__name__}")
     return value
-
-
-# --- spectral models ------------------------------------------------------
-
-class QuadratureFailure(AnisofieldError):
-    """The 16- and 32-point rules disagree above the requested tolerance."""
 
 
 # --- random generation ----------------------------------------------------

@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from .errors import (
-    InvalidArgument, NonFiniteVariation, ZeroVariation, _dilation, _kind, _level, _reals,
+    InvalidArgument, NonFiniteVariation, ZeroVariation, _dilation, _integer, _kind, _level,
+    _reals,
 )
 from .filters import DiscreteFilter, apply_filter, binomial_filter
 from .projection import project_axis  # perfbench/spans.py wraps this name by getattr
@@ -132,9 +133,11 @@ def check_level(M: int, nu: int, a: DiscreteFilter, u: int) -> None:
     """Reject a subsampling level nu of an M-step series that the
     directional estimate cannot use.
 
-    The stride 2^nu must divide M and leave at least 8 steps, and the
-    filter dilated by u must leave at least two summands on them.
+    M must be an integer, the stride 2^nu must divide it and leave at
+    least 8 steps, and the filter dilated by u must leave at least two
+    summands on them.
     """
+    M = _integer(M, f"grid size M = {M!r}")
     nu = _level(nu)
     steps = M >> nu
     if M % (1 << nu) != 0 or steps < 8:
@@ -147,6 +150,7 @@ def check_level(M: int, nu: int, a: DiscreteFilter, u: int) -> None:
 def check_span(n_steps: int, a: DiscreteFilter, u: int, what: str) -> None:
     """Reject a series of n_steps steps on which the filter dilated by u
     leaves fewer than two summands; ``what`` names the series."""
+    n_steps = _integer(n_steps, f"n_steps = {n_steps!r}")
     _kind(a, DiscreteFilter, "filter")
     u = _dilation(u)
     if _summands(n_steps, a, u) < 2:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import operator
 import struct
 import sys
 from functools import lru_cache
@@ -66,8 +67,19 @@ _NOISE_BLOCK = 2**15
 
 
 def derived_stream(base_seed: int, *key: int) -> np.random.SeedSequence:
-    """Child stream for one replicate; stable under growing batch sizes."""
-    return np.random.SeedSequence(base_seed, spawn_key=tuple(key))
+    """Child stream for one replicate; stable under growing batch sizes.
+
+    The base seed and each key are integers >= 0; an InvalidArgument
+    names any other.
+    """
+    return np.random.SeedSequence(_seed(base_seed), spawn_key=tuple(map(_stream_key, key)))
+
+
+def _stream_key(value) -> int:
+    key = _integer(value, f"stream key = {value!r}")
+    if key < 0:
+        raise InvalidArgument(f"stream key = {key} must be >= 0")
+    return key
 
 
 def _rng(seed) -> np.random.Generator:
@@ -75,10 +87,15 @@ def _rng(seed) -> np.random.Generator:
     seed's entropy) or a SeedSequence; an InvalidArgument naming any
     other."""
     try:
+        operator.index(seed)
+    except TypeError:
+        pass
+    else:
+        # an integer-like seed, a bool included, takes the one seed rule
+        seed = _seed(seed)
+    try:
         return np.random.default_rng(seed)
     except (TypeError, ValueError):
-        if isinstance(seed, int) and seed < 0:
-            raise InvalidArgument(f"seed {seed} is negative; a seed is an integer >= 0") from None
         raise InvalidArgument(
             f"seed {seed!r} is not an integer >= 0, a list of them or a SeedSequence"
         ) from None

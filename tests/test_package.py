@@ -21,14 +21,14 @@ PUBLIC = [
     "AnisofieldError", "AnisotropicIndex", "AsymptoticConstants", "C_const",
     "DIRECTIONS", "DiscreteFilter", "E_const", "EmbeddingNotPSD", "EvalReport",
     "EvalRow1D", "EvalRow2D", "ExperimentConfig", "Gamma_fourier", "InvalidArgument",
-    "NegativeVariance", "NonFiniteVariation", "OrderTooLow", "QuadratureFailure",
-    "TooManyFailures", "Window1DMinus", "ZeroVariation", "afb_sra", "apply_filter",
+    "NegativeVariance", "NonFiniteVariation", "OrderTooLow", "TooManyFailures",
+    "Window1DMinus", "ZeroVariation", "afb_sra", "apply_filter",
     "asymptotic_constants", "binomial_filter", "check_level", "cross_transfer",
     "density", "derived_stream", "emit_table", "errors", "estimate_H", "estimate_pair",
     "estimate_projection", "estimator", "fbm_path", "fgn_autocovariance",
     "field_to_csv", "filters", "gamma_const", "harness", "infer_order", "load_config",
     "log_ratio_at_level", "parse_filter", "parse_index", "parse_window", "project_axis",
-    "projection", "quad_variation", "radon_density", "read_field", "read_path_csv",
+    "projection", "quad_variation", "read_field", "read_path_csv",
     "run_eval_1d", "run_eval_2d", "spectral", "synthesis", "theory", "transfer_sq",
     "write_field", "write_path_csv",
 ]
@@ -60,7 +60,6 @@ def test_error_classes_are_the_nine_a_caller_tells_apart():
     errors = importlib.import_module("anisofield.errors")
     assert sorted(errors.__all__) == [
         "AnisofieldError", "EmbeddingNotPSD", "InvalidArgument", "NegativeVariance",
-        "NonFiniteVariation", "OrderTooLow", "QuadratureFailure", "TooManyFailures",
-        "ZeroVariation",
+        "NonFiniteVariation", "OrderTooLow", "TooManyFailures", "ZeroVariation",
     ]
     assert all(issubclass(getattr(errors, name), errors.AnisofieldError) for name in errors.__all__)
