@@ -94,6 +94,9 @@ def _rng(seed) -> np.random.Generator:
         # an integer-like seed, a bool included, takes the one seed rule
         seed = _seed(seed)
     try:
+        # numpy would read a bool in a list as an integer of the entropy
+        if isinstance(seed, (list, tuple)) and any(isinstance(s, bool) for s in seed):
+            raise TypeError
         return np.random.default_rng(seed)
     except (TypeError, ValueError):
         raise InvalidArgument(

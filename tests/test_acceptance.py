@@ -223,7 +223,7 @@ def test_criterion_6_projected_density_asymptotics():
         if abs(slope - target) > 0.05:
             failures.append(f"{model}: slope {slope:.3f} vs {target}")
     line = _report(
-        6, "projected density asymptotics", not failures, f"worst dev {worst:.4f}"
+        6, "projected density asymptotics", not failures, f"worst dev {worst:.2e}"
     )
     assert not failures, f"{line}; {failures}"
 

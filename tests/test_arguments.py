@@ -146,6 +146,11 @@ ROWS = [
     ("fbm_path-seed-bool", lambda d: fbm_path(0.5, 8, True), "seed = True is not an integer"),
     ("fbm_path-seed-int64-negative", lambda d: fbm_path(0.5, 8, np.int64(-2)),
      "seed -2 is negative; a seed is an integer >= 0"),
+    # numpy would read a bool in one seed's entropy list as an integer
+    ("fbm_path-seed-bool-list", lambda d: fbm_path(0.5, 8, [True]),
+     "seed [True] is not an integer >= 0, a list of them or a SeedSequence"),
+    ("afb_sra-seed-bool-in-list", lambda d: afb_sra(INDEX, 8, [1, False]),
+     "seed [1, False] is not an integer >= 0, a list of them or a SeedSequence"),
     ("check_span-n_steps-float", lambda d: check_span(64.5, A2, 2, "x"),
      "n_steps = 64.5 is not an integer"),
     ("check_span-n_steps-str", lambda d: check_span("64", A2, 2, "x"),

@@ -319,6 +319,36 @@ class TestGammaConst:
         )
 
 
+class TestOnePass:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("uv", [(2, 1), (1, 2), (3, 1)])
+    def test_bundle_equals_single_calls(self, order, uv):
+        # asymptotic_constants evaluates the bundle's four dilation pairs in
+        # one stacked pass; each constant must be the one computed alone,
+        # and Gamma_fourier on an integer array its scalar calls
+        a, (u, v) = binomial_filter(order), uv
+        p = np.array([[0, 3, -7, 40], [-1, 12, -25, 1]])
+        # H = k/4 up to K - 1/2, which takes in every positive integer H below K
+        for H in np.arange(1, 4 * order - 1) / 4:
+            bundle = theory.asymptotic_constants(a, u, v, H)
+            alone = {
+                "E_u": theory.E_const(a, u, H),
+                "E_v": theory.E_const(a, v, H),
+                "C_uu": theory.C_const(a, u, u, H),
+                "C_vv": theory.C_const(a, v, v, H),
+                "C_uv": theory.C_const(a, u, v, H),
+            }
+            for name, value in alone.items():
+                assert getattr(bundle, name) == pytest.approx(value, rel=1e-13), (H, name)
+            scalar = np.array([[theory.Gamma_fourier(a, u, v, H, int(q)) for q in row] for row in p])
+            # relative to the largest: beyond the taps' reach at H = 1/2 the
+            # coefficients are 0 up to rounding
+            np.testing.assert_allclose(
+                theory.Gamma_fourier(a, u, v, H, p), scalar, rtol=0.0,
+                atol=1e-13 * np.abs(scalar).max(),
+            )
+
+
 class TestExpectedVariation:
     def test_ratio_free_of_amplitude_monte_carlo(self):
         # mean(V_2)/mean(V_1) on exact paths approaches (u/v)^(2H)
