@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import AnisofieldError
+from .errors import AnisofieldError, _seed
 from .estimator import estimate_projection, log_ratio_at_level
 from .filters import parse_filter
 from .harness import emit_table, load_config, run_eval_1d, run_eval_2d
@@ -40,6 +40,7 @@ def _reject_unread(args, kind: str, *names: str) -> None:
 def _cmd_simulate(args) -> int:
     if (args.index is None) == (args.hurst is None):
         raise SystemExit("simulate: give exactly one of --index or --hurst")
+    _seed(args.seed)  # --seed takes the integer rule, before any synthesis
     if args.index is not None:
         _reject_unread(args, "--index", "length")
         grid = 512 if args.grid is None else args.grid

@@ -27,8 +27,8 @@ class InvalidArgument(AnisofieldError, ValueError):
 
 # --- argument rules ---------------------------------------------------------
 
-def _integer(value, label: str) -> int:
-    """``value`` as an int; an InvalidArgument that starts with ``label``
+def _integer(value, label: str, kind: str = "an integer") -> int:
+    """``value`` as an int; an InvalidArgument ``<label> is not <kind>``
     if it is not an integer (a float, even an integral one, is not, and
     neither is a bool).
 
@@ -39,7 +39,7 @@ def _integer(value, label: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise InvalidArgument(f"{label} is not an integer")
+    raise InvalidArgument(f"{label} is not {kind}")
 
 
 def _dilation(value, name: str = "u") -> int:
@@ -57,21 +57,29 @@ def _dilation(value, name: str = "u") -> int:
 
 
 def _level(nu) -> int:
-    """The subsampling level nu as an int >= 0: the package's one rule for
-    levels, which every public entry that takes one applies."""
+    """The subsampling level nu as an int in 0..62: the package's one rule
+    for levels, which every public entry that takes one applies.  A level
+    of 63 or more strides by 2^63 or more, past any array's length."""
     nu = _integer(nu, f"level nu = {nu!r}")
     if nu < 0:
         raise InvalidArgument("nu must be >= 0")
+    if nu > 62:
+        raise InvalidArgument(f"level nu = {nu} must be <= 62")
     return nu
 
 
-def _seed(value) -> int:
+def _seed(value, kinds: str | None = None) -> int:
     """The integer seed ``value``, which must be >= 0: the package's one
     rule for an integer seed, whether drawn from, derived from, written
-    out or stored in a config."""
-    seed = _integer(value, f"seed = {value!r}")
+    out or stored in a config.
+
+    A caller that also takes a seed of another kind names every kind it
+    takes in ``kinds``, and each message names them in place of "an
+    integer" and "an integer >= 0".
+    """
+    seed = _integer(value, f"seed = {value!r}", kinds or "an integer")
     if seed < 0:
-        raise InvalidArgument(f"seed {seed} is negative; a seed is an integer >= 0")
+        raise InvalidArgument(f"seed {seed} is negative; a seed is {kinds or 'an integer >= 0'}")
     return seed
 
 

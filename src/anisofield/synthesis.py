@@ -22,17 +22,20 @@ Every transform is numpy's FFT (``numpy.fft``, 2.0 or newer), run in place
 through its ``out`` argument: a 1D batch's noise is drawn, shaped and
 transformed in one array, and so is each 2D row block.
 
-All generators are pure functions of (parameters, seed).  Seeds go through
-numpy's SeedSequence / PCG64 machinery and a Monte Carlo batch spawns one
-stream per transform, so output never depends on scheduling and is stable
-when the replicate count changes.
+All generators are pure functions of (parameters, seed).  A seed is an
+integer >= 0 or a SeedSequence and nothing else, so the same seed gives
+the same output on every call; only ``fbm_path`` also takes a list, read
+as a batch of such seeds.  Seeds go through numpy's SeedSequence / PCG64
+machinery, and a Monte Carlo batch keys one stream per transform by
+:func:`derived_stream`, so output never depends on scheduling and is
+stable when the replicate count changes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import operator
+import math
 import struct
 import sys
 from functools import lru_cache
@@ -83,25 +86,11 @@ def _stream_key(value) -> int:
 
 
 def _rng(seed) -> np.random.Generator:
-    """The generator of ``seed``: an integer >= 0, a list of them (one
-    seed's entropy) or a SeedSequence; an InvalidArgument naming any
-    other."""
-    try:
-        operator.index(seed)
-    except TypeError:
-        pass
-    else:
-        # an integer-like seed, a bool included, takes the one seed rule
-        seed = _seed(seed)
-    try:
-        # numpy would read a bool in a list as an integer of the entropy
-        if isinstance(seed, (list, tuple)) and any(isinstance(s, bool) for s in seed):
-            raise TypeError
-        return np.random.default_rng(seed)
-    except (TypeError, ValueError):
-        raise InvalidArgument(
-            f"seed {seed!r} is not an integer >= 0, a list of them or a SeedSequence"
-        ) from None
+    """The generator of ``seed``: an integer >= 0 or a SeedSequence; an
+    InvalidArgument names any other value and both kinds."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _seed(seed, "an integer >= 0 or a SeedSequence")
+    return np.random.default_rng(seed)
 
 
 def _draw_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -117,9 +106,12 @@ def _draw_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 
 def fgn_autocovariance(H: float, lags) -> np.ndarray:
-    """Autocovariance of unit-step fGn: (|k+1|^2H - 2|k|^2H + |k-1|^2H)/2."""
+    """Autocovariance of unit-step fGn: (|k+1|^2H - 2|k|^2H + |k-1|^2H)/2,
+    for a finite real H."""
     k = np.asarray(_reals(lags, "lags"), dtype=float)
-    two_h = 2.0 * _real(H, "H =")
+    if not math.isfinite(_real(H, "H =")):
+        raise InvalidArgument(f"H = {H!r} is not a finite real number")
+    two_h = 2.0 * H
     return 0.5 * (
         np.abs(k + 1.0) ** two_h
         - 2.0 * np.abs(k) ** two_h
@@ -198,15 +190,13 @@ def fbm_path(H: float, N: int, seed):
     Cumulative sums of exact fGn scaled by N^{-H}, so Var X(k/N) = (k/N)^2H
     holds in law exactly.
 
-    ``seed`` may also be a list of SeedSequences (see
-    :func:`derived_stream`), a batch: then the result is one read-only
-    (len(seed), 2, N + 1) array whose entry j holds, bit for bit, the two
-    paths of ``fbm_path(H, N, seed[j])``.  The batch's transforms run as
-    one, which is the cheaper route to many pairs.
+    ``seed`` is an integer >= 0 or a SeedSequence (see
+    :func:`derived_stream`), or a list of them, a batch: then the result
+    is one read-only (len(seed), 2, N + 1) array whose entry j holds, bit
+    for bit, the two paths of ``fbm_path(H, N, seed[j])``.  The batch's
+    transforms run as one, which is the cheaper route to many pairs.
     """
-    batch = isinstance(seed, list) and all(
-        isinstance(s, np.random.SeedSequence) for s in seed
-    )
+    batch = isinstance(seed, list)
     y = _fgn_transforms(H, N, seed if batch else [seed])
     values = np.empty((len(y), 2, y.shape[1] + 1))
     values[:, :, 0] = 0.0

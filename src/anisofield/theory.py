@@ -34,8 +34,8 @@ A bundle of constants is one pass: the tap sums of the four dilation pairs
 (1, 1), (u, u), (v, v) and (u, v) are evaluated on one stacked offsets
 array and one shared grid of p; each C sums its squares up to its own
 cutoff, and the tails take their zeta values from one call over the
-distinct cutoffs.  E_const, Gamma_fourier and C_const run the same code
-for one pair.
+distinct cutoffs.  Gamma_fourier runs the same tap sums for one pair, and
+E at dilation u is its value at p = 0 for the pair (1, 1), times u^(2H).
 """
 
 from __future__ import annotations
@@ -51,9 +51,7 @@ from .filters import DiscreteFilter, cross_transfer, transfer_sq
 
 __all__ = [
     "AsymptoticConstants",
-    "E_const",
     "Gamma_fourier",
-    "C_const",
     "gamma_const",
     "asymptotic_constants",
 ]
@@ -126,7 +124,18 @@ def _tap_sums(a: DiscreteFilter, H: float, offsets: np.ndarray, p: np.ndarray) -
 
 def _constants(a: DiscreteFilter, H: float, pairs) -> tuple[float, np.ndarray]:
     """E at dilation 1 and the covariance constant C of each dilation pair
-    (u, v), in one pass over the series of C_const's docstring.
+    (u, v), in one pass.
+
+    C is 2 * the sum over all integers p of the squared Fourier
+    coefficients, finite when the filter order K exceeds H + 1/4.  The
+    coefficients are summed up to |p| = P = 2 l max(u, v).  Beyond P the
+    binomial series of |p + d|^(2H) in the offsets d = j u - k v gives
+
+        Gamma(p) = sum_{m >= 2K} c_m sgn(p)^m |p|^(2H - m),
+        c_m = 2 cos(pi H) (-1)^m Gamma(m - 2H) / m! * sum_jk a_j a_k d^m,
+
+    and only even m + m' survive the sum over both signs of p, so the tail
+    is 2 sum_q (c*c)_{2q} zeta(4K + 2q - 4H, P + 1) in Hurwitz zeta values.
 
     The tap sums of (1, 1) and of every pair are evaluated together, on
     one grid |p| <= the largest cutoff; each C sums its squares up to its
@@ -162,23 +171,15 @@ def _constants(a: DiscreteFilter, H: float, pairs) -> tuple[float, np.ndarray]:
 def _checked(a: DiscreteFilter, u, v, H, covariance: bool = False) -> tuple[int, int]:
     """The dilations u and v as ints, once the filter, u, v and H are valid
     for E and Gamma (order > H) or, with ``covariance``, for C (order >
-    H + 1/4)."""
+    H + 1/4).  H must be positive and finite."""
     _kind(a, DiscreteFilter, "filter")
     u, v = _dilation(u), _dilation(v, "v")
-    if not _real(H, "H =") > 0.0:
-        raise InvalidArgument(f"H={H} must be positive")
+    if not 0.0 < _real(H, "H =") < math.inf:
+        raise InvalidArgument(f"H={H} must be positive and finite")
     if a.order <= H + 0.25 * covariance:
         bound = f"H + 1/4 = {H + 0.25}" if covariance else f"H={H}"
         raise OrderTooLow(f"filter order {a.order} must exceed {bound}")
     return u, v
-
-
-def E_const(a: DiscreteFilter, u: int, H: float) -> float:
-    """Mean constant u^{2H} * integral |P_a(e^{-i xi})|^2 |xi|^{-2H-1} dxi.
-
-    Finite exactly when the filter order exceeds H.
-    """
-    return Gamma_fourier(a, 1, 1, H, 0) * float(_dilation(u)) ** (2.0 * H)
 
 
 def Gamma_fourier(a: DiscreteFilter, u: int, v: int, H: float, p):
@@ -196,23 +197,6 @@ def Gamma_fourier(a: DiscreteFilter, u: int, v: int, H: float, p):
     # Gamma is even in p for equal dilations; this keeps it so exactly.
     val = _tap_sums(a, H, _offsets(a, [(u, v)])[0], np.abs(p) if u == v else p)
     return float(val) if val.ndim == 0 else val
-
-
-def C_const(a: DiscreteFilter, u: int, v: int, H: float) -> float:
-    """Covariance constant 2 * sum over all integers p of the squared
-    Fourier coefficients.  Finite when the filter order exceeds H + 1/4.
-
-    The coefficients are summed up to |p| = P = 2 l max(u, v).  Beyond P
-    the binomial series of |p + d|^(2H) in the offsets d = j u - k v gives
-
-        Gamma(p) = sum_{m >= 2K} c_m sgn(p)^m |p|^(2H - m),
-        c_m = 2 cos(pi H) (-1)^m Gamma(m - 2H) / m! * sum_jk a_j a_k d^m,
-
-    and only even m + m' survive the sum over both signs of p, so the tail
-    is 2 sum_q (c*c)_{2q} zeta(4K + 2q - 4H, P + 1) in Hurwitz zeta values.
-    """
-    u, v = _checked(a, u, v, H, covariance=True)
-    return float(_constants(a, H, [(u, v)])[1][0])
 
 
 def gamma_const(a: DiscreteFilter, u: int, v: int, H: float) -> float:
@@ -247,7 +231,7 @@ def asymptotic_constants(
     # and opposite infinities in the tap sum give NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         e_1, c = _constants(a, H, [(u, u), (v, v), (u, v)])
-    e_u = e_1 * float(u) ** (2.0 * H)  # as E_const scales E at dilation 1
+    e_u = e_1 * float(u) ** (2.0 * H)  # E at dilation u is u^(2H) E at 1
     e_v = e_1 * float(v) ** (2.0 * H)
     c_uu, c_vv, c_uv = c.tolist()
     if not all(map(math.isfinite, (e_u, e_v, c_uu, c_vv, c_uv))):

@@ -194,7 +194,7 @@ def test_criterion_4_synthesis_oracle():
 
 def test_criterion_5_quadrature_oracle():
     """Mean constant for the second difference at H=1/2 equals 4*pi."""
-    val = theory.E_const(A2, 1, 0.5)
+    val = theory.Gamma_fourier(A2, 1, 1, 0.5, 0)  # E at dilation 1
     rel = abs(val - 4 * math.pi) / (4 * math.pi)
     ok = rel <= 1e-6
     line = _report(5, "quadrature oracle 4*pi", ok, f"relative error {rel:.2e}")
@@ -278,8 +278,8 @@ def test_criterion_7_property_suite(tmp_path):
 
     # Cauchy-Schwarz across the covariance constants
     for H in (0.3, 0.5, 0.8):
-        c_uv = theory.C_const(A2, 2, 1, H)
-        if c_uv**2 > theory.C_const(A2, 2, 2, H) * theory.C_const(A2, 1, 1, H) + 1e-9:
+        bundle = theory.asymptotic_constants(A2, 2, 1, H)
+        if bundle.C_uv**2 > bundle.C_uu * bundle.C_vv + 1e-9:
             problems.append(f"Cauchy-Schwarz H={H}")
 
     # exact noise autocovariance at lags 0..5

@@ -53,6 +53,7 @@ from anisofield.estimator import check_span
 A2 = binomial_filter(2)
 INDEX = AnisotropicIndex(0.7, 0.2)
 WALK = np.cumsum(np.random.default_rng(3).standard_normal(65))
+GENERATOR = np.random.default_rng(0)
 GRID = np.add.outer(WALK[:17], WALK[17:34])
 PROJECTIONS = np.stack([WALK[:17], WALK[17:34]])
 
@@ -63,10 +64,6 @@ ROWS = [
      "H = '0.5' is not a real number"),
     ("asymptotic_constants-H-bool", lambda d: theory.asymptotic_constants(A2, 2, 1, True),
      "H = True is not a real number"),
-    ("E_const-H-str", lambda d: theory.E_const(A2, 1, "0.5"),
-     "H = '0.5' is not a real number"),
-    ("C_const-H-str", lambda d: theory.C_const(A2, 2, 1, "0.5"),
-     "H = '0.5' is not a real number"),
     ("Gamma_fourier-H-bool", lambda d: theory.Gamma_fourier(A2, 2, 1, True, 0),
      "H = True is not a real number"),
     ("Gamma_fourier-p-str", lambda d: theory.Gamma_fourier(A2, 2, 1, 0.5, "0"),
@@ -85,7 +82,13 @@ ROWS = [
      "params 0.5 is not a pair (h_h, h_v)"),
     # a non-finite real
     ("asymptotic_constants-H-nan", lambda d: theory.asymptotic_constants(A2, 2, 1, math.nan),
-     "H=nan must be positive"),
+     "H=nan must be positive and finite"),
+    ("asymptotic_constants-H-inf", lambda d: theory.asymptotic_constants(A2, 2, 1, math.inf),
+     "H=inf must be positive and finite"),
+    ("Gamma_fourier-H-inf", lambda d: theory.Gamma_fourier(A2, 2, 1, math.inf, 0),
+     "H=inf must be positive and finite"),
+    ("fgn_autocovariance-H-nan", lambda d: fgn_autocovariance(math.nan, [0, 1]),
+     "H = nan is not a finite real number"),
     # an object of the wrong kind
     ("estimate_H-filter-list", lambda d: estimate_H(WALK, [1, -2, 1], 2, 1),
      "filter [1, -2, 1] is not a DiscreteFilter"),
@@ -97,8 +100,6 @@ ROWS = [
      "filter (1, -2, 1) is not a DiscreteFilter"),
     ("estimate_projection-filter-list",
      lambda d: estimate_projection(PROJECTIONS[0], 0, [1, -2, 1]),
-     "filter [1, -2, 1] is not a DiscreteFilter"),
-    ("C_const-filter-list", lambda d: theory.C_const([1, -2, 1], 2, 1, 0.5),
      "filter [1, -2, 1] is not a DiscreteFilter"),
     ("asymptotic_constants-filter-str", lambda d: theory.asymptotic_constants("1,-2,1", 2, 1, 0.5),
      "filter '1,-2,1' is not a DiscreteFilter"),
@@ -143,14 +144,24 @@ ROWS = [
      "seed = 1.5 is not an integer"),
     ("derived_stream-key-float", lambda d: derived_stream(1, 0.5),
      "stream key = 0.5 is not an integer"),
-    ("fbm_path-seed-bool", lambda d: fbm_path(0.5, 8, True), "seed = True is not an integer"),
+    # a seed that draws noise is an integer >= 0 or a SeedSequence, and
+    # fbm_path reads a list as a batch of them: numpy would take None as
+    # fresh OS entropy, advance a Generator in place and read a list of
+    # ints as one seed's entropy
+    ("fbm_path-seed-bool", lambda d: fbm_path(0.5, 8, True),
+     "seed = True is not an integer >= 0 or a SeedSequence"),
     ("fbm_path-seed-int64-negative", lambda d: fbm_path(0.5, 8, np.int64(-2)),
-     "seed -2 is negative; a seed is an integer >= 0"),
-    # numpy would read a bool in one seed's entropy list as an integer
+     "seed -2 is negative; a seed is an integer >= 0 or a SeedSequence"),
+    ("fbm_path-seed-none", lambda d: fbm_path(0.5, 8, None),
+     "seed = None is not an integer >= 0 or a SeedSequence"),
     ("fbm_path-seed-bool-list", lambda d: fbm_path(0.5, 8, [True]),
-     "seed [True] is not an integer >= 0, a list of them or a SeedSequence"),
+     "seed = True is not an integer >= 0 or a SeedSequence"),
+    ("afb_sra-seed-generator", lambda d: afb_sra(INDEX, 8, GENERATOR),
+     f"seed = {GENERATOR!r} is not an integer >= 0 or a SeedSequence"),
+    ("afb_sra-seed-list", lambda d: afb_sra(INDEX, 8, [1, 2]),
+     "seed = [1, 2] is not an integer >= 0 or a SeedSequence"),
     ("afb_sra-seed-bool-in-list", lambda d: afb_sra(INDEX, 8, [1, False]),
-     "seed [1, False] is not an integer >= 0, a list of them or a SeedSequence"),
+     "seed = [1, False] is not an integer >= 0 or a SeedSequence"),
     ("check_span-n_steps-float", lambda d: check_span(64.5, A2, 2, "x"),
      "n_steps = 64.5 is not an integer"),
     ("check_span-n_steps-str", lambda d: check_span("64", A2, 2, "x"),
@@ -159,6 +170,16 @@ ROWS = [
      "grid size M = 64.0 is not an integer"),
     ("check_level-M-bool", lambda d: check_level(True, 0, A2, 2),
      "grid size M = True is not an integer"),
+    # a level whose stride 2^nu is 2^63 or more
+    ("log_ratio_at_level-nu-1e20", lambda d: log_ratio_at_level(WALK, 10**20, A2, 2, 1),
+     "level nu = 100000000000000000000 must be <= 62"),
+    ("estimate_pair-nus-1e20", lambda d: estimate_pair(PROJECTIONS, [10**20]),
+     "level nu = 100000000000000000000 must be <= 62"),
+    ("check_level-nu-63", lambda d: check_level(64, 63, A2, 2),
+     "level nu = 63 must be <= 62"),
+    ("ExperimentConfig-nu_levels-1e20",
+     lambda d: ExperimentConfig(indices=(INDEX,), nu_levels=(10**20,)),
+     "level nu = 100000000000000000000 must be <= 62"),
     # a count that is too small
     ("run_eval_2d-indices-none", lambda d: run_eval_2d(ExperimentConfig(mode="2d")),
      "2-d evaluation needs at least one index"),
@@ -242,6 +263,7 @@ def test_good_seed_and_size_accepted():
     # the control of the seed, key and size rows above
     assert derived_stream(np.int64(1), 0, np.uint8(3)).spawn_key == (0, 3)
     check_level(64, 3, A2, 2)
+    check_level(2**65, 62, A2, 2)
     check_span(np.int64(64), A2, 2, "x")
 
 

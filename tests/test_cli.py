@@ -18,6 +18,7 @@ from anisofield import (
     quad_variation,
     read_field,
     read_path_csv,
+    write_path_csv,
 )
 from anisofield import cli
 from anisofield.cli import main
@@ -40,6 +41,7 @@ def _read_csv(path):
         ["evaluate", "--config", "{tmp}/missing.cfg"],
         ["theory", "--H", "nan"],
         ["theory", "--H", "1e-300"],
+        ["estimate", "--input", "{tmp}/path.csv", "--nu", "100000000000000000000"],
         ["simulate", "--index", "constant:0.5", "--grid", "8",
          "--seed", "18446744073709551616", "--out", "{tmp}/f.afb"],
         ["simulate", "--index", "constant:0.5", "--grid", "8",
@@ -48,7 +50,7 @@ def _read_csv(path):
     ids=[
         "theory_u0", "simulate_grid12", "evaluate_unknown_key", "evaluate_2d_u3",
         "evaluate_1d_length4", "estimate_missing_input", "evaluate_missing_config",
-        "theory_Hnan", "theory_H1e-300", "simulate_seed_2e64",
+        "theory_Hnan", "theory_H1e-300", "estimate_nu_1e20", "simulate_seed_2e64",
         "simulate_seed_unknown_mark",
     ],
 )
@@ -58,6 +60,7 @@ def test_value_errors_reported_in_one_line(tmp_path, capsys, argv):
         "mode = 2d\nindex = constant:0.5\ngrid = 32\nnu = 0\nu = 3\n"
     )
     (tmp_path / "short.cfg").write_text("mode = 1d\nhurst = 0.5\nlength = 4\n")
+    write_path_csv(np.arange(65.0), tmp_path / "path.csv")
     rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert rc == 1
     err = capsys.readouterr().err

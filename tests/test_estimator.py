@@ -342,7 +342,7 @@ _PROJECTIONS = np.stack([_WALK[:17], _WALK[17:34]])
         (lambda n: cross_transfer(A2, n, 1, 0.3), 1.5, "dilation u"),
         (lambda n: cross_transfer(A2, 1, n, 0.3), 1.5, "dilation v"),
         (lambda n: apply_filter(A2, _WALK, n), 2.0, "dilation u"),
-        (lambda n: theory.E_const(A2, n, 0.5), 2.5, "dilation u"),
+        (lambda n: theory.asymptotic_constants(A2, n, 1, 0.5).E_u, 2.5, "dilation u"),
         (lambda n: theory.asymptotic_constants(A2, 2, n, 0.5).gamma, 1.0, "dilation v"),
         (lambda n: estimate_projection(_PROJECTIONS[0], 0, A2, 2, n), 3.5, "dilation v"),
         (lambda n: project_axis(_GRID, "horizontal", m_sub=n), True, "m_sub"),
@@ -353,8 +353,8 @@ _PROJECTIONS = np.stack([_WALK[:17], _WALK[17:34]])
     ids=[
         "project_axis", "estimate_projection", "estimate_pair", "log_ratio_at_level",
         "estimate_H-u", "estimate_H-v", "quad_variation", "Gamma_fourier", "binomial_filter",
-        "check_level", "cross_transfer-u", "cross_transfer-v", "apply_filter", "E_const",
-        "asymptotic_constants", "estimate_projection-v", "project_axis-bool",
+        "check_level", "cross_transfer-u", "cross_transfer-v", "apply_filter",
+        "asymptotic_constants-u", "asymptotic_constants", "estimate_projection-v", "project_axis-bool",
         "log_ratio_at_level-bool", "quad_variation-bool", "binomial_filter-bool",
     ],
 )
@@ -385,7 +385,6 @@ def test_non_integer_argument_named(call, value, label):
         (lambda d: check_span(64, A2, d, "a path"), "u"),
         (lambda d: estimate_projection(_PROJECTIONS[0], 0, A2, d, 1), "u"),
         (lambda d: estimate_projection(_PROJECTIONS[0], 0, A2, 2, d), "v"),
-        (lambda d: theory.E_const(A2, d, 0.5), "u"),
         (lambda d: theory.Gamma_fourier(A2, d, 1, 0.5, 0), "u"),
         (lambda d: theory.Gamma_fourier(A2, 1, d, 0.5, 0), "v"),
         (lambda d: theory.asymptotic_constants(A2, d, 1, 0.5), "u"),
@@ -395,7 +394,7 @@ def test_non_integer_argument_named(call, value, label):
         "apply_filter", "cross_transfer-u", "cross_transfer-v", "quad_variation",
         "log_ratio_at_level-u", "log_ratio_at_level-v", "estimate_H-u", "estimate_H-v",
         "check_level", "check_span", "estimate_projection-u", "estimate_projection-v",
-        "E_const", "Gamma_fourier-u", "Gamma_fourier-v", "asymptotic_constants-u",
+        "Gamma_fourier-u", "Gamma_fourier-v", "asymptotic_constants-u",
         "asymptotic_constants-v",
     ],
 )

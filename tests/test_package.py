@@ -18,8 +18,8 @@ MODULES = (
 # start with an underscore: the public classes, functions and constants,
 # and the modules the import loads
 PUBLIC = [
-    "AnisofieldError", "AnisotropicIndex", "AsymptoticConstants", "C_const",
-    "DIRECTIONS", "DiscreteFilter", "E_const", "EmbeddingNotPSD", "EvalReport",
+    "AnisofieldError", "AnisotropicIndex", "AsymptoticConstants",
+    "DIRECTIONS", "DiscreteFilter", "EmbeddingNotPSD", "EvalReport",
     "EvalRow1D", "EvalRow2D", "ExperimentConfig", "Gamma_fourier", "InvalidArgument",
     "NegativeVariance", "NonFiniteVariation", "OrderTooLow", "TooManyFailures",
     "Window1DMinus", "ZeroVariation", "afb_sra", "apply_filter",

@@ -173,22 +173,27 @@ class TestFbm:
             assert batch[j, 0].tobytes() == real.tobytes()
             assert batch[j, 1].tobytes() == imag.tobytes()
 
-    def test_list_of_ints_is_one_seed(self):
-        # numpy reads a list of ints as one seed's entropy, and so does
-        # fbm_path: only a list of SeedSequences is a batch
-        real, imag = fbm_path(0.5, 16, [1, 2])
-        assert real.tobytes() == fbm_path(0.5, 16, np.random.SeedSequence([1, 2]))[0].tobytes()
+    def test_list_of_ints_is_a_batch(self):
+        # a list is a batch of seeds, not one seed's entropy as for numpy
+        batch = fbm_path(0.5, 16, [1, 2])
+        assert batch.shape == (2, 2, 17)
+        for j, seed in enumerate([1, 2]):
+            assert batch[j].tobytes() == np.array(fbm_path(0.5, 16, seed)).tobytes()
 
     @pytest.mark.parametrize(
-        "seed", [1.5, "x", [np.random.SeedSequence(1), 3]], ids=["float", "str", "mixed-list"]
+        "seed", [1.5, "x", [np.random.SeedSequence(1), 3, "x"]], ids=["float", "str", "mixed-list"]
     )
     def test_seed_of_another_kind_named(self, aniso_model, seed):
-        # numpy's TypeError becomes a ValueError that names the seed, on
-        # both routes that draw noise
-        message = f"^seed {re.escape(repr(seed))} is not an integer >= 0"
-        with pytest.raises(ValueError, match=message):
+        # one InvalidArgument names the seed on both routes that draw
+        # noise: fbm_path reads a list as a batch and names its entry that
+        # is not a seed, and afb_sra takes no list
+        def message(value):
+            return f"^seed = {re.escape(repr(value))} is not an integer >= 0 or a SeedSequence$"
+
+        entry = seed[-1] if isinstance(seed, list) else seed
+        with pytest.raises(InvalidArgument, match=message(entry)):
             fbm_path(0.5, 16, seed)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(InvalidArgument, match=message(seed)):
             afb_sra(aniso_model, 8, seed)
 
     def test_unit_time_variance(self):

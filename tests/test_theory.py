@@ -44,6 +44,19 @@ def _fourier_oracle(coeffs, u, v, H, p):
     return float(out) if out.ndim == 0 else out
 
 
+def _e(a, u, H) -> float:
+    """E at dilation u: Gamma at p = 0 of the pair (1, 1), times u^(2H)."""
+    return theory.Gamma_fourier(a, 1, 1, H, 0) * float(u) ** (2.0 * H)
+
+
+def _c(a, u, v, H) -> float:
+    """C of the dilation pair (u, v): the C_uv of its bundle, or for u == v,
+    which no bundle holds as its cross pair, the one pass on that pair."""
+    if u == v:
+        return float(theory._constants(a, H, [(u, u)])[1][0])
+    return theory.asymptotic_constants(a, u, v, H).C_uv
+
+
 def _c_oracle(coeffs, u, v, H, p_max=200_000) -> float:
     g = _fourier_oracle(coeffs, u, v, H, np.arange(-p_max, p_max + 1))
     return 2.0 * float(np.sum(g * g))
@@ -101,38 +114,39 @@ def _parseval_oracle(a, u, v, H) -> float:
 
 class TestEConst:
     def test_four_pi(self):
-        assert theory.E_const(A2, 1, 0.5) == pytest.approx(4 * math.pi, rel=1e-6)
+        assert _e(A2, 1, 0.5) == pytest.approx(4 * math.pi, rel=1e-6)
 
     def test_dilation_prefactor(self):
         for H in (0.2, 0.5, 0.9):
-            e1 = theory.E_const(A2, 1, H)
-            assert theory.E_const(A2, 2, H) == pytest.approx(2 ** (2 * H) * e1, rel=1e-10)
+            e1 = _e(A2, 1, H)
+            assert _e(A2, 2, H) == pytest.approx(2 ** (2 * H) * e1, rel=1e-10)
 
     @pytest.mark.parametrize("H", [0.2, 0.7, 1.2])
     def test_closed_form_oracle(self, H):
-        assert theory.E_const(A2, 1, H) == pytest.approx(
+        assert _e(A2, 1, H) == pytest.approx(
             _quad_oracle(A2, 1, 1, H, 0), rel=1e-8
         )
 
     def test_integer_h_limit(self):
         # sin(pi H) = 0 at H = 1; the x^2 log|x| limit gives 8 log 2
-        assert theory.E_const(A2, 1, 1.0) == pytest.approx(8 * math.log(2), rel=1e-15)
-        assert theory.E_const(A2, 1, 1.0) == pytest.approx(
+        assert _e(A2, 1, 1.0) == pytest.approx(8 * math.log(2), rel=1e-15)
+        assert _e(A2, 1, 1.0) == pytest.approx(
             _quad_oracle(A2, 1, 1, 1.0, 0), rel=1e-8
         )
 
     def test_order_too_low(self):
         with pytest.raises(OrderTooLow):
-            theory.E_const(A1, 1, 1.1)
+            _e(A1, 1, 1.1)
         with pytest.raises(OrderTooLow):
-            theory.E_const(A2, 1, 2.0)
+            _e(A2, 1, 2.0)
 
 
 class TestGammaFourier:
     def test_p_zero_equals_e(self):
+        # E at dilation 1, as the bundle's one pass reads it
         for H in (0.3, 0.8):
             assert theory.Gamma_fourier(A2, 1, 1, H, 0) == pytest.approx(
-                theory.E_const(A2, 1, H), rel=1e-10
+                theory.asymptotic_constants(A2, 2, 1, H).E_v, rel=1e-10
             )
 
     def test_sign_symmetry_equal_dilations(self):
@@ -188,36 +202,34 @@ class TestGammaFourier:
 class TestCConst:
     def test_closed_forms_brownian(self):
         # finite-support covariances at H = 1/2 sum exactly
-        assert theory.C_const(A2, 1, 1, 0.5) == pytest.approx(48 * math.pi**2, rel=1e-9)
-        assert theory.C_const(A2, 2, 2, 0.5) == pytest.approx(224 * math.pi**2, rel=1e-9)
-        assert theory.C_const(A2, 2, 1, 0.5) == pytest.approx(48 * math.pi**2, rel=1e-9)
+        bundle = theory.asymptotic_constants(A2, 2, 1, 0.5)
+        assert bundle.C_vv == pytest.approx(48 * math.pi**2, rel=1e-9)
+        assert bundle.C_uu == pytest.approx(224 * math.pi**2, rel=1e-9)
+        assert bundle.C_uv == pytest.approx(48 * math.pi**2, rel=1e-9)
 
     def test_positive(self):
-        assert theory.C_const(A2, 1, 1, 0.5) > 0
+        assert theory.asymptotic_constants(A2, 2, 1, 0.5).C_vv > 0
 
     def test_symmetric_in_uv(self):
-        assert theory.C_const(A2, 2, 1, 0.7) == pytest.approx(
-            theory.C_const(A2, 1, 2, 0.7), rel=1e-9
+        assert theory.asymptotic_constants(A2, 2, 1, 0.7).C_uv == pytest.approx(
+            theory.asymptotic_constants(A2, 1, 2, 0.7).C_uv, rel=1e-9
         )
 
     @pytest.mark.parametrize("H", [0.2, 0.3, 0.7])
     def test_series_oracle(self, H):
-        for u, v in ((1, 1), (2, 1)):
-            assert theory.C_const(A2, u, v, H) == pytest.approx(
-                _c_oracle((1, -2, 1), u, v, H), rel=1e-5
-            )
+        bundle = theory.asymptotic_constants(A2, 2, 1, H)
+        for c, (u, v) in ((bundle.C_vv, (1, 1)), (bundle.C_uv, (2, 1))):
+            assert c == pytest.approx(_c_oracle((1, -2, 1), u, v, H), rel=1e-5)
 
     def test_cauchy_schwarz(self):
         for H in (0.2, 0.5, 0.7, 0.9):
             for u, v in ((2, 1), (3, 1), (3, 2)):
-                c_uv = theory.C_const(A2, u, v, H)
-                c_uu = theory.C_const(A2, u, u, H)
-                c_vv = theory.C_const(A2, v, v, H)
-                assert c_uv**2 <= c_uu * c_vv + 1e-9
+                bundle = theory.asymptotic_constants(A2, u, v, H)
+                assert bundle.C_uv**2 <= bundle.C_uu * bundle.C_vv + 1e-9
 
     def test_order_too_low(self):
         with pytest.raises(OrderTooLow):
-            theory.C_const(A1, 2, 1, 0.8)  # needs K > H + 1/4
+            theory.asymptotic_constants(A1, 2, 1, 0.8)  # needs K > H + 1/4
 
     @pytest.mark.parametrize("q", [5.0, 9.0, 13.0, 17.0, 33.0])
     def test_hurwitz_zeta_oracle(self, q):
@@ -240,7 +252,7 @@ class TestCConst:
             # roundoff stalls below the target tolerance are harmless here
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             oracle = _parseval_oracle(a, *uv, H)
-        assert theory.C_const(a, *uv, H) == pytest.approx(oracle, rel=1e-7)
+        assert _c(a, *uv, H) == pytest.approx(oracle, rel=1e-7)
 
     @pytest.mark.parametrize(
         "a", [A2, A3, binomial_filter(4), DiscreteFilter((1, -2, 0, 2, -1))],
@@ -250,7 +262,7 @@ class TestCConst:
         # C diverges only as H reaches K - 1/4
         for H in np.arange(1, 100 * a.order - 25) / 100:
             for u, v in ((1, 1), (2, 1), (3, 2)):
-                c = theory.C_const(a, u, v, H)
+                c = _c(a, u, v, H)
                 assert math.isfinite(c) and c > 0.0, (H, u, v, c)
 
 
@@ -324,19 +336,21 @@ class TestOnePass:
     @pytest.mark.parametrize("uv", [(2, 1), (1, 2), (3, 1)])
     def test_bundle_equals_single_calls(self, order, uv):
         # asymptotic_constants evaluates the bundle's four dilation pairs in
-        # one stacked pass; each constant must be the one computed alone,
-        # and Gamma_fourier on an integer array its scalar calls
+        # one stacked pass, on one grid and with each pair masked to its own
+        # cutoff; each constant must be the one computed alone, E through
+        # Gamma_fourier and each C by the one pass over its pair only, and
+        # Gamma_fourier on an integer array its scalar calls
         a, (u, v) = binomial_filter(order), uv
         p = np.array([[0, 3, -7, 40], [-1, 12, -25, 1]])
         # H = k/4 up to K - 1/2, which takes in every positive integer H below K
         for H in np.arange(1, 4 * order - 1) / 4:
             bundle = theory.asymptotic_constants(a, u, v, H)
             alone = {
-                "E_u": theory.E_const(a, u, H),
-                "E_v": theory.E_const(a, v, H),
-                "C_uu": theory.C_const(a, u, u, H),
-                "C_vv": theory.C_const(a, v, v, H),
-                "C_uv": theory.C_const(a, u, v, H),
+                "E_u": _e(a, u, H),
+                "E_v": _e(a, v, H),
+                "C_uu": float(theory._constants(a, H, [(u, u)])[1][0]),
+                "C_vv": float(theory._constants(a, H, [(v, v)])[1][0]),
+                "C_uv": float(theory._constants(a, H, [(u, v)])[1][0]),
             }
             for name, value in alone.items():
                 assert getattr(bundle, name) == pytest.approx(value, rel=1e-13), (H, name)
@@ -372,6 +386,6 @@ class TestExpectedVariation:
         for i in range(reps):
             path = fbm_path(H, N, derived_stream(22, i))[0]
             vals[i] = quad_variation(path, A2, 2)
-        limit = c * theory.E_const(A2, 2, H)
+        limit = c * _e(A2, 2, H)
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(N ** (2 * H) * vals.mean() - limit) <= 4.0 * N ** (2 * H) * se
